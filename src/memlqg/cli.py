@@ -28,14 +28,7 @@ import numpy as np
 
 from . import __version__
 from .acceptance import run_all
-from .closedloop import (
-    build_augmented,
-    closed_loop_covariance,
-    closed_loop_mean,
-    controlled_fidelity,
-)
-from .control import LqgConfig, lqg_gains
-from .estimation import measurement_model, stationary_filter
+from .closedloop import LoopBuilder
 from .model import (
     MemoryParams,
     SourceSpec,
@@ -45,7 +38,6 @@ from .model import (
     squeezed_vacuum,
     standard_encoding,
     thermal_occupation,
-    vacuum,
 )
 from .openloop import (
     fidelity,
@@ -60,7 +52,7 @@ from .openloop import (
     syndrome_statistics,
     syndrome_variance_ideal,
 )
-from .simulate import TrajectoryConfig, filter_view_noise, simulate_trajectory
+from .simulate import TrajectoryConfig, simulate_trajectory
 
 TWO_PI = 2.0 * np.pi
 
@@ -275,23 +267,6 @@ def cmd_steady(args, err) -> int:
     return 0
 
 
-def _controlled_fidelity_at(settings: RunSettings, mu: float, mu1: float, r: float, mode: str) -> float:
-    params = settings.params
-    enc = standard_encoding(settings.alpha_in)
-    lam_true, noise_true = _lam_and_noise(settings, mu, mu1)
-    if mode == "s2":
-        lam_f = lambda_matrix(vacuum(), squeezed_vacuum(mu), squeezed_vacuum(mu))
-        noise_f = noise_model(lam_f, params.n_occ)
-    else:
-        noise_f = noise_true
-    mm = measurement_model(mode, enc, params, noise_f)
-    sf = stationary_filter(mm, params, enc, noise_f)
-    g = lqg_gains(LqgConfig(r=r, mode=mode), params, enc)
-    am = build_augmented(params, enc, noise_true, mm, g, sf)
-    _, vprime = closed_loop_covariance(am)
-    return controlled_fidelity(vprime, input_covariance(lam_true))
-
-
 def cmd_sweep_fidelity(args, err) -> int:
     settings = resolve_settings(args, err)
     params = settings.params
@@ -301,6 +276,7 @@ def cmd_sweep_fidelity(args, err) -> int:
     mus = parse_range(mu_text, err, "--mu")
     log2rs = parse_range(log2r_text, err, "--log2r")
     mu1 = settings.mu1
+    builder = LoopBuilder(params, enc)
     out, close = _open_out(args.out)
     try:
         for line in _header_lines(
@@ -313,9 +289,7 @@ def cmd_sweep_fidelity(args, err) -> int:
             v_inf = steady_state(params, enc, noise).cov
             f_unc = fidelity(v_inf, input_covariance(lam))
             for lg in log2rs:
-                f_ctl = _controlled_fidelity_at(
-                    settings, float(mu), mu1, 2.0 ** (-float(lg)), settings.filter_mode
-                )
+                f_ctl = builder(noise, settings.filter_mode, 2.0 ** (-float(lg))).fidelity()
                 out.write(
                     f"{_fmt(mu)},{_fmt(lg)},{_fmt(f_ctl)},{_fmt(f_unc)}\n"
                 )
@@ -333,6 +307,7 @@ def cmd_sweep_squeezed(args, err) -> int:
     mu1_text = args.mu1_range or "-1:1:9"
     mus = parse_range(mu_text, err, "--mu")
     mu1s = parse_range(mu1_text, err, "--mu1")
+    builder = LoopBuilder(settings.params, standard_encoding(settings.alpha_in))
     out, close = _open_out(args.out)
     try:
         for line in _header_lines(
@@ -344,8 +319,9 @@ def cmd_sweep_squeezed(args, err) -> int:
         out.write("mu,mu1,fidelity_s1,fidelity_s2\n")
         for mu in mus:
             for mu1 in mu1s:
-                f1 = _controlled_fidelity_at(settings, float(mu), float(mu1), r, "s1")
-                f2 = _controlled_fidelity_at(settings, float(mu), float(mu1), r, "s2")
+                _, noise = _lam_and_noise(settings, float(mu), float(mu1))
+                f1 = builder(noise, "s1", r).fidelity()
+                f2 = builder(noise, "s2", r).fidelity()
                 out.write(f"{_fmt(mu)},{_fmt(mu1)},{_fmt(f1)},{_fmt(f2)}\n")
     finally:
         if close:
@@ -398,11 +374,8 @@ def cmd_trajectory(args, err) -> int:
         mode=squeezed_vacuum(settings.mu1),
         covariance_known=(mode == "s1"),
     )
-    lam_true, noise_true = _lam_and_noise(settings, settings.mu, settings.mu1)
-    noise_filt = filter_view_noise(noise_true, source, params)
-    mm = measurement_model(mode, enc, params, noise_filt)
-    sf = stationary_filter(mm, params, enc, noise_filt)
-    g = lqg_gains(LqgConfig(r=r, mode=mode), params, enc)
+    _, noise_true = _lam_and_noise(settings, settings.mu, settings.mu1)
+    loop = LoopBuilder(params, enc)(noise_true, mode, r)
     stem = args.out or "trajectory"
     if stem.endswith(".csv"):
         stem = stem[:-4]
@@ -421,10 +394,10 @@ def cmd_trajectory(args, err) -> int:
                 params,
                 enc,
                 noise_true,
-                mm,
-                g,
+                loop.mm,
+                loop.g,
                 source,
-                sf=sf,
+                sf=loop.sf,
                 stream_index=k,
                 drive=np.asarray(settings.drive),
             )

@@ -22,9 +22,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .control import Gains
-from .estimation import MeasurementModel, StationaryFilter, stationary_filter
-from .model import Encoding, MemoryParams, NoiseModel
+from .control import Gains, LqgConfig, lqg_gains
+from .estimation import (
+    MeasurementModel,
+    StationaryFilter,
+    filter_view_noise,
+    measurement_model,
+    stationary_filter,
+)
+from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, input_covariance
 from .numerics import solve_lyapunov_steady, symmetrize
 from .openloop import fidelity, system_matrices
 
@@ -56,7 +62,7 @@ def build_augmented(
     noise: NoiseModel,
     mm: MeasurementModel,
     g: Gains,
-    sf: StationaryFilter | None = None,
+    sf: StationaryFilter,
     drive: np.ndarray | None = None,
 ) -> AugmentedModel:
     """Assemble the joint drift of memory and stationary syndrome filter.
@@ -67,8 +73,6 @@ def build_augmented(
     """
     if g.Fgain.shape[1] != mm.n_channels:
         raise ValueError("gains and measurement model disagree on syndrome count")
-    if sf is None:
-        sf = stationary_filter(mm, params, enc, noise)
     sys = system_matrices(params, enc, drive=drive)
     m = mm.n_channels
     Az = np.zeros((6 + m, 6 + m))
@@ -116,7 +120,7 @@ def vprime_explicit(
     noise: NoiseModel,
     mm: MeasurementModel,
     g: Gains,
-    sf: StationaryFilter | None = None,
+    sf: StationaryFilter,
     gain_reading: str = "full",
 ) -> np.ndarray:
     """Closed-form steady controlled covariance.
@@ -129,8 +133,6 @@ def vprime_explicit(
     """
     if gain_reading not in GAIN_READINGS:
         raise ValueError(f"unknown gain reading {gain_reading!r}")
-    if sf is None:
-        sf = stationary_filter(mm, params, enc, noise)
     sys = system_matrices(params, enc)
     A = sys.A
     K6 = sf.K if gain_reading == "full" else mm.Btil.T @ sf.Ktil
@@ -201,14 +203,12 @@ def explicit_formula_report(
     noise: NoiseModel,
     mm: MeasurementModel,
     g: Gains,
-    sf: StationaryFilter | None = None,
+    sf: StationaryFilter,
     tol: float = 1e-6,
 ) -> ExplicitFormulaReport:
     """Evaluate the explicit formula under both gain readings and compare
     each against the augmented Lyapunov solve. Preference order on a tie:
     'full' first."""
-    if sf is None:
-        sf = stationary_filter(mm, params, enc, noise)
     am = build_augmented(params, enc, noise, mm, g, sf)
     _, vprime = closed_loop_covariance(am)
     scale = max(float(np.linalg.norm(vprime)), 1e-300)
@@ -240,35 +240,50 @@ def controlled_fidelity(Vprime: np.ndarray, V_in: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class ClosedLoopSummary:
-    """One-stop steady description of the controlled memory."""
+class Loop:
+    """One assembled feedback loop.
 
-    Vz: np.ndarray
-    Vprime: np.ndarray
-    Vc: np.ndarray
-    mean: np.ndarray  # 6-vector, memory part
-    fidelity: float
+    `noise` is the true plant noise; `mm` and `sf` are built from the noise
+    the filter is allowed to assume, `g` holds the regulator gains and `am`
+    the augmented (x, pi_s) model driven by the true noise.
+    """
+
+    noise: NoiseModel
+    mm: MeasurementModel
+    sf: StationaryFilter
+    g: Gains
+    am: AugmentedModel
+
+    def fidelity(self) -> float:
+        """Controlled steady-state fidelity against the written input."""
+        _, vprime = closed_loop_covariance(self.am)
+        return controlled_fidelity(vprime, input_covariance(self.noise.Lambda))
 
 
-def closed_loop_summary(
-    params: MemoryParams,
-    enc: Encoding,
-    noise: NoiseModel,
-    mm: MeasurementModel,
-    g: Gains,
-    V_in: np.ndarray,
-    sf: StationaryFilter | None = None,
-) -> ClosedLoopSummary:
-    """Build the loop, solve it, and report covariance, mean and fidelity."""
-    if sf is None:
-        sf = stationary_filter(mm, params, enc, noise)
-    am = build_augmented(params, enc, noise, mm, g, sf)
-    Vz, Vprime = closed_loop_covariance(am)
-    mean_z = closed_loop_mean(am)
-    return ClosedLoopSummary(
-        Vz=Vz,
-        Vprime=Vprime,
-        Vc=sf.Vc.copy(),
-        mean=mean_z[:6],
-        fidelity=controlled_fidelity(Vprime, V_in),
-    )
+class LoopBuilder:
+    """Assembles loops for one memory and encoding: `builder(noise, mode, r)`.
+
+    Mode 's1' is the informed filter and sees the true noise; mode 's2' is
+    the blind one and sees the source block replaced by the vacuum. The
+    stationary filter depends on neither r nor, when blind, the true source,
+    so each builder solves it once per (mode, filter-view noise).
+    """
+
+    def __init__(self, params: MemoryParams, enc: Encoding):
+        self.params = params
+        self.enc = enc
+        self._filters: dict = {}
+
+    def __call__(self, noise: NoiseModel, mode: str, r: float) -> Loop:
+        # the filter never knows the amplitude, so only covariance_known matters
+        source = SourceSpec(alpha_in=0.0, covariance_known=(mode == "s1"))
+        view = filter_view_noise(noise, source, self.params)
+        key = (mode, view.Lambda.tobytes())
+        if key not in self._filters:
+            mm = measurement_model(mode, self.enc, self.params, view)
+            sf = stationary_filter(mm, self.params, self.enc, view)
+            self._filters[key] = (mm, sf)
+        mm, sf = self._filters[key]
+        g = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
+        am = build_augmented(self.params, self.enc, noise, mm, g, sf)
+        return Loop(noise=noise, mm=mm, sf=sf, g=g, am=am)

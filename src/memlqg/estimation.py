@@ -19,12 +19,11 @@ is completely source-blind.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoding, MemoryParams, NoiseModel
+from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
 from .numerics import (
     SteadySolveOptions,
     integrate_to_steady,
@@ -34,6 +33,21 @@ from .numerics import (
 from .openloop import SystemMatrices, system_matrices
 
 FILTER_MODES = ("s1", "s2")
+
+
+def filter_view_noise(
+    noise: NoiseModel, source: SourceSpec, params: MemoryParams
+) -> NoiseModel:
+    """The noise statistics the filter is allowed to assume.
+
+    When the source covariance is undisclosed, its block is replaced by the
+    vacuum; the locally prepared ancilla blocks are always known.
+    """
+    if source.covariance_known:
+        return noise
+    Lam = noise.Lambda.copy()
+    Lam[0:2, 0:2] = source.filter_view().block()
+    return noise_model(Lam, params.n_occ)
 
 
 @dataclass(frozen=True)
@@ -165,42 +179,10 @@ def stationary_filter(
 
 
 @dataclass(frozen=True)
-class FilterState:
-    """Full-state conditional estimate with its covariance."""
-
-    pi_x: np.ndarray
-    Vc: np.ndarray
-
-
-@dataclass(frozen=True)
 class SyndromeFilterState:
     """Conditional estimate of the m syndrome coordinates."""
 
     pi_s: np.ndarray
-
-
-def filter_step(
-    fs: FilterState,
-    dy: np.ndarray,
-    u: np.ndarray,
-    dt: float,
-    mm: MeasurementModel,
-    sys: SystemMatrices,
-    noise: NoiseModel,
-) -> FilterState:
-    """One Euler update of the full-state filter (time-varying gain).
-
-    The estimate uses the true drive, so it tracks the absolute state; the
-    gain is recomputed from the advancing conditional covariance.
-    """
-    rate = float(np.abs(np.diag(sys.A)).max())
-    if dt * 2.0 * rate > 0.1:
-        warnings.warn(f"filter step dt*rate = {dt * 2.0 * rate:.3g} > 0.1; expect bias")
-    K = kalman_gain(fs.Vc, mm)
-    innovation = dy - mm.C @ fs.pi_x * dt
-    pi_x = fs.pi_x + dt * (sys.A @ fs.pi_x + u + sys.drive) + K @ innovation
-    Vc = symmetrize(fs.Vc + dt * riccati_flow(fs.Vc, mm, sys, noise))
-    return FilterState(pi_x=pi_x, Vc=Vc)
 
 
 def syndrome_filter_step(

@@ -185,16 +185,15 @@ def input_covariance(Lambda: np.ndarray) -> np.ndarray:
 class SourceSpec:
     """What is assumed known about the payload mode.
 
-    The mean amplitude alpha_in is never known to the controller
-    (mean_known stays False in every supported scenario); covariance_known
-    distinguishes the fully-characterized source from the blind case, where
-    estimation must run on the source-independent syndrome subset.
+    The mean amplitude alpha_in is never known to the controller.
+    covariance_known distinguishes the fully-characterized source from the
+    blind case, where estimation must run on the source-independent syndrome
+    subset.
     """
 
     alpha_in: float
     mode: FieldMode = field(default_factory=vacuum)
     covariance_known: bool = True
-    mean_known: bool = False
 
     def filter_view(self) -> FieldMode:
         """Source statistics as seen by the estimation layer."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoding, FieldMode, MemoryParams, NoiseModel, SourceSpec
+from .model import Encoding, FieldMode, MemoryParams, NoiseModel
 from .numerics import min_eigenvalue, solve_lyapunov_steady, symmetrize
 
 #: Collective-variance rate of a classical (measure-and-prepare) write-in.
@@ -84,7 +84,6 @@ def steady_state(
     params: MemoryParams,
     enc: Encoding,
     noise: NoiseModel,
-    source: SourceSpec | None = None,
     drive: np.ndarray | None = None,
 ) -> GaussianState:
     """Stationary mean and covariance of the uncontrolled memory.
@@ -93,7 +92,6 @@ def steady_state(
     steady Lyapunov equation. Requires gamma > 0 or any damping at all, which
     A = -(nu+gamma)/2 I guarantees for physical parameters.
     """
-    del source  # statistics enter through `noise`; kept for call symmetry
     sys = system_matrices(params, enc, drive)
     mean = 2.0 * sys.drive / (params.nu + params.gamma)
     cov = solve_lyapunov_steady(sys.A, sys.B @ noise.SigmaW @ sys.B.T)

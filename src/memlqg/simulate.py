@@ -22,7 +22,7 @@ and single-trajectory runs consume identical noise values, and a given
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,15 +30,10 @@ from .control import Gains, control_input
 from .estimation import (
     MeasurementModel,
     StationaryFilter,
+    filter_view_noise,
     stationary_filter,
 )
-from .model import (
-    Encoding,
-    MemoryParams,
-    NoiseModel,
-    SourceSpec,
-    noise_model,
-)
+from .model import Encoding, MemoryParams, NoiseModel, SourceSpec
 from .openloop import SystemMatrices, system_matrices
 
 CHUNK = 256  # noise block length; fixed so stream consumption never depends on batching
@@ -98,21 +93,6 @@ class Trajectory:
                 raise ValueError(f"series {name!r} length mismatch")
         if len(self.innovations) != n - 1:
             raise ValueError("innovations must have one entry per recorded step")
-
-
-def filter_view_noise(
-    noise: NoiseModel, source: SourceSpec, params: MemoryParams
-) -> NoiseModel:
-    """The noise statistics the filter is allowed to assume.
-
-    When the source covariance is undisclosed, its block is replaced by the
-    vacuum; the locally prepared ancilla blocks are always known.
-    """
-    if source.covariance_known:
-        return noise
-    Lam = noise.Lambda.copy()
-    Lam[0:2, 0:2] = source.filter_view().block()
-    return noise_model(Lam, params.n_occ)
 
 
 def noise_factor(SigmaW: np.ndarray) -> np.ndarray:
@@ -200,9 +180,8 @@ def simulate_trajectory(
     itself always uses the true plant and true noise.
     """
     _check_dt(cfg, params)
-    filt_noise = filter_view_noise(noise, source, params)
     if sf is None:
-        sf = stationary_filter(mm, params, enc, filt_noise)
+        sf = stationary_filter(mm, params, enc, filter_view_noise(noise, source, params))
     sys = system_matrices(params, enc, drive=drive)
     mats = _loop_mats(params, sys, noise, mm, sf, g)
     m = mm.n_channels
@@ -305,9 +284,8 @@ def ensemble_moments(
         raise ValueError("need at least 2 trajectories")
     if not 0.0 < window_fraction <= 1.0:
         raise ValueError("window_fraction must lie in (0, 1]")
-    filt_noise = filter_view_noise(noise, source, params)
     if sf is None:
-        sf = stationary_filter(mm, params, enc, filt_noise)
+        sf = stationary_filter(mm, params, enc, filter_view_noise(noise, source, params))
     sys = system_matrices(params, enc, drive=drive)
     mats = _loop_mats(params, sys, noise, mm, sf, g)
     m = mm.n_channels
@@ -389,45 +367,6 @@ def ensemble_moments(
 
 
 @dataclass(frozen=True)
-class EnsembleStatistics:
-    mean_series: np.ndarray  # (n_rec, 6+m) ensemble mean of (x, pi_s) per time
-    cov_at: dict  # time -> (6+m, 6+m) sample covariance at that sample
-    steady_mean: np.ndarray  # (6+m,)
-    steady_cov: np.ndarray  # (6+m, 6+m) pooled over the final 20% of samples
-
-
-def ensemble_statistics(
-    trajs: list[Trajectory], cov_times: list[float] | None = None
-) -> EnsembleStatistics:
-    """Sample moments across recorded trajectories with matched configs."""
-    if len(trajs) < 2:
-        raise ValueError("need at least 2 trajectories")
-    cfg0 = trajs[0].cfg
-    for t in trajs[1:]:
-        if t.cfg != cfg0:
-            raise ValueError("trajectories have mismatched configs")
-    Z = np.stack([np.hstack([t.x, t.pi_s]) for t in trajs])  # (K, n_rec, 6+m)
-    mean_series = Z.mean(axis=0)
-    times = trajs[0].times
-    cov_at = {}
-    for tq in cov_times or []:
-        idx = int(np.argmin(np.abs(times - tq)))
-        snap = Z[:, idx, :]
-        cov_at[float(times[idx])] = np.cov(snap, rowvar=False)
-    n_rec = Z.shape[1]
-    lo = n_rec - max(1, int(round(0.2 * n_rec)))
-    pool = Z[:, lo:, :].reshape(-1, Z.shape[2])
-    steady_mean = pool.mean(axis=0)
-    steady_cov = np.cov(pool, rowvar=False)
-    return EnsembleStatistics(
-        mean_series=mean_series,
-        cov_at=cov_at,
-        steady_mean=steady_mean,
-        steady_cov=steady_cov,
-    )
-
-
-@dataclass(frozen=True)
 class InnovationReport:
     cov_rate: np.ndarray  # (m, m) empirical innovation covariance per unit time
     expected_cov: np.ndarray  # (m, m)
@@ -474,8 +413,3 @@ def innovation_diagnostics(traj: Trajectory) -> InnovationReport:
         whiteness_pass=bool(np.all(np.abs(lag1) < 0.05)),
         mean_pass=bool(np.all(np.abs(z) < 3.0)),
     )
-
-
-def rescaled_config(cfg: TrajectoryConfig, rate: float) -> TrajectoryConfig:
-    """Convenience: express dt and duration in units of 1/rate."""
-    return replace(cfg, dt=cfg.dt / rate, duration=cfg.duration / rate)

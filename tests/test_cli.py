@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -145,6 +146,19 @@ def test_sweep_squeezed_csv(tmp_path):
         assert float(row["fidelity_s1"]) >= float(row["fidelity_s2"]) - 1e-9
     # default effort weight for this sweep is the strong-feedback setting
     assert float(header["r"]) == pytest.approx(2.0**-40)
+
+
+@pytest.mark.parametrize(
+    "argv,solves",
+    [
+        (["sweep-fidelity", "--mu=-1:0:3", "--log2r", "10:40:4"], {"s1": 3}),
+        (["sweep-squeezed", "--mu=-1:0:2", "--mu1=-1:1:3"], {"s1": 6, "s2": 2}),
+    ],
+)
+def test_sweeps_solve_each_filter_once(tmp_path, filter_solves, argv, solves):
+    """The filter depends on neither r nor, when blind, the source."""
+    assert run(argv + ["--out", str(tmp_path / "grid.csv")]) == 0
+    assert Counter(filter_solves) == solves
 
 
 def test_trajectory_files_and_pairing(tmp_path):

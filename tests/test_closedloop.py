@@ -4,19 +4,20 @@ from numpy.testing import assert_allclose
 
 from memlqg.closedloop import (
     GAIN_READINGS,
+    LoopBuilder,
     build_augmented,
     closed_loop_covariance,
     closed_loop_mean,
-    closed_loop_summary,
     controlled_fidelity,
     explicit_formula_report,
     vprime_explicit,
 )
 from memlqg.control import Gains, LqgConfig, cost_rate, feedback_rates, lqg_gains
-from memlqg.estimation import measurement_model, stationary_filter
+from memlqg.estimation import filter_view_noise, measurement_model, stationary_filter
 from memlqg.model import (
     FieldMode,
     MemoryParams,
+    SourceSpec,
     input_covariance,
     lambda_matrix,
     noise_model,
@@ -243,12 +244,22 @@ def test_build_augmented_rejects_mode_mismatch():
         build_augmented(PARAMS, ENC, NOISE, mm, g2, sf)
 
 
-def test_summary_is_self_consistent():
-    mm, sf, g = loop_pieces(r=1e-4)
-    lam = NOISE.Lambda
-    V_in = input_covariance(lam)
-    s = closed_loop_summary(PARAMS, ENC, NOISE, mm, g, V_in, sf)
-    assert_allclose(s.Vprime, s.Vz[:6, :6])
-    assert s.fidelity == pytest.approx(controlled_fidelity(s.Vprime, V_in))
-    assert_allclose(s.Vc, sf.Vc)
-    assert_allclose(s.mean, steady_state(PARAMS, ENC, NOISE).mean, atol=1e-10)
+def test_blind_loop_ignores_true_source():
+    """A blind (s2) loop's filter and feedback are bit-identical for any true
+    source and equal those built by hand from the filter's view of the noise;
+    the true noise still drives the augmented model and the fidelity."""
+    noise_b = standard_noise(squeezed_vacuum(1.3), MU, PARAMS)
+    loop_a = LoopBuilder(PARAMS, ENC)(NOISE, "s2", 1e-2)
+    loop_b = LoopBuilder(PARAMS, ENC)(noise_b, "s2", 1e-2)
+    view = filter_view_noise(noise_b, SourceSpec(-230.0, covariance_known=False), PARAMS)
+    mm = measurement_model("s2", ENC, PARAMS, view)
+    sf = stationary_filter(mm, PARAMS, ENC, view)
+    g = lqg_gains(LqgConfig(r=1e-2, mode="s2"), PARAMS, ENC)
+    for loop in (loop_a, loop_b):
+        assert np.array_equal(loop.sf.K, sf.K)
+        assert np.array_equal(loop.sf.Ktil, sf.Ktil)
+        assert np.array_equal(loop.g.Fgain, g.Fgain)
+    assert loop_b.noise is noise_b
+    _, Vp = closed_loop_covariance(build_augmented(PARAMS, ENC, noise_b, mm, g, sf))
+    assert loop_b.fidelity() == controlled_fidelity(Vp, input_covariance(noise_b.Lambda))
+    assert loop_a.fidelity() != loop_b.fidelity()

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from memlqg.control import LqgConfig, lqg_gains
 from memlqg.estimation import (
     FILTER_MODES,
-    FilterState,
     SyndromeFilterState,
-    filter_step,
     kalman_gain,
     measurement_model,
     riccati_flow,
@@ -15,6 +14,7 @@ from memlqg.estimation import (
 )
 from memlqg.model import (
     MemoryParams,
+    SourceSpec,
     input_covariance,
     noise_model,
     lambda_matrix,
@@ -25,6 +25,7 @@ from memlqg.model import (
 )
 from memlqg.numerics import is_psd, min_eigenvalue
 from memlqg.openloop import steady_state, system_matrices
+from memlqg.simulate import TrajectoryConfig, simulate_trajectory
 
 PARAMS = MemoryParams(nu=3.0, gamma=1.0, n_occ=2.0)
 ENC = standard_encoding(-230.0)
@@ -133,27 +134,16 @@ def test_kalman_gain_definition():
 
 def test_syndrome_filter_tracks_projected_full_filter():
     """B_tilde maps the full-state update onto the reduced update exactly:
-    same record, same input, stationary gain."""
+    same record, same input, stationary gain. The trajectory engine runs both
+    filters side by side, and syndrome_filter_step replays the reduced one."""
     mm = measurement_model("s1", ENC, PARAMS, NOISE)
     sf = stationary_filter(mm, PARAMS, ENC, NOISE)
-    sys = system_matrices(PARAMS, ENC)
-    rng = np.random.default_rng(7)
-    pi_x = rng.standard_normal(6)
-    dt = 1e-3
-    fs = FilterState(pi_x=pi_x, Vc=sf.Vc.copy())
-    ss = SyndromeFilterState(pi_s=mm.Btil @ pi_x)
-    for _ in range(50):
-        dy = rng.standard_normal(3) * np.sqrt(dt)
-        u = rng.standard_normal(6)
-        fs = filter_step(fs, dy, u, dt, mm, sys, NOISE)
-        ss = syndrome_filter_step(ss, dy, u, dt, mm, PARAMS, sf.Ktil)
-        assert_allclose(ss.pi_s, mm.Btil @ fs.pi_x, atol=1e-12)
-
-
-def test_filter_step_warns_on_coarse_step():
-    mm = measurement_model("s1", ENC, PARAMS, NOISE)
-    sf = stationary_filter(mm, PARAMS, ENC, NOISE)
-    sys = system_matrices(PARAMS, ENC)
-    fs = FilterState(pi_x=np.zeros(6), Vc=sf.Vc.copy())
-    with pytest.warns(UserWarning):
-        filter_step(fs, np.zeros(3), np.zeros(6), 1.0, mm, sys, NOISE)
+    g = lqg_gains(LqgConfig(r=1e-2, mode="s1"), PARAMS, ENC)
+    cfg = TrajectoryConfig(dt=1e-3, duration=0.5, seed=7)
+    traj = simulate_trajectory(cfg, PARAMS, ENC, NOISE, mm, g, SourceSpec(-230.0), sf=sf)
+    assert_allclose(traj.pi_s, traj.pi_x @ mm.Btil.T, atol=1e-12)
+    ss = SyndromeFilterState(pi_s=traj.pi_s[0])
+    for k, innovation in enumerate(traj.innovations):
+        dy = innovation + np.sqrt(2.0 * PARAMS.nu) * traj.pi_s[k] * cfg.dt
+        ss = syndrome_filter_step(ss, dy, traj.u[k], cfg.dt, mm, PARAMS, sf.Ktil)
+        assert_allclose(ss.pi_s, traj.pi_s[k + 1], atol=1e-12)

@@ -170,7 +170,6 @@ def test_source_spec_filter_view():
     blind = SourceSpec(alpha_in=-230.0, mode=squeezed_vacuum(-1.0), covariance_known=False)
     assert informed.filter_view().M != 0.0
     assert blind.filter_view().N == 0.0  # vacuum stand-in
-    assert not informed.mean_known
 
 
 def test_noise_model_layout():

@@ -4,7 +4,12 @@ from numpy.testing import assert_allclose
 
 from memlqg.closedloop import build_augmented, closed_loop_covariance
 from memlqg.control import Gains, LqgConfig, lqg_gains
-from memlqg.estimation import StationaryFilter, measurement_model, stationary_filter
+from memlqg.estimation import (
+    StationaryFilter,
+    filter_view_noise,
+    measurement_model,
+    stationary_filter,
+)
 from memlqg.model import (
     MemoryParams,
     SourceSpec,
@@ -21,11 +26,8 @@ from memlqg.simulate import (
     Trajectory,
     TrajectoryConfig,
     ensemble_moments,
-    ensemble_statistics,
-    filter_view_noise,
     innovation_diagnostics,
     noise_factor,
-    rescaled_config,
     simulate_trajectory,
 )
 
@@ -51,14 +53,6 @@ def test_config_validation():
         TrajectoryConfig(dt=0.1, duration=1.0, seed=1, record_stride=0)
     cfg = TrajectoryConfig(dt=0.1, duration=1.04, seed=1)
     assert cfg.n_steps == 10
-
-
-def test_rescaled_config():
-    cfg = TrajectoryConfig(dt=2e-3, duration=30.0, seed=9)
-    scaled = rescaled_config(cfg, rate=100.0)
-    assert scaled.dt == pytest.approx(2e-5)
-    assert scaled.duration == pytest.approx(0.3)
-    assert scaled.seed == cfg.seed
 
 
 def test_repeat_run_is_bit_identical():
@@ -250,30 +244,6 @@ def test_noise_factor_roundtrip_and_guard():
     assert_allclose(L @ L.T, NOISE.SigmaW, atol=1e-12)
     with pytest.raises(ValueError):
         noise_factor(np.diag([1.0, -0.5]))
-
-
-def test_ensemble_statistics_moments_and_guards():
-    mm, sf, g = pieces()
-    cfg = TrajectoryConfig(dt=0.01, duration=2.0, seed=10)
-    trajs = [
-        simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=k)
-        for k in range(4)
-    ]
-    stats = ensemble_statistics(trajs, cov_times=[1.0])
-    n_rec = len(trajs[0].times)
-    assert stats.mean_series.shape == (n_rec, 9)
-    assert stats.steady_mean.shape == (9,)
-    assert stats.steady_cov.shape == (9, 9)
-    (t_key,) = stats.cov_at
-    assert t_key == pytest.approx(1.0)
-    assert stats.cov_at[t_key].shape == (9, 9)
-    with pytest.raises(ValueError):
-        ensemble_statistics(trajs[:1])
-    other = simulate_trajectory(
-        TrajectoryConfig(dt=0.01, duration=1.0, seed=10), P, ENC, NOISE, mm, g, SRC, sf=sf
-    )
-    with pytest.raises(ValueError):
-        ensemble_statistics([trajs[0], other])
 
 
 def test_innovation_diagnostics_guards():

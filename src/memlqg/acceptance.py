@@ -191,7 +191,7 @@ def check_explicit_covariance_formula() -> tuple[bool, str]:
     enc = standard_encoding(alpha_in=-230.0)
     _, noise = _coherent_noise(-0.4, params)
     loop = LoopBuilder(params, enc)(noise, "s1", 1e-9)
-    report = explicit_formula_report(params, enc, noise, loop.mm, loop.g, loop.sf, tol=1e-6)
+    report = explicit_formula_report(loop, params, enc, tol=1e-6)
     return report.matches, "; ".join(report.lines())
 
 

@@ -351,15 +351,8 @@ def _write_trajectory_csv(path: str, traj, settings: RunSettings, control: str, 
         ):
             out.write(line + "\n")
         out.write(",".join(cols) + "\n")
-        for k in range(len(traj.times)):
-            row = (
-                [_fmt(traj.times[k])]
-                + [_fmt(v) for v in traj.x[k]]
-                + [_fmt(v) for v in traj.pi_s[k]]
-                + [_fmt(v) for v in traj.u[k]]
-                + [_fmt(v) for v in traj.err_band[k]]
-            )
-            out.write(",".join(row) + "\n")
+        table = np.column_stack([traj.times, traj.x, traj.pi_s, traj.u, traj.err_band])
+        np.savetxt(out, table, fmt="%.12g", delimiter=",")  # same text as _fmt per value
 
 
 def cmd_trajectory(args, err) -> int:

@@ -198,26 +198,24 @@ def _block_labels(delta: np.ndarray, scale: float, tol: float) -> tuple[str, ...
 
 
 def explicit_formula_report(
+    loop: Loop,
     params: MemoryParams,
     enc: Encoding,
-    noise: NoiseModel,
-    mm: MeasurementModel,
-    g: Gains,
-    sf: StationaryFilter,
     tol: float = 1e-6,
 ) -> ExplicitFormulaReport:
     """Evaluate the explicit formula under both gain readings and compare
-    each against the augmented Lyapunov solve. Preference order on a tie:
-    'full' first."""
-    am = build_augmented(params, enc, noise, mm, g, sf)
-    _, vprime = closed_loop_covariance(am)
+    each against the Lyapunov solve of the loop's augmented model.
+    Preference order on a tie: 'full' first."""
+    _, vprime = closed_loop_covariance(loop.am)
     scale = max(float(np.linalg.norm(vprime)), 1e-300)
     errors = {}
     blocks = {}
     candidates = {}
     matching = None
     for reading in GAIN_READINGS:
-        cand = vprime_explicit(params, enc, noise, mm, g, sf, gain_reading=reading)
+        cand = vprime_explicit(
+            params, enc, loop.noise, loop.mm, loop.g, loop.sf, gain_reading=reading
+        )
         candidates[reading] = cand
         delta = cand - vprime
         errors[reading] = float(np.linalg.norm(delta)) / scale

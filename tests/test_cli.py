@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from memlqg import cli
 from memlqg.cli import build_parser, main, parse_range
 
 
@@ -207,6 +208,30 @@ def test_trajectory_rerun_is_byte_identical(tmp_path):
     a = (tmp_path / "r1.on.000.csv").read_text().splitlines()
     b = (tmp_path / "r2.on.000.csv").read_text().splitlines()
     assert a == b
+
+
+def test_trajectory_csv_body_is_per_value_format(tmp_path, monkeypatch):
+    real = cli.simulate_trajectory
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli, "simulate_trajectory", recording)
+    assert run(["trajectory", "--duration", "1e-4", "--out", str(tmp_path / "fmt")]) == 0
+    for control, traj in zip(("on", "off"), runs):
+        lines = (tmp_path / f"fmt.{control}.000.csv").read_text().splitlines()
+        body = [line for line in lines if not line.startswith("#")][1:]
+        expected = [
+            ",".join(
+                format(float(v), ".12g")
+                for v in (traj.times[k], *traj.x[k], *traj.pi_s[k], *traj.u[k], *traj.err_band[k])
+            )
+            for k in range(len(traj.times))
+        ]
+        assert body == expected
+        assert len(body) > 10
 
 
 def test_unknown_subcommand_errors():

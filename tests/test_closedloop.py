@@ -158,8 +158,7 @@ def test_explicit_formula_matches_lyapunov(reading):
 
 
 def test_explicit_formula_report_structure_on_agreement():
-    mm, sf, g = loop_pieces(r=1e-4)
-    rep = explicit_formula_report(PARAMS, ENC, NOISE, mm, g, sf)
+    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-4), PARAMS, ENC)
     assert rep.matches
     assert rep.matching_reading == "full"  # preference order on a tie
     assert set(rep.errors) == set(GAIN_READINGS)
@@ -176,10 +175,7 @@ def test_explicit_formula_report_flags_phase_squeezed_source():
     noise = noise_model(
         lambda_matrix(tilted, squeezed_vacuum(MU), squeezed_vacuum(MU)), PARAMS.n_occ
     )
-    mm = measurement_model("s1", ENC, PARAMS, noise)
-    sf = stationary_filter(mm, PARAMS, ENC, noise)
-    g = lqg_gains(LqgConfig(r=1e-4, mode="s1"), PARAMS, ENC)
-    rep = explicit_formula_report(PARAMS, ENC, noise, mm, g, sf)
+    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(noise, "s1", 1e-4), PARAMS, ENC)
     assert not rep.matches
     assert all(rep.errors[k] > rep.tol for k in GAIN_READINGS)
     assert any(len(rep.mismatched_blocks[k]) > 0 for k in GAIN_READINGS)

@@ -22,6 +22,7 @@ from memlqg.model import (
 )
 from memlqg.openloop import steady_state, system_matrices
 from memlqg.simulate import (
+    CHUNK,
     SimulationUnstableError,
     Trajectory,
     TrajectoryConfig,
@@ -49,8 +50,6 @@ def test_config_validation():
         TrajectoryConfig(dt=0.0, duration=1.0, seed=1)
     with pytest.raises(ValueError):
         TrajectoryConfig(dt=0.1, duration=0.05, seed=1)
-    with pytest.raises(ValueError):
-        TrajectoryConfig(dt=0.1, duration=1.0, seed=1, record_stride=0)
     cfg = TrajectoryConfig(dt=0.1, duration=1.04, seed=1)
     assert cfg.n_steps == 10
 
@@ -88,20 +87,44 @@ def test_batched_ensemble_matches_single_runs_exactly():
         assert np.abs(single - em.final_states[k]).max() < 1e-12
 
 
-def test_record_stride_shapes():
+def reference_loop(cfg, mm, sf, g, stream_index=0):
+    """The SDE stepped one vector at a time, drawing the stream's noise
+    blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs."""
+    sysm = system_matrices(P, ENC)
+    L = noise_factor(NOISE.SigmaW)
+    stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(stream_index,))
+    rng = np.random.default_rng(stream)
+    x, pi_s, pi_x = rng.standard_normal(6) * np.sqrt(0.5), np.zeros(mm.n_channels), np.zeros(6)
+    n, dt = cfg.n_steps, cfg.dt
+    noise = np.vstack([rng.standard_normal((min(CHUNK, n - k), 12)) for k in range(0, n, CHUNK)])
+    states, innovations, inputs = [np.concatenate([x, pi_s, pi_x])], [], []
+    for w in noise:
+        u = g.Fgain @ pi_s if cfg.control_enabled else np.zeros(6)
+        dw = np.sqrt(dt) * (L @ w)
+        dy = mm.C @ x * dt + mm.D @ dw
+        inn = dy - np.sqrt(2.0 * P.nu) * pi_s * dt
+        x = x + dt * (sysm.A @ x + u + sysm.drive) + sysm.B @ dw
+        pi_s = pi_s + dt * (-P.damping * pi_s + mm.Btil @ u) + sf.Ktil @ inn
+        pi_x = pi_x + dt * (sysm.A @ pi_x + u + sysm.drive) + sf.K @ (dy - mm.C @ pi_x * dt)
+        states.append(np.concatenate([x, pi_s, pi_x]))
+        innovations.append(inn)
+        inputs.append(u)
+    return np.array(states), np.array(innovations), np.array(inputs)
+
+
+@pytest.mark.parametrize("control", [True, False])
+def test_affine_kernel_matches_per_step_reference(control):
+    """Two full noise blocks and a partial one, stepped by the affine kernel
+    and by the literal per-step loop, agree to rounding."""
     mm, sf, g = pieces()
-    cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=5, record_stride=7)
-    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
-    n_rec = 100 // 7 + 1
-    assert t.times.shape == (n_rec,)
-    assert t.x.shape == (n_rec, 6)
-    assert t.pi_s.shape == (n_rec, 3)
-    assert t.innovations.shape == (n_rec - 1, 3)
-    assert t.times[1] == pytest.approx(0.07)
-    # strided recording must subsample the full-rate path, not change it
-    cfg1 = TrajectoryConfig(dt=0.01, duration=1.0, seed=5, record_stride=1)
-    full = simulate_trajectory(cfg1, P, ENC, NOISE, mm, g, SRC, sf=sf)
-    assert_allclose(t.x, full.x[::7][: n_rec], atol=0)
+    n = 2 * CHUNK + 7
+    cfg = TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=42, control_enabled=control)
+    assert cfg.n_steps == n
+    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=3)
+    states, innovations, inputs = reference_loop(cfg, mm, sf, g, stream_index=3)
+    assert_allclose(np.hstack([t.x, t.pi_s, t.pi_x]), states, rtol=0, atol=1e-12)
+    assert_allclose(t.innovations, innovations, rtol=0, atol=1e-12)
+    assert_allclose(t.u[:-1], inputs, rtol=0, atol=1e-12)
 
 
 def test_control_off_leaves_input_zero():
@@ -248,10 +271,6 @@ def test_noise_factor_roundtrip_and_guard():
 
 def test_innovation_diagnostics_guards():
     mm, sf, g = pieces()
-    cfg = TrajectoryConfig(dt=0.01, duration=2.0, seed=10, record_stride=5)
-    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
-    with pytest.raises(ValueError, match="record_stride"):
-        innovation_diagnostics(t)
     short = simulate_trajectory(
         TrajectoryConfig(dt=0.01, duration=0.05, seed=10), P, ENC, NOISE, mm, g, SRC, sf=sf
     )

@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
-from .numerics import (
-    SteadySolveOptions,
-    integrate_to_steady,
-    solve_care,
-    symmetrize,
-)
+from .numerics import ConvergenceError, newton_kleinman, solve_care, symmetrize
 from .openloop import SystemMatrices, system_matrices
 
 FILTER_MODES = ("s1", "s2")
@@ -143,37 +138,35 @@ def stationary_filter(
     enc: Encoding,
     noise: NoiseModel,
     method: str = "care",
-    opts: SteadySolveOptions | None = None,
 ) -> StationaryFilter:
     """Solve the steady Riccati equation and freeze the gains.
 
-    method='care' removes the plant/sensor correlation by the standard shift
-    A -> A - S R^-1 C, Q -> Q - S R^-1 S^T and solves the resulting algebraic
-    Riccati equation (robust at any squeezing). method='march' integrates the
-    Riccati flow from the vacuum prior; it is the independent cross-check
-    route and is only usable where the flow is not stiff.
+    Both routes remove the plant/sensor correlation by the standard shift
+    A -> A - S R^-1 C, Q -> Q - S R^-1 S^T and solve the resulting algebraic
+    Riccati equation. method='care' uses the scipy QZ/Schur solver.
+    method='newton' is the independent cross-check route: Newton-Kleinman
+    from the open-loop gain -(S R^-1)^T, whose first closed-loop drift is the
+    Hurwitz A = -(nu+gamma)/2 I, so it uses only Bartels-Stewart Lyapunov
+    solves.
+    Either result must zero the Riccati flow to 1e-8 relative to
+    max(1, ||B Sw B^T||), else ConvergenceError carries that residual.
     """
     sys = system_matrices(params, enc)
     Q = sys.B @ noise.SigmaW @ sys.B.T
+    SRinv = _solve_innovation(mm, mm.cross_cov)  # S R^-1, 6 x m
+    Ashift = sys.A - SRinv @ mm.C
+    Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
     if method == "care":
-        SRinv = _solve_innovation(mm, mm.cross_cov)  # S R^-1, 6 x m
-        Ashift = sys.A - SRinv @ mm.C
-        Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
         Vc = solve_care(Ashift.T, mm.C.T, Qshift, mm.innovation_cov)
-    elif method == "march":
-        opts = opts or SteadySolveOptions.for_rate(params.nu + params.gamma)
-        Vc = integrate_to_steady(
-            lambda X: riccati_flow(X, mm, sys, noise), 0.5 * np.eye(6), opts
-        )
+    elif method == "newton":
+        Vc = newton_kleinman(Ashift.T, mm.C.T, Qshift, mm.innovation_cov, -SRinv.T)
     else:
-        raise ValueError(f"unknown method {method!r} (expected 'care' or 'march')")
+        raise ValueError(f"unknown method {method!r} (expected 'care' or 'newton')")
 
     flow = riccati_flow(Vc, mm, sys, noise)
-    scale = max(1.0, float(np.linalg.norm(Q)))
-    if float(np.linalg.norm(flow)) > 1e-8 * scale:
-        raise RuntimeError(
-            f"stationary filter inconsistent: Riccati residual {np.linalg.norm(flow):.3e}"
-        )
+    residual = float(np.linalg.norm(flow)) / max(1.0, float(np.linalg.norm(Q)))
+    if residual > 1e-8:
+        raise ConvergenceError("stationary filter inconsistent: Riccati residual", residual)
     K = kalman_gain(Vc, mm)
     return StationaryFilter(Vc=Vc, K=K, Ktil=mm.Btil @ K)
 

@@ -1,4 +1,4 @@
-"""Dense real-matrix kernels: steady Lyapunov, Riccati marching, CARE.
+"""Dense real-matrix kernels: steady Lyapunov, CARE, Newton-Kleinman.
 
 Matrices are plain float64 numpy arrays throughout. Covariance-like results
 are re-symmetrized after every update and verified against their defining
@@ -7,9 +7,6 @@ stated in each docstring.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -81,89 +78,55 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     return X
 
 
-@dataclass(frozen=True)
-class SteadySolveOptions:
-    """Knobs for the RK4 time-marcher.
-
-    `step` is the initial time step, `max_time` the total simulated horizon,
-    and `convergence_tol` the bound on ||rhs(X)|| / max(1, ||X||).
-    """
-
-    step: float
-    convergence_tol: float = 1e-10
-    max_time: float = 50.0
-
-    def __post_init__(self):
-        if self.step <= 0 or self.max_time <= 0 or self.convergence_tol <= 0:
-            raise ValueError("SteadySolveOptions fields must be positive")
-
-    @classmethod
-    def for_rate(cls, rate: float) -> "SteadySolveOptions":
-        """Defaults scaled to a system whose slowest relaxation rate is `rate`."""
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        return cls(step=1e-3 / rate, convergence_tol=1e-10, max_time=50.0 / rate)
+def _care_residual(
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray, qscale: float
+) -> float:
+    """||A^T P + P A + Q - P B R^-1 B^T P|| / qscale."""
+    residual = A.T @ P + P @ A + Q - P @ B @ np.linalg.solve(R, B.T @ P)
+    return float(np.linalg.norm(residual)) / qscale
 
 
-def _rk4_step(rhs: Callable[[np.ndarray], np.ndarray], X: np.ndarray, h: float) -> np.ndarray:
-    k1 = rhs(X)
-    k2 = rhs(X + 0.5 * h * k1)
-    k3 = rhs(X + 0.5 * h * k2)
-    k4 = rhs(X + h * k3)
-    return X + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+NEWTON_KLEINMAN_MAX_STEPS = 20
 
 
-def integrate_to_steady(
-    rhs: Callable[[np.ndarray], np.ndarray],
-    X0: np.ndarray,
-    opts: SteadySolveOptions,
+def newton_kleinman(
+    Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray, G: np.ndarray
 ) -> np.ndarray:
-    """March dX/dt = rhs(X) with classical RK4 until the flow vanishes.
+    """Stabilizing solution of the `solve_care` equation by Newton-Kleinman
+    iteration (Kleinman, IEEE TAC 13, 1968) from the gain G.
 
-    Every accepted iterate is re-symmetrized. If a step increases the flow
-    norm it is discarded and the step size halved. Raises ConvergenceError
-    (carrying the final residual) if the horizon `opts.max_time` is exhausted
-    or the step collapses before ||rhs(X)|| / max(1, ||X||) < convergence_tol.
+    Each step solves the closed-loop Lyapunov equation
+    (Atil - Btil G)^T P + P (Atil - Btil G) + Q + G^T R G = 0 and sets
+    G = R^-1 Btil^T P. The loop stops when the residual falls below 1e-12
+    relative to ||Q|| (absolute when Q = 0), when the next closed loop is not stable, or after
+    NEWTON_KLEINMAN_MAX_STEPS steps. Raises UnstableDriftError when the given
+    G does not stabilize Atil - Btil G, and ConvergenceError unless the last P
+    satisfies the equation to 1e-8 relative to ||Q||.
     """
-    X = symmetrize(_check_symmetric(np.array(X0, dtype=float), "X0"))
-
-    def measure(M: np.ndarray) -> float:
-        return float(np.linalg.norm(rhs(M))) / max(1.0, float(np.linalg.norm(M)))
-
-    res = measure(X)
-    if res < opts.convergence_tol:
-        return X
-
-    h = opts.step
-    h_floor = opts.step * 2.0**-60
-    t = 0.0
-    flow_prev = float(np.linalg.norm(rhs(X)))
-    while t < opts.max_time:
-        Xn = symmetrize(_rk4_step(rhs, X, h))
-        flow_new = float(np.linalg.norm(rhs(Xn)))
-        if not np.isfinite(flow_new) or flow_new > flow_prev * (1.0 + 1e-12):
-            h *= 0.5
-            if h < h_floor:
-                raise ConvergenceError("steady state not reached: step size collapsed", measure(X))
-            continue
-        X = Xn
-        flow_prev = flow_new
-        t += h
-        if flow_new / max(1.0, float(np.linalg.norm(X))) < opts.convergence_tol:
-            return X
-    raise ConvergenceError("steady state not reached within max_time", measure(X))
-
-
-def _care_residual(A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray) -> np.ndarray:
-    return A.T @ P + P @ A + Q - P @ B @ np.linalg.solve(R, B.T @ P)
+    qscale = float(np.linalg.norm(Q)) or 1.0
+    P = None
+    for _ in range(NEWTON_KLEINMAN_MAX_STEPS):
+        Acl = Atil - Btil @ G
+        # The Lyapunov solve rejects an initial gain that does not stabilize.
+        if P is not None and np.linalg.eigvals(Acl).real.max() >= 0.0:
+            break
+        P = solve_lyapunov_steady(Acl.T, Q + G.T @ R @ G)
+        residual = _care_residual(Atil, Btil, Q, R, P, qscale)
+        if residual < 1e-12:
+            break
+        G = np.linalg.solve(R, Btil.T @ P)
+    if residual > 1e-8:
+        raise ConvergenceError("CARE residual above tolerance", residual)
+    return P
 
 
 def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of Atil^T P + P Atil + Q - P Btil R^-1 Btil^T P = 0.
 
     R must be symmetric positive definite; Q symmetric PSD. Backed by the
-    scipy CARE solver with a Newton-Kleinman polish; the returned P satisfies
-    the equation to 1e-8 relative to ||Q||.
+    scipy CARE solver, polished by `newton_kleinman` unless its residual is
+    already below 1e-12; the returned P satisfies the equation to 1e-8
+    relative to ||Q||.
     """
     Atil = _check_square(Atil, "Atil")
     Q = _check_symmetric(Q, "Q")
@@ -191,19 +154,8 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     except Exception as exc:  # scipy raises LinAlgError or ValueError
         raise ConvergenceError(f"CARE solver failed: {exc}") from exc
 
-    # Newton-Kleinman polish: each pass solves the closed-loop Lyapunov
-    # equation exactly, squaring the error of the QZ-based seed.
-    for _ in range(8):
-        residual = float(np.linalg.norm(_care_residual(Atil, Btil, Q, R, P))) / qscale
-        if residual < 1e-12:
-            break
-        G = np.linalg.solve(R, Btil.T @ P)
-        Acl = Atil - Btil @ G
-        if np.linalg.eigvals(Acl).real.max() >= 0.0:
-            break
-        P = solve_lyapunov_steady(Acl.T, Q + G.T @ R @ G)
-
-    residual = float(np.linalg.norm(_care_residual(Atil, Btil, Q, R, P))) / qscale
-    if residual > 1e-8:
-        raise ConvergenceError("CARE residual above tolerance", residual)
-    return P
+    # Newton-Kleinman polish: each step squares the error of the QZ-based seed.
+    residual = _care_residual(Atil, Btil, Q, R, P, qscale)
+    if residual < 1e-12:
+        return P
+    return newton_kleinman(Atil, Btil, Q, R, np.linalg.solve(R, Btil.T @ P))

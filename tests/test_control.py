@@ -12,6 +12,7 @@ from memlqg.control import (
     syndrome_weights,
 )
 from memlqg.model import MemoryParams, standard_encoding
+from memlqg.numerics import solve_care
 
 PARAMS = MemoryParams(nu=3.0, gamma=1.0, n_occ=2.0)  # damping c = 2
 ENC = standard_encoding(-230.0)
@@ -54,11 +55,13 @@ def test_riccati_identity_per_coordinate():
 @pytest.mark.parametrize("mode", ["s1", "s2"])
 @pytest.mark.parametrize("r", [1e-2, 1e-6, 1e-10])
 def test_closed_form_matches_dense_care(mode, r):
-    g = lqg_gains(LqgConfig(r=r, mode=mode), PARAMS, ENC, cross_check=True)
-    # cross_check raises on disagreement; also verify shapes here
+    g = lqg_gains(LqgConfig(r=r, mode=mode), PARAMS, ENC)
     m = 3 if mode == "s1" else 2
     assert g.P.shape == (m, m)
     assert g.Fgain.shape == (6, m)
+    Btil = ENC.syndrome_map(mode)
+    P_dense = solve_care(-PARAMS.damping * np.eye(m), Btil, syndrome_weights(mode), r * np.eye(6))
+    assert np.linalg.norm(P_dense - g.P) <= 1e-8 * np.linalg.norm(g.P)
 
 
 def test_s2_rates_are_uniform():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from memlqg import estimation
+from memlqg.acceptance import reference_params
 from memlqg.control import LqgConfig, lqg_gains
 from memlqg.estimation import (
     FILTER_MODES,
@@ -23,7 +25,7 @@ from memlqg.model import (
     standard_noise,
     vacuum,
 )
-from memlqg.numerics import is_psd, min_eigenvalue
+from memlqg.numerics import ConvergenceError, is_psd, min_eigenvalue
 from memlqg.openloop import steady_state, system_matrices
 from memlqg.simulate import TrajectoryConfig, simulate_trajectory
 
@@ -85,16 +87,33 @@ def test_stationary_filter_zeroes_riccati_flow(mode):
     assert_allclose(sf.Ktil, mm.Btil @ sf.K, atol=1e-14)
 
 
+NEWTON_POINTS = {
+    "toy": (MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0), -1.0, 0.0),
+    "reference": (reference_params(), -0.4, 0.0),
+    "lossy": (reference_params(gamma_hz=100.0), -3.0, -1.0),
+}
+
+
+@pytest.mark.parametrize("point", NEWTON_POINTS)
 @pytest.mark.parametrize("mode", FILTER_MODES)
-def test_care_and_march_routes_agree(mode):
-    p = MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0)
-    noise = standard_noise(vacuum(), -1.0, p)
+def test_newton_and_care_routes_agree(mode, point):
+    p, mu, mu1 = NEWTON_POINTS[point]
+    noise = standard_noise(squeezed_vacuum(mu1), mu, p)
     mm = measurement_model(mode, ENC, p, noise)
     sf_care = stationary_filter(mm, p, ENC, noise, method="care")
-    sf_march = stationary_filter(mm, p, ENC, noise, method="march")
-    assert_allclose(sf_march.Vc, sf_care.Vc, atol=1e-7)
+    sf_newton = stationary_filter(mm, p, ENC, noise, method="newton")
+    assert np.linalg.norm(sf_newton.Vc - sf_care.Vc) <= 1e-9 * np.linalg.norm(sf_care.Vc)
     with pytest.raises(ValueError):
-        stationary_filter(mm, p, ENC, noise, method="newton")
+        stationary_filter(mm, p, ENC, noise, method="march")
+
+
+def test_stationary_filter_reports_riccati_residual(monkeypatch):
+    mm = measurement_model("s1", ENC, PARAMS, NOISE)
+    Vc = stationary_filter(mm, PARAMS, ENC, NOISE).Vc
+    monkeypatch.setattr(estimation, "solve_care", lambda *args: Vc + 1e-3 * np.eye(6))
+    with pytest.raises(ConvergenceError) as exc:
+        stationary_filter(mm, PARAMS, ENC, NOISE)
+    assert exc.value.residual > 1e-8
 
 
 def test_conditioning_never_increases_uncertainty():

@@ -3,12 +3,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from memlqg.numerics import (
-    ConvergenceError,
-    SteadySolveOptions,
     UnstableDriftError,
-    integrate_to_steady,
     is_psd,
     min_eigenvalue,
+    newton_kleinman,
     solve_care,
     solve_lyapunov_steady,
     symmetrize,
@@ -61,32 +59,19 @@ def test_lyapunov_rejects_marginal_drift():
         solve_lyapunov_steady(A, np.eye(2))
 
 
-def test_integrate_to_steady_matches_algebraic_solution():
-    A = random_stable(4, RNG)
-    G = RNG.standard_normal((4, 4))
-    Qn = G @ G.T
-    target = solve_lyapunov_steady(A, Qn)
-    flow = lambda X: A @ X + X @ A.T + Qn
-    opts = SteadySolveOptions.for_rate(float(np.abs(np.linalg.eigvals(A).real).max()))
-    X = integrate_to_steady(flow, np.zeros((4, 4)), opts)
-    assert_allclose(X, target, atol=1e-8 * np.linalg.norm(target))
-
-
-def test_integrate_to_steady_reports_nonconvergence():
-    # A flow with no fixed point: constant positive drift.
-    opts = SteadySolveOptions(step=0.1, max_time=2.0, convergence_tol=1e-14)
-    with pytest.raises(ConvergenceError) as exc:
-        integrate_to_steady(lambda X: np.ones((2, 2)), np.zeros((2, 2)), opts)
-    assert exc.value.residual > 0
+def random_care_problem(n, m, rng):
+    """Hurwitz A with random B, positive-definite Q and a scaled-identity R."""
+    A = random_stable(n, rng)
+    B = rng.standard_normal((n, m))
+    G = rng.standard_normal((n, n))
+    Q = G @ G.T + 0.1 * np.eye(n)
+    R = np.eye(m) * (1.0 + rng.random())
+    return A, B, Q, R
 
 
 @pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (6, 3)])
 def test_care_solution_satisfies_residual(n, m):
-    A = random_stable(n, RNG)
-    B = RNG.standard_normal((n, m))
-    G = RNG.standard_normal((n, n))
-    Q = G @ G.T + 0.1 * np.eye(n)
-    R = np.eye(m) * (1.0 + RNG.random())
+    A, B, Q, R = random_care_problem(n, m, RNG)
     P = solve_care(A, B, Q, R)
     res = A.T @ P + P @ A - P @ B @ np.linalg.solve(R, B.T @ P) + Q
     assert np.linalg.norm(res) <= 1e-8 * max(1.0, np.linalg.norm(Q))
@@ -94,6 +79,20 @@ def test_care_solution_satisfies_residual(n, m):
     # closed loop must be stable
     K = np.linalg.solve(R, B.T @ P)
     assert np.linalg.eigvals(A - B @ K).real.max() < 0
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (6, 3)])
+def test_newton_kleinman_from_zero_gain_matches_care(n, m):
+    A, B, Q, R = random_care_problem(n, m, RNG)
+    P = newton_kleinman(A, B, Q, R, np.zeros((m, n)))
+    assert_allclose(P, solve_care(A, B, Q, R), rtol=0, atol=1e-10 * np.linalg.norm(P))
+
+
+def test_newton_kleinman_rejects_destabilizing_gain():
+    A = random_stable(3, RNG)
+    shift = 1.0 + np.abs(A).sum()  # A + shift I has every eigenvalue in the right half plane
+    with pytest.raises(UnstableDriftError):
+        newton_kleinman(A, np.eye(3), np.eye(3), np.eye(3), -shift * np.eye(3))
 
 
 def test_care_scalar_oracle():

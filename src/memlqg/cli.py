@@ -55,6 +55,7 @@ from .openloop import (
 from .simulate import TrajectoryConfig, simulate_trajectory
 
 TWO_PI = 2.0 * np.pi
+CSV_CHUNK_ROWS = 1024  # trajectory rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -352,7 +353,11 @@ def _write_trajectory_csv(path: str, traj, settings: RunSettings, control: str, 
             out.write(line + "\n")
         out.write(",".join(cols) + "\n")
         table = np.column_stack([traj.times, traj.x, traj.pi_s, traj.u, traj.err_band])
-        np.savetxt(out, table, fmt="%.12g", delimiter=",")  # same text as _fmt per value
+        row = ",".join(["%.12g"] * len(cols)) + "\n"  # same text as _fmt per value
+        # Bounded chunks: formatting the whole table at once would hold every
+        # row as Python floats and strings, tens of MB for a default run.
+        for i in range(0, len(table), CSV_CHUNK_ROWS):
+            out.write("".join(row % tuple(r) for r in table[i : i + CSV_CHUNK_ROWS].tolist()))
 
 
 def cmd_trajectory(args, err) -> int:

@@ -106,11 +106,13 @@ def newton_kleinman(
     qscale = float(np.linalg.norm(Q)) or 1.0
     P = None
     for _ in range(NEWTON_KLEINMAN_MAX_STEPS):
-        Acl = Atil - Btil @ G
-        # The Lyapunov solve rejects an initial gain that does not stabilize.
-        if P is not None and np.linalg.eigvals(Acl).real.max() >= 0.0:
-            break
-        P = solve_lyapunov_steady(Acl.T, Q + G.T @ R @ G)
+        try:
+            P_next = solve_lyapunov_steady((Atil - Btil @ G).T, Q + G.T @ R @ G)
+        except UnstableDriftError:
+            if P is None:  # the given gain does not stabilize
+                raise
+            break  # keep the last stable iterate
+        P = P_next
         residual = _care_residual(Atil, Btil, Q, R, P, qscale)
         if residual < 1e-12:
             break

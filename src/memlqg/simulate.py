@@ -25,13 +25,25 @@ whose matrices are read off by evaluating the step once on unit inputs. A
 single block loop applies it: a trajectory is a batch of one plus a
 recorder, an ensemble the same loop plus a moment accumulator.
 
+The loop applies the b-step lifted map (see _lift)
+
+    [s_{t+1} .. s_{t+b}, inn_t .. inn_{t+b-1}] = [s_t, w_t .. w_{t+b-1}] M_b + c_b,
+
+read off by composing the one-step map b times on unit rows, so the SDE
+stays written once. Each lifted step costs two matrix products, like one
+plain step, and hands b steps to the consumer. b follows from the batch
+size alone: LIFT for a batch of one, where per-step Python overhead
+dominates, and 1 for larger batches, where b > 1 would cost about b times
+the arithmetic; there M_1 is exactly the one-step map. Steps left over at
+the end of a run (its length modulo b) take the one-step map.
+
 Reproducibility: trajectory k draws from the stream
 SeedSequence(entropy=seed, spawn_key=(k,)) — first the initial plant state
 (6 normals), then noise in fixed blocks of CHUNK steps — so single and
 batched runs consume identical noise values. A rerun is bit-identical; a
 trajectory run alone and the same one inside a batch agree to rounding,
-because a one-row and a many-row matrix product may sum in different
-orders.
+because they apply maps lifted by different b, and a one-row and a
+many-row matrix product may sum in different orders.
 """
 
 from __future__ import annotations
@@ -51,6 +63,7 @@ from .model import Encoding, MemoryParams, NoiseModel, SourceSpec
 from .openloop import SystemMatrices, system_matrices
 
 CHUNK = 256  # noise block length; fixed so stream consumption never depends on batching
+LIFT = 16  # steps per lifted map for a batch of one; divides CHUNK
 
 
 class SimulationUnstableError(RuntimeError):
@@ -145,9 +158,9 @@ def _affine_step(
     the noise given as standard normals w (dw = sqrt(dt) L w) and the drive
     scaled by `one`. It is affine, so its values on unit rows give
 
-        [s_next, innovation] = [s, w] M + [c, 0],
+        [s_next, innovation] = [s, w] M + c,
 
-    with M = [[Phi^T, H^T], [Gamma^T, J^T]].
+    with M = [[Phi^T, H^T], [Gamma^T, J^T]] and c = [c_s, 0].
     """
     dt = cfg.dt
     m = mm.n_channels
@@ -173,7 +186,29 @@ def _affine_step(
     n = 12 + m
     unit = np.eye(n + 13)
     rows = step(unit[:, :n], unit[:, n : n + 12], unit[:, -1])
-    return rows[:-1], rows[-1, :n]
+    return rows[:-1], rows[-1]
+
+
+def _lift(M: np.ndarray, c: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Matrices (M_b, c_b) of b steps of the map [s_next, innovation] = [s, w] M + c:
+
+        [s_1 .. s_b, inn_0 .. inn_{b-1}] = [s_0, w_0 .. w_{b-1}] M_b + c_b,
+
+    read off by composing the one-step map b times on unit rows (the lifted
+    system of Khargonekar, Poolla & Tannenbaum, IEEE TAC 30, 1985). For
+    b = 1 the result is (M, c) exactly.
+    """
+    n = M.shape[0] - 12
+    unit = np.eye(n + 12 * b + 1)
+    s, one = unit[:, :n], unit[:, -1:]
+    states, innovations = [], []
+    for j in range(b):
+        out = s @ M[:n] + unit[:, n + 12 * j : n + 12 * (j + 1)] @ M[n:] + one * c
+        s = out[:, :n]
+        states.append(s)
+        innovations.append(out[:, n:])
+    rows = np.hstack(states + innovations)
+    return rows[:-1], rows[-1]
 
 
 def _run_batch(
@@ -190,35 +225,51 @@ def _run_batch(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step one row s = (x, pi_s, pi_x) per stream; return the first and last rows.
 
-    After every step, consume(step, s, innovation) receives the rows and
-    that step's innovations (step counts from 1). Noise is drawn one CHUNK
-    block per stream at a time, so each stream's values do not depend on
-    the batch; divergence is checked once per block.
+    consume(step, s, innovation) receives k consecutive steps at a time:
+    s of shape (batch, k, 12 + m) holds the rows after steps step ..
+    step + k - 1 (counting from 1) and innovation of shape (batch, k, m)
+    their innovations. Noise is drawn one CHUNK block per stream at a time,
+    so each stream's values do not depend on the batch; divergence is
+    checked once per block.
     """
     _check_dt(cfg, params)
     sys = system_matrices(params, enc, drive=drive)
     M, c = _affine_step(cfg, params, sys, noise, mm, sf, g)
-    n = len(c)
+    m = mm.n_channels
+    n = 12 + m
     n_steps = cfg.n_steps
     bound = 1e9 * max(
         1.0, float(np.max(np.abs(2.0 * sys.drive / (params.nu + params.gamma))))
     )
 
     rngs = [_trajectory_rng(cfg.seed, k) for k in streams]
+    b = LIFT if len(rngs) == 1 else 1
+    Mb, cb = _lift(M, c, b)
+
+    def advance(s, step, W, Mk, ck, k):
+        """Apply the k-step map (Mk, ck) over the (batch, steps, 12) noise W."""
+        Wk = W.reshape(len(rngs), W.shape[1] // k, 12 * k)  # a view: blocks are contiguous
+        for j in range(Wk.shape[1]):
+            out = s @ Mk[:n] + Wk[:, j] @ Mk[n:]
+            out += ck
+            rows = out[:, : k * n].reshape(-1, k, n)
+            consume(step + 1, rows, out[:, k * n :].reshape(-1, k, m))
+            step += k
+            s = rows[:, -1]
+        return s, step
+
     start = np.zeros((len(rngs), n))
     start[:, :6] = np.vstack([r.standard_normal(6) for r in rngs]) * np.sqrt(0.5)
     s = start
     step = 0
+    block = np.empty((len(rngs), CHUNK, 12))  # refilled in place: one noise buffer per run
     while step < n_steps:
         blen = min(CHUNK, n_steps - step)
-        W = np.empty((len(rngs), blen, 12))
         for k, r in enumerate(rngs):
-            W[k] = r.standard_normal((blen, 12))
-        for t in range(blen):
-            out = s @ M[:n] + W[:, t] @ M[n:]
-            s = out[:, :n] + c
-            step += 1
-            consume(step, s, out[:, n:])
+            r.standard_normal(out=block[k, :blen])
+        head = blen - blen % b
+        s, step = advance(s, step, block[:, :head], Mb, cb, b)
+        s, step = advance(s, step, block[:, head:blen], M, c, 1)
         peak = float(np.max(np.abs(s[:, :6])))
         if not peak <= bound:  # catches NaN from overflow, not just growth
             raise SimulationUnstableError(step, peak)
@@ -252,8 +303,9 @@ def simulate_trajectory(
     innovations = np.empty((n_rec - 1, m))
 
     def record(step, s, innovation):
-        states[step] = s[0]
-        innovations[step - 1] = innovation[0]
+        k = s.shape[1]
+        states[step : step + k] = s[0]
+        innovations[step - 1 : step - 1 + k] = innovation[0]
 
     streams = range(stream_index, stream_index + 1)
     start, _ = _run_batch(cfg, params, enc, noise, mm, g, sf, drive, streams, record)
@@ -327,13 +379,16 @@ def ensemble_moments(
 
     def accumulate(step, s, innovation):
         nonlocal z1, z2, i1, i2, err_sum
-        if step > window_start:
-            z = s[:, :dz]
+        skip = max(0, window_start + 1 - step)  # leading steps before the window
+        if skip < s.shape[1]:
+            s, innovation = s[:, skip:], innovation[:, skip:]
+            z = s[..., :dz].reshape(-1, dz)
+            inn = innovation.reshape(-1, m)
             z1 += z.sum(axis=0)
             z2 += z.T @ z
-            i1 += innovation.sum(axis=0)
-            i2 += innovation.T @ innovation
-            err_sum += s[:, :6] - s[:, dz:]
+            i1 += inn.sum(axis=0)
+            i2 += inn.T @ inn
+            err_sum += (s[..., :6] - s[..., dz:]).sum(axis=1)
 
     _, final = _run_batch(cfg, params, enc, noise, mm, g, sf, drive, range(n_traj), accumulate)
 

@@ -23,12 +23,15 @@ from memlqg.model import (
 from memlqg.openloop import steady_state, system_matrices
 from memlqg.simulate import (
     CHUNK,
+    LIFT,
     SimulationUnstableError,
     Trajectory,
     TrajectoryConfig,
     ensemble_moments,
     innovation_diagnostics,
     noise_factor,
+    _affine_step,
+    _lift,
     simulate_trajectory,
 )
 
@@ -87,10 +90,10 @@ def test_batched_ensemble_matches_single_runs_exactly():
         assert np.abs(single - em.final_states[k]).max() < 1e-12
 
 
-def reference_loop(cfg, mm, sf, g, stream_index=0):
+def reference_loop(cfg, mm, sf, g, stream_index=0, drive=None):
     """The SDE stepped one vector at a time, drawing the stream's noise
     blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs."""
-    sysm = system_matrices(P, ENC)
+    sysm = system_matrices(P, ENC, drive=drive)
     L = noise_factor(NOISE.SigmaW)
     stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(stream_index,))
     rng = np.random.default_rng(stream)
@@ -112,19 +115,46 @@ def reference_loop(cfg, mm, sf, g, stream_index=0):
     return np.array(states), np.array(innovations), np.array(inputs)
 
 
+@pytest.mark.parametrize("n", [1, 15, 17, CHUNK + 19, 2 * CHUNK + 7])
 @pytest.mark.parametrize("control", [True, False])
-def test_affine_kernel_matches_per_step_reference(control):
-    """Two full noise blocks and a partial one, stepped by the affine kernel
-    and by the literal per-step loop, agree to rounding."""
+def test_affine_kernel_matches_per_step_reference(control, n):
+    """Runs shorter than, between and beyond lifted steps and noise blocks,
+    stepped by the lifted affine kernel and by the literal per-step loop,
+    agree to rounding. The drive is one the syndromes see, so the lifted
+    map's constant reaches the innovations."""
     mm, sf, g = pieces()
-    n = 2 * CHUNK + 7
+    drive = np.array([3.0, -1.0, 0.0, 2.0, 0.0, 0.0])
     cfg = TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=42, control_enabled=control)
     assert cfg.n_steps == n
-    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=3)
-    states, innovations, inputs = reference_loop(cfg, mm, sf, g, stream_index=3)
+    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=3, drive=drive)
+    states, innovations, inputs = reference_loop(cfg, mm, sf, g, stream_index=3, drive=drive)
     assert_allclose(np.hstack([t.x, t.pi_s, t.pi_x]), states, rtol=0, atol=1e-12)
     assert_allclose(t.innovations, innovations, rtol=0, atol=1e-12)
     assert_allclose(t.u[:-1], inputs, rtol=0, atol=1e-12)
+
+
+def test_lifted_map_composes_one_step_map():
+    """M_b on random rows [s, w_0 .. w_{b-1}] equals b one-step maps in turn;
+    for b = 1 the lifted map is the one-step map itself."""
+    mm, sf, g = pieces()
+    cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=1)
+    M, c = _affine_step(cfg, P, system_matrices(P, ENC), NOISE, mm, sf, g)
+    M1, c1 = _lift(M, c, 1)
+    assert np.array_equal(M1, M) and np.array_equal(c1, c)
+
+    b, n = LIFT, M.shape[0] - 12
+    Mb, cb = _lift(M, c, b)
+    assert Mb.shape == (n + 12 * b, b * len(c))
+    rows = np.random.default_rng(7).standard_normal((5, n + 12 * b))
+    s, states, innovations = rows[:, :n], [], []
+    for j in range(b):
+        out = np.hstack([s, rows[:, n + 12 * j : n + 12 * (j + 1)]]) @ M + c
+        s = out[:, :n]
+        states.append(s)
+        innovations.append(out[:, n:])
+    expected = np.hstack(states + innovations)
+    lifted = rows @ Mb + cb
+    assert np.abs(lifted - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
 def test_control_off_leaves_input_zero():
@@ -158,6 +188,16 @@ def test_unstable_loop_is_detected():
     cfg = TrajectoryConfig(dt=0.01, duration=10.0, seed=5)
     with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError):
         simulate_trajectory(cfg, P, ENC, NOISE, mm, runaway, SRC, sf=sf)
+
+
+def test_unstable_ensemble_is_detected():
+    """The batched path steps with the one-step map, not the lifted one; it
+    must stop on divergence too."""
+    mm, sf, g0 = pieces()
+    runaway = Gains(P=g0.P.copy(), Fgain=-80.0 * g0.Fgain, f1=g0.f1, f2=g0.f2)
+    cfg = TrajectoryConfig(dt=0.01, duration=10.0, seed=5)
+    with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError):
+        ensemble_moments(cfg, P, ENC, NOISE, mm, runaway, SRC, n_traj=3, sf=sf)
 
 
 def test_ensemble_argument_validation():

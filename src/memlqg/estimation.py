@@ -19,6 +19,7 @@ is completely source-blind.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,8 +91,9 @@ def measurement_model(
     )
 
 
-def _solve_innovation(mm: MeasurementModel, rhs: np.ndarray) -> np.ndarray:
-    """rhs @ R^-1 with a clear error when the record carries no noise."""
+def _innovation_solver(mm: MeasurementModel) -> Callable[[np.ndarray], np.ndarray]:
+    """rhs -> rhs @ R^-1 through one Cholesky factor of R, with a clear
+    error when the record carries no noise."""
     try:
         c = np.linalg.cholesky(mm.innovation_cov)
     except np.linalg.LinAlgError:
@@ -99,24 +101,38 @@ def _solve_innovation(mm: MeasurementModel, rhs: np.ndarray) -> np.ndarray:
             "singular innovation covariance; clamp the squeezing exponent "
             "at MU_FLOOR instead of taking the ideal limit"
         ) from None
-    y = np.linalg.solve(c, rhs.T)
-    return np.linalg.solve(c.T, y).T
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        y = np.linalg.solve(c, rhs.T)
+        return np.linalg.solve(c.T, y).T
+
+    return solve
+
+
+def _gain(
+    Vc: np.ndarray, mm: MeasurementModel, solve: Callable[[np.ndarray], np.ndarray]
+) -> np.ndarray:
+    Vc = symmetrize(np.asarray(Vc, dtype=float))
+    return solve(Vc @ mm.C.T + mm.cross_cov)
+
+
+def _flow(
+    Vc: np.ndarray, K: np.ndarray, mm: MeasurementModel, sys: SystemMatrices, Q: np.ndarray
+) -> np.ndarray:
+    Vc = symmetrize(np.asarray(Vc, dtype=float))
+    return sys.A @ Vc + Vc @ sys.A.T + Q - K @ mm.innovation_cov @ K.T
 
 
 def kalman_gain(Vc: np.ndarray, mm: MeasurementModel) -> np.ndarray:
     """Stationary-form gain K = (Vc C^T + S) R^-1 for a given conditional cov."""
-    Vc = symmetrize(np.asarray(Vc, dtype=float))
-    return _solve_innovation(mm, Vc @ mm.C.T + mm.cross_cov)
+    return _gain(Vc, mm, _innovation_solver(mm))
 
 
 def riccati_flow(
     Vc: np.ndarray, mm: MeasurementModel, sys: SystemMatrices, noise: NoiseModel
 ) -> np.ndarray:
     """Right-hand side of the conditional-covariance equation."""
-    Vc = symmetrize(np.asarray(Vc, dtype=float))
-    K = kalman_gain(Vc, mm)
-    diffusion = sys.B @ noise.SigmaW @ sys.B.T
-    return sys.A @ Vc + Vc @ sys.A.T + diffusion - K @ mm.innovation_cov @ K.T
+    return _flow(Vc, kalman_gain(Vc, mm), mm, sys, sys.B @ noise.SigmaW @ sys.B.T)
 
 
 @dataclass(frozen=True)
@@ -153,7 +169,8 @@ def stationary_filter(
     """
     sys = system_matrices(params, enc)
     Q = sys.B @ noise.SigmaW @ sys.B.T
-    SRinv = _solve_innovation(mm, mm.cross_cov)  # S R^-1, 6 x m
+    solve = _innovation_solver(mm)  # R is factorized once per solve
+    SRinv = solve(mm.cross_cov)  # S R^-1, 6 x m
     Ashift = sys.A - SRinv @ mm.C
     Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
     if method == "care":
@@ -163,11 +180,11 @@ def stationary_filter(
     else:
         raise ValueError(f"unknown method {method!r} (expected 'care' or 'newton')")
 
-    flow = riccati_flow(Vc, mm, sys, noise)
+    K = _gain(Vc, mm, solve)
+    flow = _flow(Vc, K, mm, sys, Q)
     residual = float(np.linalg.norm(flow)) / max(1.0, float(np.linalg.norm(Q)))
     if residual > 1e-8:
         raise ConvergenceError("stationary filter inconsistent: Riccati residual", residual)
-    K = kalman_gain(Vc, mm)
     return StationaryFilter(Vc=Vc, K=K, Ktil=mm.Btil @ K)
 
 

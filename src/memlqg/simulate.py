@@ -37,13 +37,25 @@ dominates, and 1 for larger batches, where b > 1 would cost about b times
 the arithmetic; there M_1 is exactly the one-step map. Steps left over at
 the end of a run (its length modulo b) take the one-step map.
 
+A consumer that reads only the end of a run, as ensemble_moments reads its
+moment window, names the first step it reads. Every full noise block that
+ends before that step is crossed by one state-only map (see _block_map),
+
+    s_{t+CHUNK} = s_t Phi_B + [w_t .. w_{t+CHUNK-1}] G_B + c_B,
+
+one matrix product over the block's noise, with nothing handed to the
+consumer. It costs no more arithmetic than CHUNK plain steps and runs as
+one product instead of CHUNK small ones. Partial blocks, the block that
+holds the first read step and every step after it take the maps above.
+
 Reproducibility: trajectory k draws from the stream
 SeedSequence(entropy=seed, spawn_key=(k,)) — first the initial plant state
-(6 normals), then noise in fixed blocks of CHUNK steps — so single and
-batched runs consume identical noise values. A rerun is bit-identical; a
-trajectory run alone and the same one inside a batch agree to rounding,
-because they apply maps lifted by different b, and a one-row and a
-many-row matrix product may sum in different orders.
+(6 normals), then noise in fixed blocks of CHUNK steps, skipped or not — so
+single and batched runs consume identical noise values. A rerun is
+bit-identical; a trajectory run alone and the same one inside a batch agree
+to rounding, because they apply maps lifted by different b or crossed by a
+block map, and a one-row and a many-row matrix product may sum in different
+orders.
 """
 
 from __future__ import annotations
@@ -211,6 +223,31 @@ def _lift(M: np.ndarray, c: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]
     return rows[:-1], rows[-1]
 
 
+def _block_map(
+    M: np.ndarray, c: np.ndarray, b: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """State-only matrices (Phi_b, G_b, c_b) of b steps of the map
+    [s_next, innovation] = [s, w] M + c:
+
+        s_b = s_0 Phi_b + [w_0 .. w_{b-1}] G_b + c_b.
+
+    Composed backward from the last step: if T maps s_{j+1} to s_b, the
+    one-step map's state columns applied to T give s_j -> s_b (the next T),
+    w_j -> s_b (G_j = M_ws Phi^(b-1-j)) and the drive's share of c_b. Unlike
+    _lift it never forms the (12 b)-square identity of the noise rows.
+    """
+    n = M.shape[0] - 12
+    one_step = np.vstack([M[:, :n], c[:n]])  # rows s, w, one -> s_next
+    T = np.eye(n)
+    G = np.empty((b, 12, n))
+    cb = np.zeros(n)
+    for j in reversed(range(b)):
+        out = one_step @ T
+        T, G[j] = out[:n], out[n:-1]
+        cb += out[-1]
+    return T, G.reshape(12 * b, n), cb
+
+
 def _run_batch(
     cfg: TrajectoryConfig,
     params: MemoryParams,
@@ -222,15 +259,18 @@ def _run_batch(
     drive: np.ndarray | None,
     streams: range,
     consume,
+    first_read: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step one row s = (x, pi_s, pi_x) per stream; return the first and last rows.
 
     consume(step, s, innovation) receives k consecutive steps at a time:
     s of shape (batch, k, 12 + m) holds the rows after steps step ..
     step + k - 1 (counting from 1) and innovation of shape (batch, k, m)
-    their innovations. Noise is drawn one CHUNK block per stream at a time,
-    so each stream's values do not depend on the batch; divergence is
-    checked once per block.
+    their innovations. Steps before first_read may be withheld: a full
+    noise block that ends before it is crossed by one state-only map
+    (_block_map) and handed to no consumer. Noise is drawn one CHUNK block
+    per stream at a time, so each stream's values do not depend on the
+    batch; divergence is checked once per block.
     """
     _check_dt(cfg, params)
     sys = system_matrices(params, enc, drive=drive)
@@ -258,6 +298,10 @@ def _run_batch(
             s = rows[:, -1]
         return s, step
 
+    last_unread = min(first_read - 1, n_steps)
+    if last_unread >= CHUNK:
+        Phi_blk, G_blk, c_blk = _block_map(M, c, CHUNK)
+
     start = np.zeros((len(rngs), n))
     start[:, :6] = np.vstack([r.standard_normal(6) for r in rngs]) * np.sqrt(0.5)
     s = start
@@ -267,9 +311,14 @@ def _run_batch(
         blen = min(CHUNK, n_steps - step)
         for k, r in enumerate(rngs):
             r.standard_normal(out=block[k, :blen])
-        head = blen - blen % b
-        s, step = advance(s, step, block[:, :head], Mb, cb, b)
-        s, step = advance(s, step, block[:, head:blen], M, c, 1)
+        if step + CHUNK <= last_unread:
+            s = s @ Phi_blk + block.reshape(len(rngs), 12 * CHUNK) @ G_blk
+            s += c_blk
+            step += CHUNK
+        else:
+            head = blen - blen % b
+            s, step = advance(s, step, block[:, :head], Mb, cb, b)
+            s, step = advance(s, step, block[:, head:blen], M, c, 1)
         peak = float(np.max(np.abs(s[:, :6])))
         if not peak <= bound:  # catches NaN from overflow, not just growth
             raise SimulationUnstableError(step, peak)
@@ -358,8 +407,12 @@ def ensemble_moments(
 
     Trajectory k consumes exactly the stream simulate_trajectory(...,
     stream_index=k) would, so endpoints cross-check against single runs.
-    Memory stays bounded: only moment accumulators and one noise block per
-    batch are held.
+    Only the window is read: every full noise block that ends before the
+    window's first step is crossed by one state-only map, and the window's
+    rows [s, innovation] go into one Gram matrix and one per-trajectory row
+    sum. The moments and endpoints agree with step-by-step stepping to
+    rounding. Memory stays bounded: only these accumulators and one noise
+    block per batch are held.
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
@@ -371,27 +424,29 @@ def ensemble_moments(
     dz = 6 + m
     n_steps = cfg.n_steps
     window_start = n_steps - max(1, int(round(window_fraction * n_steps)))
-    z1 = np.zeros(dz)
-    z2 = np.zeros((dz, dz))
-    i1 = np.zeros(m)
-    i2 = np.zeros((m, m))
-    err_sum = np.zeros((n_traj, 6))
+    n = 12 + m
+    gram = np.zeros((n + m, n + m))  # of the window's rows [s, innovation]
+    row_sum = np.zeros((n_traj, n + m))  # the same rows summed per trajectory
 
     def accumulate(step, s, innovation):
-        nonlocal z1, z2, i1, i2, err_sum
+        nonlocal gram, row_sum
         skip = max(0, window_start + 1 - step)  # leading steps before the window
         if skip < s.shape[1]:
-            s, innovation = s[:, skip:], innovation[:, skip:]
-            z = s[..., :dz].reshape(-1, dz)
-            inn = innovation.reshape(-1, m)
-            z1 += z.sum(axis=0)
-            z2 += z.T @ z
-            i1 += inn.sum(axis=0)
-            i2 += inn.T @ inn
-            err_sum += (s[..., :6] - s[..., dz:]).sum(axis=1)
+            rows = np.concatenate([s[:, skip:], innovation[:, skip:]], axis=2)
+            flat = rows.reshape(-1, n + m)
+            gram += flat.T @ flat
+            row_sum += rows.sum(axis=1)
 
-    _, final = _run_batch(cfg, params, enc, noise, mm, g, sf, drive, range(n_traj), accumulate)
+    _, final = _run_batch(
+        cfg, params, enc, noise, mm, g, sf, drive, range(n_traj), accumulate,
+        first_read=window_start + 1,
+    )
 
+    z1 = row_sum[:, :dz].sum(axis=0)
+    z2 = gram[:dz, :dz]
+    i1 = row_sum[:, n:].sum(axis=0)
+    i2 = gram[n:, n:]
+    err_sum = row_sum[:, :6] - row_sum[:, dz:n]
     n_pooled = n_traj * (n_steps - window_start)
     z_mean = z1 / n_pooled
     z_cov = (z2 - n_pooled * np.outer(z_mean, z_mean)) / (n_pooled - 1)

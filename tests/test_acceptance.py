@@ -2,7 +2,7 @@
 
 Each check exercises one verifiable claim about the library at its stated
 tolerance and prints a single [PASS]/[FAIL] line; the slowest (the Monte
-Carlo moment comparison) takes ~15 s. Run with -s to see every line as it
+Carlo moment comparison) takes ~9 s. Run with -s to see every line as it
 completes.
 """
 

@@ -20,6 +20,7 @@ from memlqg.model import (
     standard_noise,
     vacuum,
 )
+from memlqg import simulate
 from memlqg.openloop import steady_state, system_matrices
 from memlqg.simulate import (
     CHUNK,
@@ -31,6 +32,7 @@ from memlqg.simulate import (
     innovation_diagnostics,
     noise_factor,
     _affine_step,
+    _block_map,
     _lift,
     simulate_trajectory,
 )
@@ -88,6 +90,46 @@ def test_batched_ensemble_matches_single_runs_exactly():
         t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=k)
         single = np.concatenate([t.x[-1], t.pi_s[-1], t.pi_x[-1]])
         assert np.abs(single - em.final_states[k]).max() < 1e-12
+
+
+@pytest.mark.parametrize("window_start", [3 * CHUNK + 56, 3 * CHUNK - 1])
+def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
+    """Skipped noise blocks, a window that starts mid-block (or on the last
+    step of a block) and a partial tail block: the moments pooled by the
+    ensemble (skip-ahead plus Gram accumulation) equal those pooled from the
+    recorded single paths."""
+    maps = []
+
+    def spy(M, c, b):
+        maps.append(b)
+        return _block_map(M, c, b)
+
+    monkeypatch.setattr(simulate, "_block_map", spy)
+    mm, sf, g = pieces()
+    n_steps = 4 * CHUNK + 100
+    window = n_steps - window_start
+    cfg = TrajectoryConfig(dt=0.005, duration=n_steps * 0.005, seed=99)
+    assert cfg.n_steps == n_steps
+    em = ensemble_moments(
+        cfg, P, ENC, NOISE, mm, g, SRC, n_traj=3, window_fraction=window / n_steps, sf=sf
+    )
+    assert maps == [CHUNK] and em.n_pooled == 3 * window
+
+    paths = [
+        simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=k)
+        for k in range(3)
+    ]
+    z = np.vstack([np.hstack([t.x, t.pi_s])[window_start + 1 :] for t in paths])
+    inn = np.vstack([t.innovations[window_start:] for t in paths])
+    err = [(t.x - t.pi_x)[window_start + 1 :].mean(axis=0) for t in paths]
+    final = [np.concatenate([t.x[-1], t.pi_s[-1], t.pi_x[-1]]) for t in paths]
+    for got, expected in (
+        (em.z_cov, np.cov(z.T)),
+        (em.innovation_cov_rate, np.cov(inn.T) / cfg.dt),
+        (em.err_mean, np.mean(err, axis=0)),
+        (em.final_states, np.array(final)),
+    ):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def reference_loop(cfg, mm, sf, g, stream_index=0, drive=None):
@@ -157,6 +199,28 @@ def test_lifted_map_composes_one_step_map():
     assert np.abs(lifted - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
+def test_block_map_composes_one_step_map():
+    """(Phi_b, G_b, c_b) on random rows [s, w_0 .. w_{b-1}] equals b one-step
+    maps in turn; for b = 1 it is the state part of the one-step map itself."""
+    mm, sf, g = pieces()
+    cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=1)
+    M, c = _affine_step(cfg, P, system_matrices(P, ENC), NOISE, mm, sf, g)
+    n = M.shape[0] - 12
+    Phi1, G1, c1 = _block_map(M, c, 1)
+    assert np.array_equal(Phi1, M[:n, :n]) and np.array_equal(G1, M[n:, :n])
+    assert np.array_equal(c1, c[:n])
+
+    b = CHUNK
+    Phi, G, cb = _block_map(M, c, b)
+    assert Phi.shape == (n, n) and G.shape == (12 * b, n)
+    rows = np.random.default_rng(7).standard_normal((5, n + 12 * b))
+    s = rows[:, :n]
+    for j in range(b):
+        s = (np.hstack([s, rows[:, n + 12 * j : n + 12 * (j + 1)]]) @ M + c)[:, :n]
+    crossed = rows[:, :n] @ Phi + rows[:, n:] @ G + cb
+    assert np.abs(crossed - s).max() <= 1e-13 * np.abs(s).max()
+
+
 def test_control_off_leaves_input_zero():
     mm, sf, g = pieces()
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=3, control_enabled=False)
@@ -191,13 +255,15 @@ def test_unstable_loop_is_detected():
 
 
 def test_unstable_ensemble_is_detected():
-    """The batched path steps with the one-step map, not the lifted one; it
-    must stop on divergence too."""
+    """The batched path crosses each noise block before its window with one
+    state-only map; a loop that diverges inside such a block (here the
+    second, with a finite block map) must stop at that block's end."""
     mm, sf, g0 = pieces()
-    runaway = Gains(P=g0.P.copy(), Fgain=-80.0 * g0.Fgain, f1=g0.f1, f2=g0.f2)
-    cfg = TrajectoryConfig(dt=0.01, duration=10.0, seed=5)
-    with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError):
+    runaway = Gains(P=g0.P.copy(), Fgain=-0.1 * g0.Fgain, f1=g0.f1, f2=g0.f2)
+    cfg = TrajectoryConfig(dt=0.01, duration=20.0, seed=5)  # window from step 1600
+    with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError) as err:
         ensemble_moments(cfg, P, ENC, NOISE, mm, runaway, SRC, n_traj=3, sf=sf)
+    assert err.value.step % CHUNK == 0 and CHUNK < err.value.step <= 1600
 
 
 def test_ensemble_argument_validation():

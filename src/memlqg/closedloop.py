@@ -19,6 +19,7 @@ one and fidelity changes only through the covariance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -242,15 +243,21 @@ class Loop:
     """One assembled feedback loop.
 
     `noise` is the true plant noise; `mm` and `sf` are built from the noise
-    the filter is allowed to assume, `g` holds the regulator gains and `am`
-    the augmented (x, pi_s) model driven by the true noise.
+    the filter is allowed to assume and `g` holds the regulator gains. `am`,
+    the augmented (x, pi_s) model driven by the true noise, is built on
+    first read, so a loop that is only simulated never assembles it.
     """
 
+    params: MemoryParams
+    enc: Encoding
     noise: NoiseModel
     mm: MeasurementModel
     sf: StationaryFilter
     g: Gains
-    am: AugmentedModel
+
+    @cached_property
+    def am(self) -> AugmentedModel:
+        return build_augmented(self.params, self.enc, self.noise, self.mm, self.g, self.sf)
 
     def fidelity(self) -> float:
         """Controlled steady-state fidelity against the written input."""
@@ -283,5 +290,4 @@ class LoopBuilder:
             self._filters[key] = (mm, sf)
         mm, sf = self._filters[key]
         g = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
-        am = build_augmented(self.params, self.enc, noise, mm, g, sf)
-        return Loop(noise=noise, mm=mm, sf=sf, g=g, am=am)
+        return Loop(params=self.params, enc=self.enc, noise=noise, mm=mm, sf=sf, g=g)

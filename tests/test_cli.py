@@ -1,11 +1,13 @@
+import io
 import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from memlqg import cli
+from memlqg import cli, closedloop
 from memlqg.cli import build_parser, main, parse_range
+from memlqg.simulate import Trajectory, TrajectoryConfig
 
 
 def run(argv):
@@ -211,6 +213,7 @@ def test_trajectory_rerun_is_byte_identical(tmp_path):
 
 
 def test_trajectory_csv_body_is_per_value_format(tmp_path, monkeypatch):
+    """Both filters: s2's gain has zero rows, so its u2, u4, u6 are constant."""
     real = cli.simulate_trajectory
     runs = []
 
@@ -219,19 +222,84 @@ def test_trajectory_csv_body_is_per_value_format(tmp_path, monkeypatch):
         return runs[-1]
 
     monkeypatch.setattr(cli, "simulate_trajectory", recording)
-    assert run(["trajectory", "--duration", "1e-4", "--out", str(tmp_path / "fmt")]) == 0
-    for control, traj in zip(("on", "off"), runs):
-        lines = (tmp_path / f"fmt.{control}.000.csv").read_text().splitlines()
-        body = [line for line in lines if not line.startswith("#")][1:]
-        expected = [
-            ",".join(
-                format(float(v), ".12g")
-                for v in (traj.times[k], *traj.x[k], *traj.pi_s[k], *traj.u[k], *traj.err_band[k])
-            )
-            for k in range(len(traj.times))
-        ]
-        assert body == expected
-        assert len(body) > 10
+    for mode in ("s1", "s2"):
+        runs.clear()
+        stem = tmp_path / f"fmt-{mode}"
+        argv = ["trajectory", "--duration", "1e-4", "--filter", mode, "--out", str(stem)]
+        assert run(argv) == 0
+        for control, traj in zip(("on", "off"), runs):
+            lines = (tmp_path / f"fmt-{mode}.{control}.000.csv").read_text().splitlines()
+            body = [line for line in lines if not line.startswith("#")][1:]
+            expected = [
+                ",".join(
+                    format(float(v), ".12g")
+                    for v in (
+                        traj.times[k], *traj.x[k], *traj.pi_s[k], *traj.u[k], *traj.err_band[k]
+                    )
+                )
+                for k in range(len(traj.times))
+            ]
+            assert body == expected
+            assert len(body) > 10
+        if mode == "s2":
+            on = runs[0]
+            assert not on.u[:, 1::2].any() and on.u[:, 0::2].any()
+
+
+def _hand_trajectory(n_rows: int) -> Trajectory:
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((n_rows, 6))
+    x[:, 0] = np.where(np.arange(n_rows) % 2, -0.0, 0.0)  # zero of both signs
+    x[:, 1] = np.nan
+    x[:, 2] = 3.25
+    x[-1, 2] = -7.5  # constant except in the last row
+    x[:, 3] = -0.0
+    u = np.zeros((n_rows, 6))
+    u[:, 5] = np.inf
+    return Trajectory(
+        cfg=TrajectoryConfig(dt=1e-6, duration=1e-6 * max(n_rows - 1, 1), seed=1),
+        times=np.arange(n_rows) * 1e-6,
+        x=x,
+        pi_s=rng.standard_normal((n_rows, 2)),
+        pi_x=np.zeros((n_rows, 6)),
+        u=u,
+        innovations=np.zeros((n_rows - 1, 2)),
+        err_band=np.full((n_rows, 2), 0.1234567890123),  # needs all 12 digits
+        expected_innovation_cov=np.eye(2),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_rows", [1, cli.CSV_CHUNK_ROWS - 1, cli.CSV_CHUNK_ROWS, cli.CSV_CHUNK_ROWS + 1]
+)
+def test_trajectory_csv_constant_columns_keep_savetxt_bytes(tmp_path, n_rows):
+    traj = _hand_trajectory(n_rows)
+    path = tmp_path / "hand.csv"
+    cli._write_trajectory_csv(str(path), traj, cli.RunSettings(), "off", 1e-9)
+    text = path.read_bytes()
+    body = text[text.index(b"\nt,") + 1 :].split(b"\n", 1)[1]
+    table = np.column_stack([traj.times, traj.x, traj.pi_s, traj.u, traj.err_band])
+    expected = io.BytesIO()
+    np.savetxt(expected, table, fmt="%.12g", delimiter=",")
+    assert body == expected.getvalue()
+    if n_rows > 1:
+        assert b"-0," in body and b",0," in body and b"nan" in body and b"inf" in body
+
+
+def test_trajectory_builds_no_augmented_model(tmp_path, monkeypatch):
+    builds = []
+    real = closedloop.build_augmented
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(closedloop, "build_augmented", counting)
+    assert run(["trajectory", "--duration", "1e-4", "--out", str(tmp_path / "lazy")]) == 0
+    assert builds == []
+    # the sweeps read the model, through the same patched binding
+    assert run(["sweep-fidelity", "--mu=-0.4", "--log2r", "20", "--out", str(tmp_path / "g")]) == 0
+    assert builds == [1]
 
 
 def test_unknown_subcommand_errors():

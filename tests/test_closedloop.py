@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from memlqg import closedloop
 from memlqg.closedloop import (
     GAIN_READINGS,
     LoopBuilder,
@@ -259,3 +260,20 @@ def test_blind_loop_ignores_true_source():
     _, Vp = closed_loop_covariance(build_augmented(PARAMS, ENC, noise_b, mm, g, sf))
     assert loop_b.fidelity() == controlled_fidelity(Vp, input_covariance(noise_b.Lambda))
     assert loop_a.fidelity() != loop_b.fidelity()
+
+
+def test_loop_builds_augmented_model_once_on_first_read(monkeypatch):
+    builds = []
+
+    def counting(*args, **kwargs):
+        builds.append(1)
+        return build_augmented(*args, **kwargs)
+
+    monkeypatch.setattr(closedloop, "build_augmented", counting)
+    loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-2)
+    assert builds == []
+    am = loop.am
+    assert loop.am is am and builds == [1]
+    ref = build_augmented(PARAMS, ENC, NOISE, loop.mm, loop.g, loop.sf)
+    for name in ("Az", "Bz", "Sigma", "drive_z"):
+        assert np.array_equal(getattr(am, name), getattr(ref, name))

@@ -33,10 +33,9 @@ from .model import (
     MemoryParams,
     SourceSpec,
     input_covariance,
-    lambda_matrix,
-    noise_model,
     squeezed_vacuum,
     standard_encoding,
+    standard_noise,
     thermal_occupation,
 )
 from .openloop import (
@@ -204,19 +203,12 @@ def _header_lines(schema: str, settings: RunSettings, extra: dict | None = None)
     return lines
 
 
-def _lam_and_noise(settings: RunSettings, mu: float, mu1: float):
-    lam = lambda_matrix(
-        squeezed_vacuum(mu1), squeezed_vacuum(mu), squeezed_vacuum(mu)
-    )
-    return lam, noise_model(lam, settings.params.n_occ)
-
-
 def cmd_steady(args, err) -> int:
     settings = resolve_settings(args, err)
     params = settings.params
     enc = standard_encoding(settings.alpha_in)
     src_mode = squeezed_vacuum(settings.mu1)
-    lam, noise = _lam_and_noise(settings, settings.mu, settings.mu1)
+    noise = standard_noise(src_mode, settings.mu, params)
     state = steady_state(params, enc, noise, drive=np.asarray(settings.drive))
     mean_c, var = single_mode_check(params, settings.alpha_in)
     vp, vm = steady_mode_variances(
@@ -253,7 +245,7 @@ def cmd_steady(args, err) -> int:
             "ideal": syndrome_variance_ideal(params),
         },
         "fidelity": {
-            "determinant_form": fidelity(state.cov, input_covariance(lam)),
+            "determinant_form": fidelity(state.cov, input_covariance(noise.Lambda)),
             "closed_form_coherent": fidelity_closed_form(settings.mu, params),
         },
         "steady_mean": state.mean.tolist(),
@@ -276,7 +268,7 @@ def cmd_sweep_fidelity(args, err) -> int:
     log2r_text = args.log2r or "10:40:4"
     mus = parse_range(mu_text, err, "--mu")
     log2rs = parse_range(log2r_text, err, "--log2r")
-    mu1 = settings.mu1
+    source_mode = squeezed_vacuum(settings.mu1)
     builder = LoopBuilder(params, enc)
     out, close = _open_out(args.out)
     try:
@@ -286,9 +278,9 @@ def cmd_sweep_fidelity(args, err) -> int:
             out.write(line + "\n")
         out.write("mu,log2r_neg,fidelity_controlled,fidelity_uncontrolled\n")
         for mu in mus:
-            lam, noise = _lam_and_noise(settings, float(mu), mu1)
+            noise = standard_noise(source_mode, float(mu), params)
             v_inf = steady_state(params, enc, noise).cov
-            f_unc = fidelity(v_inf, input_covariance(lam))
+            f_unc = fidelity(v_inf, input_covariance(noise.Lambda))
             for lg in log2rs:
                 f_ctl = builder(noise, settings.filter_mode, 2.0 ** (-float(lg))).fidelity()
                 out.write(
@@ -308,7 +300,8 @@ def cmd_sweep_squeezed(args, err) -> int:
     mu1_text = args.mu1_range or "-1:1:9"
     mus = parse_range(mu_text, err, "--mu")
     mu1s = parse_range(mu1_text, err, "--mu1")
-    builder = LoopBuilder(settings.params, standard_encoding(settings.alpha_in))
+    params = settings.params
+    builder = LoopBuilder(params, standard_encoding(settings.alpha_in))
     out, close = _open_out(args.out)
     try:
         for line in _header_lines(
@@ -320,7 +313,7 @@ def cmd_sweep_squeezed(args, err) -> int:
         out.write("mu,mu1,fidelity_s1,fidelity_s2\n")
         for mu in mus:
             for mu1 in mu1s:
-                _, noise = _lam_and_noise(settings, float(mu), float(mu1))
+                noise = standard_noise(squeezed_vacuum(float(mu1)), float(mu), params)
                 f1 = builder(noise, "s1", r).fidelity()
                 f2 = builder(noise, "s2", r).fidelity()
                 out.write(f"{_fmt(mu)},{_fmt(mu1)},{_fmt(f1)},{_fmt(f2)}\n")
@@ -381,7 +374,7 @@ def cmd_trajectory(args, err) -> int:
         mode=squeezed_vacuum(settings.mu1),
         covariance_known=(mode == "s1"),
     )
-    _, noise_true = _lam_and_noise(settings, settings.mu, settings.mu1)
+    noise_true = standard_noise(source.mode, settings.mu, params)
     loop = LoopBuilder(params, enc)(noise_true, mode, r)
     stem = args.out or "trajectory"
     if stem.endswith(".csv"):

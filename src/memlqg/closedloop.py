@@ -100,11 +100,6 @@ def closed_loop_covariance(am: AugmentedModel) -> tuple[np.ndarray, np.ndarray]:
     return Vz, Vz[:6, :6].copy()
 
 
-def closed_loop_mean(am: AugmentedModel) -> np.ndarray:
-    """Steady joint mean; its memory part equals the open-loop written word."""
-    return np.linalg.solve(am.Az, -am.drive_z)
-
-
 def _invert(M: np.ndarray, name: str) -> np.ndarray:
     try:
         out = np.linalg.inv(M)
@@ -115,15 +110,7 @@ def _invert(M: np.ndarray, name: str) -> np.ndarray:
     return out
 
 
-def vprime_explicit(
-    params: MemoryParams,
-    enc: Encoding,
-    noise: NoiseModel,
-    mm: MeasurementModel,
-    g: Gains,
-    sf: StationaryFilter,
-    gain_reading: str = "full",
-) -> np.ndarray:
+def vprime_explicit(loop: Loop, gain_reading: str = "full") -> np.ndarray:
     """Closed-form steady controlled covariance.
 
     gain_reading='full' uses the 6 x m filter gain directly; 'projected'
@@ -134,15 +121,16 @@ def vprime_explicit(
     """
     if gain_reading not in GAIN_READINGS:
         raise ValueError(f"unknown gain reading {gain_reading!r}")
-    sys = system_matrices(params, enc)
+    mm, sf, g, SigmaW = loop.mm, loop.sf, loop.g, loop.noise.SigmaW
+    sys = system_matrices(loop.params, loop.enc)
     A = sys.A
     K6 = sf.K if gain_reading == "full" else mm.Btil.T @ sf.Ktil
     KC = K6 @ mm.C
     FB = g.Fgain @ mm.Btil
     Row = np.hstack([A - KC + FB, -FB])
     Bz12 = np.vstack([sys.B, mm.Btil.T @ (sf.Ktil @ mm.D)])
-    X = Row @ (Bz12 @ noise.SigmaW @ Bz12.T) @ Row.T
-    Q11 = sys.B @ noise.SigmaW @ sys.B.T
+    X = Row @ (Bz12 @ SigmaW @ Bz12.T) @ Row.T
+    Q11 = sys.B @ SigmaW @ sys.B.T
     inner = (
         X @ _invert(A - KC, "A - K C") @ _invert(FB + A, "F Btil + A") + Q11
     )
@@ -198,25 +186,18 @@ def _block_labels(delta: np.ndarray, scale: float, tol: float) -> tuple[str, ...
     return tuple(bad)
 
 
-def explicit_formula_report(
-    loop: Loop,
-    params: MemoryParams,
-    enc: Encoding,
-    tol: float = 1e-6,
-) -> ExplicitFormulaReport:
+def explicit_formula_report(loop: Loop, tol: float = 1e-6) -> ExplicitFormulaReport:
     """Evaluate the explicit formula under both gain readings and compare
     each against the Lyapunov solve of the loop's augmented model.
     Preference order on a tie: 'full' first."""
-    _, vprime = closed_loop_covariance(loop.am)
+    vprime = loop.Vz[:6, :6]
     scale = max(float(np.linalg.norm(vprime)), 1e-300)
     errors = {}
     blocks = {}
     candidates = {}
     matching = None
     for reading in GAIN_READINGS:
-        cand = vprime_explicit(
-            params, enc, loop.noise, loop.mm, loop.g, loop.sf, gain_reading=reading
-        )
+        cand = vprime_explicit(loop, gain_reading=reading)
         candidates[reading] = cand
         delta = cand - vprime
         errors[reading] = float(np.linalg.norm(delta)) / scale
@@ -244,8 +225,9 @@ class Loop:
 
     `noise` is the true plant noise; `mm` and `sf` are built from the noise
     the filter is allowed to assume and `g` holds the regulator gains. `am`,
-    the augmented (x, pi_s) model driven by the true noise, is built on
-    first read, so a loop that is only simulated never assembles it.
+    the augmented (x, pi_s) model driven by the true noise, and `Vz`, its
+    steady joint covariance, are built on first read, so a loop that is only
+    simulated never assembles either.
     """
 
     params: MemoryParams
@@ -259,10 +241,16 @@ class Loop:
     def am(self) -> AugmentedModel:
         return build_augmented(self.params, self.enc, self.noise, self.mm, self.g, self.sf)
 
+    @cached_property
+    def Vz(self) -> np.ndarray:
+        """Steady covariance of (x, pi_s); V' is its leading 6x6 block."""
+        Vz = closed_loop_covariance(self.am)[0]
+        Vz.setflags(write=False)
+        return Vz
+
     def fidelity(self) -> float:
         """Controlled steady-state fidelity against the written input."""
-        _, vprime = closed_loop_covariance(self.am)
-        return controlled_fidelity(vprime, input_covariance(self.noise.Lambda))
+        return controlled_fidelity(self.Vz[:6, :6], input_covariance(self.noise.Lambda))
 
 
 class LoopBuilder:

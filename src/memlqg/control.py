@@ -20,17 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import Encoding, MemoryParams
-from .numerics import symmetrize
 
 _WEIGHTS = {"s1": (9.0, 3.0, 3.0), "s2": (3.0, 3.0)}
-
-
-def syndrome_weights(mode: str) -> np.ndarray:
-    """Diagonal cost matrix on the syndrome coordinates for the given mode."""
-    try:
-        return np.diag(_WEIGHTS[mode])
-    except KeyError:
-        raise ValueError(f"unknown filter mode {mode!r} (expected 's1' or 's2')") from None
 
 
 @dataclass(frozen=True)
@@ -80,38 +71,3 @@ def lqg_gains(config: LqgConfig, params: MemoryParams, enc: Encoding) -> Gains:
     Btil = enc.syndrome_map(config.mode)
     Fgain = -Btil.T @ np.diag(f)
     return Gains(P=P, Fgain=Fgain, f1=float(f[0]), f2=float(f[-1]))
-
-
-def control_input(gains: Gains, pi_s: np.ndarray) -> np.ndarray:
-    """Feedback drive u = Fgain pi_s applied to all six quadratures."""
-    return gains.Fgain @ np.asarray(pi_s, dtype=float)
-
-
-def cost_rate(
-    Vz: np.ndarray,
-    gains: Gains,
-    enc: Encoding,
-    config: LqgConfig,
-    mean_z: np.ndarray | None = None,
-) -> float:
-    """Stationary running cost E[s^T Q s + r |u|^2] under the closed loop.
-
-    Vz is the augmented covariance of (x, pi_s); the optional mean adds the
-    deterministic (transient) contribution of a nonzero augmented mean.
-    """
-    Btil = enc.syndrome_map(config.mode)
-    m = Btil.shape[0]
-    Vz = symmetrize(np.asarray(Vz, dtype=float))
-    if Vz.shape != (6 + m, 6 + m):
-        raise ValueError(f"augmented covariance must be {6 + m}x{6 + m}")
-    Q = syndrome_weights(config.mode)
-    Sss = Btil @ Vz[:6, :6] @ Btil.T
-    Spp = Vz[6:, 6:]
-    FtF = gains.Fgain.T @ gains.Fgain
-    total = float(np.trace(Q @ Sss)) + config.r * float(np.trace(FtF @ Spp))
-    if mean_z is not None:
-        mean_z = np.asarray(mean_z, dtype=float)
-        s_bar = Btil @ mean_z[:6]
-        u_bar = gains.Fgain @ mean_z[6:]
-        total += float(s_bar @ Q @ s_bar) + config.r * float(u_bar @ u_bar)
-    return total

@@ -19,14 +19,13 @@ is completely source-blind.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
 from .numerics import ConvergenceError, newton_kleinman, solve_care, symmetrize
-from .openloop import SystemMatrices, system_matrices
+from .openloop import system_matrices
 
 FILTER_MODES = ("s1", "s2")
 
@@ -91,50 +90,6 @@ def measurement_model(
     )
 
 
-def _innovation_solver(mm: MeasurementModel) -> Callable[[np.ndarray], np.ndarray]:
-    """rhs -> rhs @ R^-1 through one Cholesky factor of R, with a clear
-    error when the record carries no noise."""
-    try:
-        c = np.linalg.cholesky(mm.innovation_cov)
-    except np.linalg.LinAlgError:
-        raise ValueError(
-            "singular innovation covariance; clamp the squeezing exponent "
-            "at MU_FLOOR instead of taking the ideal limit"
-        ) from None
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        y = np.linalg.solve(c, rhs.T)
-        return np.linalg.solve(c.T, y).T
-
-    return solve
-
-
-def _gain(
-    Vc: np.ndarray, mm: MeasurementModel, solve: Callable[[np.ndarray], np.ndarray]
-) -> np.ndarray:
-    Vc = symmetrize(np.asarray(Vc, dtype=float))
-    return solve(Vc @ mm.C.T + mm.cross_cov)
-
-
-def _flow(
-    Vc: np.ndarray, K: np.ndarray, mm: MeasurementModel, sys: SystemMatrices, Q: np.ndarray
-) -> np.ndarray:
-    Vc = symmetrize(np.asarray(Vc, dtype=float))
-    return sys.A @ Vc + Vc @ sys.A.T + Q - K @ mm.innovation_cov @ K.T
-
-
-def kalman_gain(Vc: np.ndarray, mm: MeasurementModel) -> np.ndarray:
-    """Stationary-form gain K = (Vc C^T + S) R^-1 for a given conditional cov."""
-    return _gain(Vc, mm, _innovation_solver(mm))
-
-
-def riccati_flow(
-    Vc: np.ndarray, mm: MeasurementModel, sys: SystemMatrices, noise: NoiseModel
-) -> np.ndarray:
-    """Right-hand side of the conditional-covariance equation."""
-    return _flow(Vc, kalman_gain(Vc, mm), mm, sys, sys.B @ noise.SigmaW @ sys.B.T)
-
-
 @dataclass(frozen=True)
 class StationaryFilter:
     """Steady conditional covariance with its frozen gains."""
@@ -169,8 +124,18 @@ def stationary_filter(
     """
     sys = system_matrices(params, enc)
     Q = sys.B @ noise.SigmaW @ sys.B.T
-    solve = _innovation_solver(mm)  # R is factorized once per solve
-    SRinv = solve(mm.cross_cov)  # S R^-1, 6 x m
+    try:  # R is factorized once per solve
+        chol = np.linalg.cholesky(mm.innovation_cov)
+    except np.linalg.LinAlgError:
+        raise ValueError(
+            "singular innovation covariance; clamp the squeezing exponent "
+            "at MU_FLOOR instead of taking the ideal limit"
+        ) from None
+
+    def times_Rinv(rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs.T)).T
+
+    SRinv = times_Rinv(mm.cross_cov)  # S R^-1, 6 x m
     Ashift = sys.A - SRinv @ mm.C
     Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
     if method == "care":
@@ -180,38 +145,10 @@ def stationary_filter(
     else:
         raise ValueError(f"unknown method {method!r} (expected 'care' or 'newton')")
 
-    K = _gain(Vc, mm, solve)
-    flow = _flow(Vc, K, mm, sys, Q)
+    Vs = symmetrize(Vc)
+    K = times_Rinv(Vs @ mm.C.T + mm.cross_cov)  # K = (Vc C^T + S) R^-1
+    flow = sys.A @ Vs + Vs @ sys.A.T + Q - K @ mm.innovation_cov @ K.T
     residual = float(np.linalg.norm(flow)) / max(1.0, float(np.linalg.norm(Q)))
     if residual > 1e-8:
         raise ConvergenceError("stationary filter inconsistent: Riccati residual", residual)
     return StationaryFilter(Vc=Vc, K=K, Ktil=mm.Btil @ K)
-
-
-@dataclass(frozen=True)
-class SyndromeFilterState:
-    """Conditional estimate of the m syndrome coordinates."""
-
-    pi_s: np.ndarray
-
-
-def syndrome_filter_step(
-    ss: SyndromeFilterState,
-    dy: np.ndarray,
-    u: np.ndarray,
-    dt: float,
-    mm: MeasurementModel,
-    params: MemoryParams,
-    Ktil: np.ndarray,
-) -> SyndromeFilterState:
-    """One Euler update of the reduced, drive-free syndrome filter.
-
-    d pi_s = -((nu+gamma)/2) pi_s dt + Btil u dt + Ktil (dy - sqrt(2 nu) pi_s dt).
-    """
-    innovation = dy - np.sqrt(2.0 * params.nu) * ss.pi_s * dt
-    pi_s = (
-        ss.pi_s
-        + dt * (-params.damping * ss.pi_s + mm.Btil @ u)
-        + Ktil @ innovation
-    )
-    return SyndromeFilterState(pi_s=pi_s)

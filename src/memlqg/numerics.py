@@ -33,11 +33,6 @@ def min_eigenvalue(M: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(symmetrize(M)).min())
 
 
-def is_psd(M: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when the minimum eigenvalue of sym(M) is >= -tol."""
-    return min_eigenvalue(M) >= -tol
-
-
 def _check_square(M: np.ndarray, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:

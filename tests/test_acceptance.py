@@ -8,6 +8,7 @@ completes.
 
 import pytest
 
+import memlqg.closedloop
 from memlqg.acceptance import ALL_CHECKS, run_check
 
 
@@ -24,3 +25,12 @@ def test_source_blindness_solves_each_filter_independently(filter_solves):
     """Check 12 compares two separately solved filters, not one cached entry."""
     assert run_check(12).passed
     assert filter_solves == ["s2", "s2"]
+
+
+def test_source_blindness_fails_when_blind_filter_sees_source(monkeypatch):
+    """If the blind filter were handed the true noise, check 12 must fail and
+    name the filter fields that moved."""
+    monkeypatch.setattr(memlqg.closedloop, "filter_view_noise", lambda noise, source, params: noise)
+    result = run_check(12)
+    assert not result.passed
+    assert "differing: sf.Vc, sf.K, sf.Ktil" in result.detail

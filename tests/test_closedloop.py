@@ -8,12 +8,11 @@ from memlqg.closedloop import (
     LoopBuilder,
     build_augmented,
     closed_loop_covariance,
-    closed_loop_mean,
     controlled_fidelity,
     explicit_formula_report,
     vprime_explicit,
 )
-from memlqg.control import Gains, LqgConfig, cost_rate, feedback_rates, lqg_gains
+from memlqg.control import Gains, LqgConfig, feedback_rates, lqg_gains
 from memlqg.estimation import filter_view_noise, measurement_model, stationary_filter
 from memlqg.model import (
     FieldMode,
@@ -80,7 +79,7 @@ def test_feedback_does_not_shift_written_word():
     open-loop one and the filter holds zero on average."""
     mm, sf, g = loop_pieces()
     am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
-    mean_z = closed_loop_mean(am)
+    mean_z = np.linalg.solve(am.Az, -am.drive_z)
     open_mean = steady_state(PARAMS, ENC, NOISE).mean
     assert_allclose(mean_z[:6], open_mean, atol=1e-12 * np.abs(open_mean).max())
     assert_allclose(mean_z[6:], 0.0, atol=1e-10)
@@ -151,15 +150,14 @@ def test_weak_control_approaches_open_loop():
 def test_explicit_formula_matches_lyapunov(reading):
     # phase-aligned squeezing: the optimal gain stays inside the measured
     # subspace and the closed form is exact under either gain reading
-    mm, sf, g = loop_pieces(r=1e-4)
-    am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
-    _, Vp = closed_loop_covariance(am)
-    cand = vprime_explicit(PARAMS, ENC, NOISE, mm, g, sf, gain_reading=reading)
+    loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-4)
+    Vp = loop.Vz[:6, :6]
+    cand = vprime_explicit(loop, gain_reading=reading)
     assert np.linalg.norm(cand - Vp) / np.linalg.norm(Vp) < 1e-10
 
 
 def test_explicit_formula_report_structure_on_agreement():
-    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-4), PARAMS, ENC)
+    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-4))
     assert rep.matches
     assert rep.matching_reading == "full"  # preference order on a tie
     assert set(rep.errors) == set(GAIN_READINGS)
@@ -176,7 +174,7 @@ def test_explicit_formula_report_flags_phase_squeezed_source():
     noise = noise_model(
         lambda_matrix(tilted, squeezed_vacuum(MU), squeezed_vacuum(MU)), PARAMS.n_occ
     )
-    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(noise, "s1", 1e-4), PARAMS, ENC)
+    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(noise, "s1", 1e-4))
     assert not rep.matches
     assert all(rep.errors[k] > rep.tol for k in GAIN_READINGS)
     assert any(len(rep.mismatched_blocks[k]) > 0 for k in GAIN_READINGS)
@@ -188,9 +186,11 @@ def test_explicit_formula_report_flags_phase_squeezed_source():
 
 def test_optimal_gain_minimizes_steady_cost():
     """Detuning the feedback in either direction must raise the stationary
-    LQG cost computed from each loop's own covariance."""
+    LQG cost tr(Q Btil V_x Btil^T) + r tr(F^T F V_pipi) computed from each
+    loop's own covariance."""
     cfg = LqgConfig(r=1e-3, mode="s1")
     mm, sf, _ = loop_pieces(r=cfg.r)
+    Q = np.diag([9.0, 3.0, 3.0])
     costs = {}
     for scale in (0.5, 1.0, 2.0):
         g0 = lqg_gains(cfg, PARAMS, ENC)
@@ -202,7 +202,9 @@ def test_optimal_gain_minimizes_steady_cost():
         )
         am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
         Vz, _ = closed_loop_covariance(am)
-        costs[scale] = cost_rate(Vz, g, ENC, cfg)
+        state = np.trace(Q @ mm.Btil @ Vz[:6, :6] @ mm.Btil.T)
+        effort = cfg.r * np.trace(g.Fgain.T @ g.Fgain @ Vz[6:, 6:])
+        costs[scale] = state + effort
     assert costs[1.0] < costs[0.5]
     assert costs[1.0] < costs[2.0]
 
@@ -263,17 +265,28 @@ def test_blind_loop_ignores_true_source():
 
 
 def test_loop_builds_augmented_model_once_on_first_read(monkeypatch):
-    builds = []
+    """`am` and `Vz` are each built once, on first read; reading `Vz` and
+    calling `fidelity()` twice make one Lyapunov solve."""
+    builds, solves = [], []
 
     def counting(*args, **kwargs):
         builds.append(1)
         return build_augmented(*args, **kwargs)
 
+    def counting_solve(am):
+        solves.append(1)
+        return closed_loop_covariance(am)
+
     monkeypatch.setattr(closedloop, "build_augmented", counting)
+    monkeypatch.setattr(closedloop, "closed_loop_covariance", counting_solve)
     loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-2)
-    assert builds == []
+    assert builds == [] and solves == []
     am = loop.am
-    assert loop.am is am and builds == [1]
+    assert loop.am is am and builds == [1] and solves == []
     ref = build_augmented(PARAMS, ENC, NOISE, loop.mm, loop.g, loop.sf)
     for name in ("Az", "Bz", "Sigma", "drive_z"):
         assert np.array_equal(getattr(am, name), getattr(ref, name))
+    Vz = loop.Vz
+    assert loop.fidelity() == loop.fidelity()
+    assert loop.Vz is Vz and builds == [1] and solves == [1]
+    assert np.array_equal(Vz, closed_loop_covariance(ref)[0])

@@ -5,15 +5,7 @@ from numpy.testing import assert_allclose
 from memlqg import estimation
 from memlqg.acceptance import reference_params
 from memlqg.control import LqgConfig, lqg_gains
-from memlqg.estimation import (
-    FILTER_MODES,
-    SyndromeFilterState,
-    kalman_gain,
-    measurement_model,
-    riccati_flow,
-    stationary_filter,
-    syndrome_filter_step,
-)
+from memlqg.estimation import FILTER_MODES, measurement_model, stationary_filter
 from memlqg.model import (
     MemoryParams,
     SourceSpec,
@@ -25,7 +17,7 @@ from memlqg.model import (
     standard_noise,
     vacuum,
 )
-from memlqg.numerics import ConvergenceError, is_psd, min_eigenvalue
+from memlqg.numerics import ConvergenceError, min_eigenvalue
 from memlqg.openloop import steady_state, system_matrices
 from memlqg.simulate import TrajectoryConfig, simulate_trajectory
 
@@ -81,9 +73,11 @@ def test_stationary_filter_zeroes_riccati_flow(mode):
     mm = measurement_model(mode, ENC, PARAMS, NOISE)
     sf = stationary_filter(mm, PARAMS, ENC, NOISE)
     sys = system_matrices(PARAMS, ENC)
-    flow = riccati_flow(sf.Vc, mm, sys, NOISE)
+    Vc, R = sf.Vc, mm.innovation_cov
+    K = (Vc @ mm.C.T + mm.cross_cov) @ np.linalg.inv(R)
+    flow = sys.A @ Vc + Vc @ sys.A.T + sys.B @ NOISE.SigmaW @ sys.B.T - K @ R @ K.T
     assert np.abs(flow).max() < 1e-9
-    assert is_psd(sf.Vc)
+    assert min_eigenvalue(sf.Vc) >= -1e-10
     assert_allclose(sf.Ktil, mm.Btil @ sf.K, atol=1e-14)
 
 
@@ -145,24 +139,26 @@ def test_lossless_memory_needs_no_correction():
 
 def test_kalman_gain_definition():
     mm = measurement_model("s2", ENC, PARAMS, NOISE)
-    Vc = 0.5 * np.eye(6)
-    K = kalman_gain(Vc, mm)
-    expected = (Vc @ mm.C.T + mm.cross_cov) @ np.linalg.inv(mm.innovation_cov)
-    assert_allclose(K, expected, atol=1e-12)
+    sf = stationary_filter(mm, PARAMS, ENC, NOISE)
+    expected = (sf.Vc @ mm.C.T + mm.cross_cov) @ np.linalg.inv(mm.innovation_cov)
+    assert_allclose(sf.K, expected, atol=1e-12)
+
+
+def test_stationary_filter_rejects_noiseless_record():
+    noise = noise_model(np.zeros((6, 6)), PARAMS.n_occ)
+    mm = measurement_model("s1", ENC, PARAMS, noise)
+    with pytest.raises(ValueError, match="MU_FLOOR"):
+        stationary_filter(mm, PARAMS, ENC, noise)
 
 
 def test_syndrome_filter_tracks_projected_full_filter():
     """B_tilde maps the full-state update onto the reduced update exactly:
     same record, same input, stationary gain. The trajectory engine runs both
-    filters side by side, and syndrome_filter_step replays the reduced one."""
+    filters side by side; `reference_loop` in test_simulate steps the reduced
+    update literally."""
     mm = measurement_model("s1", ENC, PARAMS, NOISE)
     sf = stationary_filter(mm, PARAMS, ENC, NOISE)
     g = lqg_gains(LqgConfig(r=1e-2, mode="s1"), PARAMS, ENC)
     cfg = TrajectoryConfig(dt=1e-3, duration=0.5, seed=7)
     traj = simulate_trajectory(cfg, PARAMS, ENC, NOISE, mm, g, SourceSpec(-230.0), sf=sf)
     assert_allclose(traj.pi_s, traj.pi_x @ mm.Btil.T, atol=1e-12)
-    ss = SyndromeFilterState(pi_s=traj.pi_s[0])
-    for k, innovation in enumerate(traj.innovations):
-        dy = innovation + np.sqrt(2.0 * PARAMS.nu) * traj.pi_s[k] * cfg.dt
-        ss = syndrome_filter_step(ss, dy, traj.u[k], cfg.dt, mm, PARAMS, sf.Ktil)
-        assert_allclose(ss.pi_s, traj.pi_s[k + 1], atol=1e-12)

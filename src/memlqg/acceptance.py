@@ -95,7 +95,7 @@ def check_fidelity_closed_form() -> tuple[bool, str]:
 
 def check_witness_anchors() -> tuple[bool, str]:
     """Distillable-entanglement witness anchors at the classical and ideal points."""
-    coherent = SourceSpec(alpha_in=-230.0).mode
+    coherent = vacuum()  # a coherent source has the vacuum's fluctuations
     errs = []
     errs.append(abs(pfd_rate(0.0, coherent) - 7.5))
     errs.append(abs(pfd_rate(-20.0, coherent) - (4.5 + 3.0 * np.exp(-20.0))))
@@ -289,17 +289,15 @@ def check_source_squeezing_effects() -> tuple[bool, str]:
 def check_source_blindness() -> tuple[bool, str]:
     """Two-channel pipeline is identical across undisclosed sources."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     mu = -0.4
 
-    def pipeline(source: SourceSpec):
+    def pipeline(alpha_in: float, source_mode):
         # a fresh builder per source: the two filters are solved independently
-        return LoopBuilder(params, enc)(standard_noise(source.mode, mu, params), "s2", 1e-9)
+        builder = LoopBuilder(params, standard_encoding(alpha_in))
+        return builder(standard_noise(source_mode, mu, params), "s2", 1e-9)
 
-    loop_a = pipeline(SourceSpec(alpha_in=-230.0, covariance_known=False))
-    loop_b = pipeline(
-        SourceSpec(alpha_in=55.0, mode=squeezed_vacuum(-1.0), covariance_known=False)
-    )
+    loop_a = pipeline(-230.0, vacuum())
+    loop_b = pipeline(55.0, squeezed_vacuum(-1.0))
     # Equal inputs give equal paths: the blind filter reads nothing else.
     compared, differ = 0, []
     for part in ("mm", "sf", "g"):

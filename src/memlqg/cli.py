@@ -31,7 +31,6 @@ from .acceptance import run_all
 from .closedloop import LoopBuilder
 from .model import (
     MemoryParams,
-    SourceSpec,
     input_covariance,
     squeezed_vacuum,
     standard_encoding,
@@ -368,14 +367,8 @@ def cmd_trajectory(args, err) -> int:
     enc = standard_encoding(settings.alpha_in)
     controls = args.control or ["on", "off"]
     r = settings.r if settings.r is not None else 1e-9
-    mode = settings.filter_mode
-    source = SourceSpec(
-        alpha_in=settings.alpha_in,
-        mode=squeezed_vacuum(settings.mu1),
-        covariance_known=(mode == "s1"),
-    )
-    noise_true = standard_noise(source.mode, settings.mu, params)
-    loop = LoopBuilder(params, enc)(noise_true, mode, r)
+    noise_true = standard_noise(squeezed_vacuum(settings.mu1), settings.mu, params)
+    loop = LoopBuilder(params, enc)(noise_true, settings.filter_mode, r)
     stem = args.out or "trajectory"
     if stem.endswith(".csv"):
         stem = stem[:-4]
@@ -386,20 +379,10 @@ def cmd_trajectory(args, err) -> int:
             duration=settings.resolved_duration(),
             seed=settings.seed,
             control_enabled=(control == "on"),
-            mode=mode,
         )
         for k in range(settings.ntraj):
             traj = simulate_trajectory(
-                cfg,
-                params,
-                enc,
-                noise_true,
-                loop.mm,
-                loop.g,
-                source,
-                sf=loop.sf,
-                stream_index=k,
-                drive=np.asarray(settings.drive),
+                cfg, loop, stream_index=k, drive=np.asarray(settings.drive)
             )
             path = f"{stem}.{control}.{k:03d}.csv"
             _write_trajectory_csv(path, traj, settings, control, r)
@@ -427,12 +410,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"memlqg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, mu_grid=False, mu1_grid=False):
+    def add_common(p, *flags, mu_grid=False, mu1_grid=False):
+        """--config, --out, --mu1, --mu and those of `flags` the command reads."""
         p.add_argument("--config", help="flat key=value settings file")
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--filter", dest="filter_mode", choices=("s1", "s2"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--r", type=float, help="control effort weight")
+        if "filter" in flags:
+            p.add_argument("--filter", dest="filter_mode", choices=("s1", "s2"))
+        if "seed" in flags:
+            p.add_argument("--seed", type=int)
+        if "r" in flags:
+            p.add_argument("--r", type=float, help="control effort weight")
         if mu1_grid:
             p.add_argument("--mu1", dest="mu1_range", help="source squeezing range a:b:n")
         else:
@@ -447,18 +434,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_steady.set_defaults(func=cmd_steady)
 
     p_sf = sub.add_parser("sweep-fidelity", help="fidelity grid CSV over (mu, -log2 r)")
-    add_common(p_sf, mu_grid=True)
+    add_common(p_sf, "filter", mu_grid=True)
     p_sf.add_argument("--log2r", help="-log2(r) range a:b:n (default 10:40:4)")
     p_sf.set_defaults(func=cmd_sweep_fidelity)
 
     p_ss = sub.add_parser(
         "sweep-squeezed", help="fidelity CSV over (mu, mu1) for informed vs blind filters"
     )
-    add_common(p_ss, mu_grid=True, mu1_grid=True)
+    add_common(p_ss, "r", mu_grid=True, mu1_grid=True)
     p_ss.set_defaults(func=cmd_sweep_squeezed)
 
     p_tr = sub.add_parser("trajectory", help="Monte Carlo sample paths as CSV")
-    add_common(p_tr)
+    add_common(p_tr, "filter", "seed", "r")
     p_tr.add_argument("--dt", type=float, help="integrator step (s)")
     p_tr.add_argument("--duration", type=float, help="total simulated time (s)")
     p_tr.add_argument("--ntraj", type=int, help="trajectories per control state")

@@ -18,7 +18,7 @@ one and fidelity changes only through the covariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -46,15 +46,10 @@ class AugmentedModel:
     Az: np.ndarray  # (6+m) x (6+m)
     Bz: np.ndarray  # (6+m) x 12
     Sigma: np.ndarray  # 12 x 12
-    drive_z: np.ndarray  # (6+m,)
 
     def __post_init__(self):
-        for arr in (self.Az, self.Bz, self.Sigma, self.drive_z):
+        for arr in (self.Az, self.Bz, self.Sigma):
             arr.setflags(write=False)
-
-    @property
-    def n_channels(self) -> int:
-        return self.Az.shape[0] - 6
 
 
 def build_augmented(
@@ -64,7 +59,6 @@ def build_augmented(
     mm: MeasurementModel,
     g: Gains,
     sf: StationaryFilter,
-    drive: np.ndarray | None = None,
 ) -> AugmentedModel:
     """Assemble the joint drift of memory and stationary syndrome filter.
 
@@ -74,7 +68,7 @@ def build_augmented(
     """
     if g.Fgain.shape[1] != mm.n_channels:
         raise ValueError("gains and measurement model disagree on syndrome count")
-    sys = system_matrices(params, enc, drive=drive)
+    sys = system_matrices(params, enc)
     m = mm.n_channels
     Az = np.zeros((6 + m, 6 + m))
     Az[:6, :6] = sys.A
@@ -90,8 +84,7 @@ def build_augmented(
     if worst.real >= 0.0:
         raise ValueError(f"closed loop unstable: drift eigenvalue {worst:.6g}")
     Bz = np.vstack([sys.B, sf.Ktil @ mm.D])
-    drive_z = np.concatenate([sys.drive, np.zeros(m)])
-    return AugmentedModel(Az=Az, Bz=Bz, Sigma=noise.SigmaW.copy(), drive_z=drive_z)
+    return AugmentedModel(Az=Az, Bz=Bz, Sigma=noise.SigmaW.copy())
 
 
 def closed_loop_covariance(am: AugmentedModel) -> tuple[np.ndarray, np.ndarray]:
@@ -141,12 +134,10 @@ def vprime_explicit(loop: Loop, gain_reading: str = "full") -> np.ndarray:
 class ExplicitFormulaReport:
     """Comparison of the closed form against the authoritative Lyapunov solve."""
 
-    vprime: np.ndarray  # Lyapunov result (authoritative)
     tol: float
     errors: dict  # reading -> relative Frobenius error
     mismatched_blocks: dict  # reading -> tuple of mode-block labels
     matching_reading: str | None = None
-    candidates: dict = field(default_factory=dict)  # reading -> 6x6 array
 
     @property
     def matches(self) -> bool:
@@ -194,23 +185,15 @@ def explicit_formula_report(loop: Loop, tol: float = 1e-6) -> ExplicitFormulaRep
     scale = max(float(np.linalg.norm(vprime)), 1e-300)
     errors = {}
     blocks = {}
-    candidates = {}
     matching = None
     for reading in GAIN_READINGS:
-        cand = vprime_explicit(loop, gain_reading=reading)
-        candidates[reading] = cand
-        delta = cand - vprime
+        delta = vprime_explicit(loop, gain_reading=reading) - vprime
         errors[reading] = float(np.linalg.norm(delta)) / scale
         blocks[reading] = _block_labels(delta, scale, tol)
         if matching is None and errors[reading] <= tol:
             matching = reading
     return ExplicitFormulaReport(
-        vprime=vprime,
-        tol=tol,
-        errors=errors,
-        mismatched_blocks=blocks,
-        matching_reading=matching,
-        candidates=candidates,
+        tol=tol, errors=errors, mismatched_blocks=blocks, matching_reading=matching
     )
 
 

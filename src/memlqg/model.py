@@ -111,11 +111,6 @@ class FieldMode:
                 f"N(N+1) = {self.N * (self.N + 1.0):.6g}"
             )
 
-    @property
-    def is_pure(self) -> bool:
-        scale = max(1.0, self.N * (self.N + 1.0))
-        return abs(self.N * (self.N + 1.0) - abs(self.M) ** 2) <= 1e-10 * scale
-
     def block(self) -> np.ndarray:
         """2x2 symmetrized quadrature covariance of the mode."""
         return np.array(

@@ -74,12 +74,6 @@ def system_matrices(
     return SystemMatrices(A=A, B=B, drive=drive.copy())
 
 
-def covariance_flow(V: np.ndarray, sys: SystemMatrices, noise: NoiseModel) -> np.ndarray:
-    """Right-hand side A V + V A^T + B Sw B^T of the covariance equation."""
-    V = symmetrize(np.asarray(V, dtype=float))
-    return sys.A @ V + V @ sys.A.T + sys.B @ noise.SigmaW @ sys.B.T
-
-
 def steady_state(
     params: MemoryParams,
     enc: Encoding,

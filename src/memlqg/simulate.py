@@ -14,6 +14,10 @@ alongside with the stationary gain K for evaluation purposes; the
 controller itself reads only pi_s, so blind runs stay blind (see
 filter_view_noise).
 
+The engine steps a closedloop.Loop: true noise for plant and record, mm, sf
+and g for filter and controller. It never reads the loop's augmented model
+or Vz, so sampled moments are checked against build_augmented, not built on it.
+
 The step is written out once, on the rows s = (x, pi_s, pi_x) of a batch
 (see _affine_step). Every term is linear in s, in the noise and in the
 drive, so with dw = sqrt(dt) L w for standard normals w one step is the
@@ -64,6 +68,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closedloop import Loop
 from .control import Gains
 from .estimation import (
     MeasurementModel,
@@ -156,13 +161,7 @@ def _check_dt(cfg: TrajectoryConfig, params: MemoryParams) -> None:
 
 
 def _affine_step(
-    cfg: TrajectoryConfig,
-    params: MemoryParams,
-    sys: SystemMatrices,
-    noise: NoiseModel,
-    mm: MeasurementModel,
-    sf: StationaryFilter,
-    g: Gains,
+    cfg: TrajectoryConfig, loop: Loop, sys: SystemMatrices
 ) -> tuple[np.ndarray, np.ndarray]:
     """Matrices (M, c) of one Euler-Maruyama step on rows s = (x, pi_s, pi_x).
 
@@ -174,9 +173,10 @@ def _affine_step(
 
     with M = [[Phi^T, H^T], [Gamma^T, J^T]] and c = [c_s, 0].
     """
+    params, mm, sf, g = loop.params, loop.mm, loop.sf, loop.g
     dt = cfg.dt
     m = mm.n_channels
-    L = noise_factor(noise.SigmaW)
+    L = noise_factor(loop.noise.SigmaW)
     root2nu = np.sqrt(2.0 * params.nu)
 
     def step(s, w, one):
@@ -250,12 +250,7 @@ def _block_map(
 
 def _run_batch(
     cfg: TrajectoryConfig,
-    params: MemoryParams,
-    enc: Encoding,
-    noise: NoiseModel,
-    mm: MeasurementModel,
-    g: Gains,
-    sf: StationaryFilter,
+    loop: Loop,
     drive: np.ndarray | None,
     streams: range,
     consume,
@@ -272,10 +267,11 @@ def _run_batch(
     per stream at a time, so each stream's values do not depend on the
     batch; divergence is checked once per block.
     """
+    params = loop.params
     _check_dt(cfg, params)
-    sys = system_matrices(params, enc, drive=drive)
-    M, c = _affine_step(cfg, params, sys, noise, mm, sf, g)
-    m = mm.n_channels
+    sys = system_matrices(params, loop.enc, drive=drive)
+    M, c = _affine_step(cfg, loop, sys)
+    m = loop.mm.n_channels
     n = 12 + m
     n_steps = cfg.n_steps
     bound = 1e9 * max(
@@ -326,26 +322,14 @@ def _run_batch(
 
 
 def simulate_trajectory(
-    cfg: TrajectoryConfig,
-    params: MemoryParams,
-    enc: Encoding,
-    noise: NoiseModel,
-    mm: MeasurementModel,
-    g: Gains,
-    source: SourceSpec,
-    sf: StationaryFilter | None = None,
-    stream_index: int = 0,
-    drive: np.ndarray | None = None,
+    cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0, drive: np.ndarray | None = None
 ) -> Trajectory:
-    """Run one seeded trajectory and record it at every step.
+    """Run one seeded trajectory of `loop` and record it at every step.
 
-    `noise` is the true plant statistics. `mm` and the stationary filter are
-    whatever the controller is allowed to know — for a blind run build them
-    from filter_view_noise(noise, source, params). The measurement record
-    itself always uses the true plant and true noise.
+    The plant and the record use the loop's true noise; the controller reads
+    only its filter and gains, so a blind loop stays blind.
     """
-    if sf is None:
-        sf = stationary_filter(mm, params, enc, filter_view_noise(noise, source, params))
+    mm, sf, g = loop.mm, loop.sf, loop.g
     m = mm.n_channels
     n_rec = cfg.n_steps + 1
     states = np.empty((n_rec, 12 + m))
@@ -357,7 +341,7 @@ def simulate_trajectory(
         innovations[step - 1 : step - 1 + k] = innovation[0]
 
     streams = range(stream_index, stream_index + 1)
-    start, _ = _run_batch(cfg, params, enc, noise, mm, g, sf, drive, streams, record)
+    start, _ = _run_batch(cfg, loop, drive, streams, record)
     states[0] = start[0]
     pi_s = states[:, 6 : 6 + m]
     band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
@@ -380,14 +364,12 @@ class EnsembleMoments:
 
     z_mean: np.ndarray  # (6+m,) pooled mean of (x, pi_s)
     z_cov: np.ndarray  # (6+m, 6+m) pooled covariance
-    innovation_mean: np.ndarray  # (m,) pooled innovation mean per step
     innovation_cov_rate: np.ndarray  # (m, m) innovation covariance per unit time
     err_mean: np.ndarray  # (6,) mean of x - pi_x across trajectories
     err_sem: np.ndarray  # (6,) standard error of that mean
     final_states: np.ndarray  # (ntraj, 6+m+6) endpoint (x, pi_s, pi_x)
     n_traj: int
     n_pooled: int
-    window_fraction: float
 
 
 def ensemble_moments(
@@ -405,7 +387,8 @@ def ensemble_moments(
 ) -> EnsembleMoments:
     """Vectorized ensemble run accumulating steady-window moments.
 
-    Trajectory k consumes exactly the stream simulate_trajectory(...,
+    The pieces form one Loop, stepped as simulate_trajectory steps it:
+    trajectory k consumes exactly the stream simulate_trajectory(cfg, loop,
     stream_index=k) would, so endpoints cross-check against single runs.
     Only the window is read: every full noise block that ends before the
     window's first step is crossed by one state-only map, and the window's
@@ -420,6 +403,7 @@ def ensemble_moments(
         raise ValueError("window_fraction must lie in (0, 1]")
     if sf is None:
         sf = stationary_filter(mm, params, enc, filter_view_noise(noise, source, params))
+    loop = Loop(params=params, enc=enc, noise=noise, mm=mm, sf=sf, g=g)
     m = mm.n_channels
     dz = 6 + m
     n_steps = cfg.n_steps
@@ -438,8 +422,7 @@ def ensemble_moments(
             row_sum += rows.sum(axis=1)
 
     _, final = _run_batch(
-        cfg, params, enc, noise, mm, g, sf, drive, range(n_traj), accumulate,
-        first_read=window_start + 1,
+        cfg, loop, drive, range(n_traj), accumulate, first_read=window_start + 1
     )
 
     z1 = row_sum[:, :dz].sum(axis=0)
@@ -458,14 +441,12 @@ def ensemble_moments(
     return EnsembleMoments(
         z_mean=z_mean,
         z_cov=0.5 * (z_cov + z_cov.T),
-        innovation_mean=inn_mean,
         innovation_cov_rate=0.5 * (inn_cov + inn_cov.T) / cfg.dt,
         err_mean=err_mean,
         err_sem=err_sem,
         final_states=final,
         n_traj=n_traj,
         n_pooled=n_pooled,
-        window_fraction=window_fraction,
     )
 
 

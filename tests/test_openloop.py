@@ -6,7 +6,6 @@ from memlqg.model import (
     MemoryParams,
     input_covariance,
     lambda_matrix,
-    noise_model,
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
@@ -17,7 +16,6 @@ from memlqg.openloop import (
     CLASSICAL_LIMIT_RATE,
     ENTANGLEMENT_BOUND,
     GaussianState,
-    covariance_flow,
     fidelity,
     fidelity_closed_form,
     occupation_threshold,
@@ -82,7 +80,8 @@ def test_steady_state_zeroes_covariance_flow():
     noise = standard_noise(squeezed_vacuum(0.4), -1.2, PARAMS)
     st = steady_state(PARAMS, ENC, noise)
     sys = system_matrices(PARAMS, ENC)
-    flow = covariance_flow(st.cov, sys, noise)
+    V = st.cov
+    flow = sys.A @ V + V @ sys.A.T + sys.B @ noise.SigmaW @ sys.B.T
     assert np.abs(flow).max() < 1e-10
 
 

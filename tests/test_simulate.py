@@ -1,15 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from memlqg.closedloop import build_augmented, closed_loop_covariance
-from memlqg.control import Gains, LqgConfig, lqg_gains
-from memlqg.estimation import (
-    StationaryFilter,
-    filter_view_noise,
-    measurement_model,
-    stationary_filter,
-)
+from memlqg import closedloop
+from memlqg.closedloop import LoopBuilder
+from memlqg.control import Gains
+from memlqg.estimation import StationaryFilter, filter_view_noise
 from memlqg.model import (
     MemoryParams,
     SourceSpec,
@@ -26,7 +24,6 @@ from memlqg.simulate import (
     CHUNK,
     LIFT,
     SimulationUnstableError,
-    Trajectory,
     TrajectoryConfig,
     ensemble_moments,
     innovation_diagnostics,
@@ -43,11 +40,16 @@ P = MemoryParams(nu=4.0, gamma=1.0, n_occ=1.0)
 NOISE = standard_noise(vacuum(), -1.0, P)
 
 
-def pieces(mode="s1", r=1e-3, params=P, noise=NOISE):
-    mm = measurement_model(mode, ENC, params, noise)
-    sf = stationary_filter(mm, params, ENC, noise)
-    g = lqg_gains(LqgConfig(r=r, mode=mode), params, ENC)
-    return mm, sf, g
+def make_loop(mode="s1", r=1e-3, params=P, noise=NOISE, enc=ENC):
+    return LoopBuilder(params, enc)(noise, mode, r)
+
+
+def ensemble(cfg, loop, n_traj, **kwargs):
+    """ensemble_moments on the pieces of `loop`."""
+    return ensemble_moments(
+        cfg, loop.params, loop.enc, loop.noise, loop.mm, loop.g, SRC,
+        n_traj=n_traj, sf=loop.sf, **kwargs,
+    )
 
 
 def test_config_validation():
@@ -60,34 +62,41 @@ def test_config_validation():
 
 
 def test_repeat_run_is_bit_identical():
-    mm, sf, g = pieces()
+    loop = make_loop()
     cfg = TrajectoryConfig(dt=0.01, duration=2.0, seed=77)
-    a = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
-    b = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
+    a = simulate_trajectory(cfg, loop)
+    b = simulate_trajectory(cfg, loop)
     for name in ("x", "pi_s", "pi_x", "u", "innovations", "times"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert "am" not in vars(loop)  # stepping never assembles the augmented model
 
 
 def test_streams_are_independent():
-    mm, sf, g = pieces()
+    loop = make_loop()
     cfg = TrajectoryConfig(dt=0.01, duration=2.0, seed=77)
-    a = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=0)
-    b = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=1)
+    a = simulate_trajectory(cfg, loop, stream_index=0)
+    b = simulate_trajectory(cfg, loop, stream_index=1)
     assert not np.allclose(a.x, b.x)
     # and a different seed moves stream 0
     cfg2 = TrajectoryConfig(dt=0.01, duration=2.0, seed=78)
-    c = simulate_trajectory(cfg2, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=0)
+    c = simulate_trajectory(cfg2, loop, stream_index=0)
     assert not np.allclose(a.x, c.x)
 
 
-def test_batched_ensemble_matches_single_runs_exactly():
+def test_batched_ensemble_matches_single_runs_exactly(monkeypatch):
     """The batch kernel must consume per-trajectory noise streams identical
-    to the one-at-a-time kernel; endpoints agree to rounding."""
-    mm, sf, g = pieces()
+    to the one-at-a-time kernel; endpoints agree to rounding. Neither reads
+    the augmented model, so both run with build_augmented unavailable."""
+
+    def unavailable(*args, **kwargs):
+        raise AssertionError("the Monte Carlo layer built the augmented model")
+
+    monkeypatch.setattr(closedloop, "build_augmented", unavailable)
+    loop = make_loop()
     cfg = TrajectoryConfig(dt=0.005, duration=3.0, seed=1234)
-    em = ensemble_moments(cfg, P, ENC, NOISE, mm, g, SRC, n_traj=3, sf=sf)
+    em = ensemble(cfg, loop, 3)
     for k in range(3):
-        t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=k)
+        t = simulate_trajectory(cfg, loop, stream_index=k)
         single = np.concatenate([t.x[-1], t.pi_s[-1], t.pi_x[-1]])
         assert np.abs(single - em.final_states[k]).max() < 1e-12
 
@@ -105,20 +114,15 @@ def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
         return _block_map(M, c, b)
 
     monkeypatch.setattr(simulate, "_block_map", spy)
-    mm, sf, g = pieces()
+    loop = make_loop()
     n_steps = 4 * CHUNK + 100
     window = n_steps - window_start
     cfg = TrajectoryConfig(dt=0.005, duration=n_steps * 0.005, seed=99)
     assert cfg.n_steps == n_steps
-    em = ensemble_moments(
-        cfg, P, ENC, NOISE, mm, g, SRC, n_traj=3, window_fraction=window / n_steps, sf=sf
-    )
+    em = ensemble(cfg, loop, 3, window_fraction=window / n_steps)
     assert maps == [CHUNK] and em.n_pooled == 3 * window
 
-    paths = [
-        simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=k)
-        for k in range(3)
-    ]
+    paths = [simulate_trajectory(cfg, loop, stream_index=k) for k in range(3)]
     z = np.vstack([np.hstack([t.x, t.pi_s])[window_start + 1 :] for t in paths])
     inn = np.vstack([t.innovations[window_start:] for t in paths])
     err = [(t.x - t.pi_x)[window_start + 1 :].mean(axis=0) for t in paths]
@@ -132,9 +136,10 @@ def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def reference_loop(cfg, mm, sf, g, stream_index=0, drive=None):
+def reference_loop(cfg, loop, stream_index=0, drive=None):
     """The SDE stepped one vector at a time, drawing the stream's noise
     blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs."""
+    mm, sf, g = loop.mm, loop.sf, loop.g
     sysm = system_matrices(P, ENC, drive=drive)
     L = noise_factor(NOISE.SigmaW)
     stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(stream_index,))
@@ -164,12 +169,12 @@ def test_affine_kernel_matches_per_step_reference(control, n):
     stepped by the lifted affine kernel and by the literal per-step loop,
     agree to rounding. The drive is one the syndromes see, so the lifted
     map's constant reaches the innovations."""
-    mm, sf, g = pieces()
+    loop = make_loop()
     drive = np.array([3.0, -1.0, 0.0, 2.0, 0.0, 0.0])
     cfg = TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=42, control_enabled=control)
     assert cfg.n_steps == n
-    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf, stream_index=3, drive=drive)
-    states, innovations, inputs = reference_loop(cfg, mm, sf, g, stream_index=3, drive=drive)
+    t = simulate_trajectory(cfg, loop, stream_index=3, drive=drive)
+    states, innovations, inputs = reference_loop(cfg, loop, stream_index=3, drive=drive)
     assert_allclose(np.hstack([t.x, t.pi_s, t.pi_x]), states, rtol=0, atol=1e-12)
     assert_allclose(t.innovations, innovations, rtol=0, atol=1e-12)
     assert_allclose(t.u[:-1], inputs, rtol=0, atol=1e-12)
@@ -178,9 +183,8 @@ def test_affine_kernel_matches_per_step_reference(control, n):
 def test_lifted_map_composes_one_step_map():
     """M_b on random rows [s, w_0 .. w_{b-1}] equals b one-step maps in turn;
     for b = 1 the lifted map is the one-step map itself."""
-    mm, sf, g = pieces()
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=1)
-    M, c = _affine_step(cfg, P, system_matrices(P, ENC), NOISE, mm, sf, g)
+    M, c = _affine_step(cfg, make_loop(), system_matrices(P, ENC))
     M1, c1 = _lift(M, c, 1)
     assert np.array_equal(M1, M) and np.array_equal(c1, c)
 
@@ -202,9 +206,8 @@ def test_lifted_map_composes_one_step_map():
 def test_block_map_composes_one_step_map():
     """(Phi_b, G_b, c_b) on random rows [s, w_0 .. w_{b-1}] equals b one-step
     maps in turn; for b = 1 it is the state part of the one-step map itself."""
-    mm, sf, g = pieces()
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=1)
-    M, c = _affine_step(cfg, P, system_matrices(P, ENC), NOISE, mm, sf, g)
+    M, c = _affine_step(cfg, make_loop(), system_matrices(P, ENC))
     n = M.shape[0] - 12
     Phi1, G1, c1 = _block_map(M, c, 1)
     assert np.array_equal(Phi1, M[:n, :n]) and np.array_equal(G1, M[n:, :n])
@@ -222,71 +225,68 @@ def test_block_map_composes_one_step_map():
 
 
 def test_control_off_leaves_input_zero():
-    mm, sf, g = pieces()
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=3, control_enabled=False)
-    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
+    t = simulate_trajectory(cfg, make_loop())
     assert np.all(t.u == 0.0)
     # the filter still runs
     assert not np.allclose(t.pi_s, 0.0)
 
 
 def test_error_band_is_filter_band():
-    mm, sf, g = pieces()
+    loop = make_loop()
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=3)
-    t = simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
-    band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
+    t = simulate_trajectory(cfg, loop)
+    mm = loop.mm
+    band = np.sqrt(np.diag(mm.Btil @ loop.sf.Vc @ mm.Btil.T))
     assert_allclose(t.err_band, np.tile(band, (len(t.times), 1)))
     assert_allclose(t.expected_innovation_cov, mm.innovation_cov)
 
 
 def test_coarse_step_is_rejected():
-    mm, sf, g = pieces()
     cfg = TrajectoryConfig(dt=0.05, duration=1.0, seed=3)  # dt*(nu+gamma)=0.25
     with pytest.raises(ValueError, match="too coarse"):
-        simulate_trajectory(cfg, P, ENC, NOISE, mm, g, SRC, sf=sf)
+        simulate_trajectory(cfg, make_loop())
 
 
 def test_unstable_loop_is_detected():
-    mm, sf, g0 = pieces()
+    loop = make_loop()
+    g0 = loop.g
     runaway = Gains(P=g0.P.copy(), Fgain=-80.0 * g0.Fgain, f1=g0.f1, f2=g0.f2)
     cfg = TrajectoryConfig(dt=0.01, duration=10.0, seed=5)
     with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError):
-        simulate_trajectory(cfg, P, ENC, NOISE, mm, runaway, SRC, sf=sf)
+        simulate_trajectory(cfg, replace(loop, g=runaway))
 
 
 def test_unstable_ensemble_is_detected():
     """The batched path crosses each noise block before its window with one
     state-only map; a loop that diverges inside such a block (here the
     second, with a finite block map) must stop at that block's end."""
-    mm, sf, g0 = pieces()
+    loop = make_loop()
+    g0 = loop.g
     runaway = Gains(P=g0.P.copy(), Fgain=-0.1 * g0.Fgain, f1=g0.f1, f2=g0.f2)
     cfg = TrajectoryConfig(dt=0.01, duration=20.0, seed=5)  # window from step 1600
     with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError) as err:
-        ensemble_moments(cfg, P, ENC, NOISE, mm, runaway, SRC, n_traj=3, sf=sf)
+        ensemble(cfg, replace(loop, g=runaway), 3)
     assert err.value.step % CHUNK == 0 and CHUNK < err.value.step <= 1600
 
 
 def test_ensemble_argument_validation():
-    mm, sf, g = pieces()
+    loop = make_loop()
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=3)
     with pytest.raises(ValueError):
-        ensemble_moments(cfg, P, ENC, NOISE, mm, g, SRC, n_traj=1, sf=sf)
+        ensemble(cfg, loop, 1)
     with pytest.raises(ValueError):
-        ensemble_moments(cfg, P, ENC, NOISE, mm, g, SRC, n_traj=4, window_fraction=0.0, sf=sf)
+        ensemble(cfg, loop, 4, window_fraction=0.0)
 
 
 def test_uncontrolled_lossless_vacuum_reaches_ground_state():
     """No loss, no drive, vacuum inputs: every quadrature variance settles
     at 1/2 and the mean at zero."""
     p = MemoryParams(nu=1.0, gamma=0.0, n_occ=0.0)
-    enc0 = standard_encoding(0.0)
     noise0 = standard_noise(vacuum(), 0.0, p)
-    mm = measurement_model("s1", enc0, p, noise0)
-    sf = stationary_filter(mm, p, enc0, noise0)
-    g = lqg_gains(LqgConfig(r=1.0, mode="s1"), p, enc0)
-    src0 = SourceSpec(alpha_in=0.0)
+    loop = make_loop(r=1.0, params=p, noise=noise0, enc=standard_encoding(0.0))
     cfg = TrajectoryConfig(dt=0.01, duration=60.0, seed=556, control_enabled=False)
-    em = ensemble_moments(cfg, p, enc0, noise0, mm, g, src0, n_traj=400, sf=sf)
+    em = ensemble(cfg, loop, 400)
     d = np.diag(em.z_cov[:6, :6])
     assert np.abs(d - 0.5).max() / 0.5 < 0.06
     assert np.abs(em.z_mean[:6]).max() < 0.05
@@ -295,18 +295,13 @@ def test_uncontrolled_lossless_vacuum_reaches_ground_state():
 def test_feedback_squeezes_syndrome_variance():
     """Sampled syndrome variances must track the moment equations with and
     without control, and control must shrink every channel."""
-    mm, sf, g = pieces(r=1e-4)
-    am = build_augmented(P, ENC, NOISE, mm, g, sf)
-    _, Vp = closed_loop_covariance(am)
-    theory_on = np.diag(mm.Btil @ Vp @ mm.Btil.T)
+    loop = make_loop(r=1e-4)
+    mm = loop.mm
+    theory_on = np.diag(mm.Btil @ loop.Vz[:6, :6] @ mm.Btil.T)
     theory_off = np.diag(mm.Btil @ steady_state(P, ENC, NOISE).cov @ mm.Btil.T)
     kw = dict(dt=0.005, duration=30.0, seed=777)
-    em_on = ensemble_moments(
-        TrajectoryConfig(control_enabled=True, **kw), P, ENC, NOISE, mm, g, SRC, n_traj=200, sf=sf
-    )
-    em_off = ensemble_moments(
-        TrajectoryConfig(control_enabled=False, **kw), P, ENC, NOISE, mm, g, SRC, n_traj=200, sf=sf
-    )
+    em_on = ensemble(TrajectoryConfig(control_enabled=True, **kw), loop, 200)
+    em_off = ensemble(TrajectoryConfig(control_enabled=False, **kw), loop, 200)
     s_on = np.diag(mm.Btil @ em_on.z_cov[:6, :6] @ mm.Btil.T)
     s_off = np.diag(mm.Btil @ em_off.z_cov[:6, :6] @ mm.Btil.T)
     assert np.abs(s_on / theory_on - 1.0).max() < 0.10
@@ -316,10 +311,9 @@ def test_feedback_squeezes_syndrome_variance():
 
 def test_innovations_are_white_and_scaled():
     p = MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0)
-    noise = standard_noise(vacuum(), -2.0, p)
-    mm, sf, g = pieces(params=p, noise=noise, r=1.0)
+    loop = make_loop(r=1.0, params=p, noise=standard_noise(vacuum(), -2.0, p))
     cfg = TrajectoryConfig(dt=0.005, duration=300.0, seed=901)
-    traj = simulate_trajectory(cfg, p, ENC, noise, mm, g, SRC, sf=sf)
+    traj = simulate_trajectory(cfg, loop)
     rep = innovation_diagnostics(traj)
     assert rep.cov_pass and rep.whiteness_pass and rep.mean_pass
     assert rep.all_pass
@@ -329,11 +323,11 @@ def test_wrong_gain_breaks_innovation_whiteness():
     """Doubling the filter gain leaves the loop stable but the innovation
     sequence visibly autocorrelated — the diagnostics must flag it."""
     p = MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0)
-    noise = standard_noise(vacuum(), -2.0, p)
-    mm, sf, g = pieces(params=p, noise=noise, r=1.0)
+    loop = make_loop(r=1.0, params=p, noise=standard_noise(vacuum(), -2.0, p))
+    sf = loop.sf
     bad = StationaryFilter(Vc=sf.Vc.copy(), K=2.0 * sf.K, Ktil=2.0 * sf.Ktil)
     cfg = TrajectoryConfig(dt=0.025, duration=500.0, seed=901)
-    traj = simulate_trajectory(cfg, p, ENC, noise, mm, g, SRC, sf=bad)
+    traj = simulate_trajectory(cfg, replace(loop, sf=bad))
     rep = innovation_diagnostics(traj)
     assert not rep.whiteness_pass
     assert not rep.all_pass
@@ -344,16 +338,15 @@ def test_plant_and_record_share_noise():
     cross covariance between plant noise and innovations recovers the
     model's plant/sensor coupling."""
     p = MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0)
-    noise = standard_noise(vacuum(), -2.0, p)
-    mm, sf, g = pieces(params=p, noise=noise, r=1.0)
+    loop = make_loop(r=1.0, params=p, noise=standard_noise(vacuum(), -2.0, p))
     cfg = TrajectoryConfig(dt=0.005, duration=200.0, seed=31)
-    traj = simulate_trajectory(cfg, p, ENC, noise, mm, g, SRC, sf=sf)
+    traj = simulate_trajectory(cfg, loop)
     sysm = system_matrices(p, ENC)
     dt = cfg.dt
     x, u = traj.x, traj.u
     dx_noise = x[1:] - x[:-1] - dt * (x[:-1] @ sysm.A.T + u[:-1] + sysm.drive)
     S_emp = dx_noise.T @ traj.innovations / (len(traj.innovations) * dt)
-    S = mm.cross_cov
+    S = loop.mm.cross_cov
     assert np.linalg.norm(S_emp - S) / np.linalg.norm(S) < 0.10
 
 
@@ -376,9 +369,6 @@ def test_noise_factor_roundtrip_and_guard():
 
 
 def test_innovation_diagnostics_guards():
-    mm, sf, g = pieces()
-    short = simulate_trajectory(
-        TrajectoryConfig(dt=0.01, duration=0.05, seed=10), P, ENC, NOISE, mm, g, SRC, sf=sf
-    )
+    short = simulate_trajectory(TrajectoryConfig(dt=0.01, duration=0.05, seed=10), make_loop())
     with pytest.raises(ValueError, match="few"):
         innovation_diagnostics(short)

@@ -30,11 +30,13 @@ from . import __version__
 from .acceptance import run_all
 from .closedloop import LoopBuilder
 from .model import (
+    FILTER_MODES,
     MemoryParams,
     input_covariance,
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
+    syndrome_set,
     thermal_occupation,
 )
 from .openloop import (
@@ -89,6 +91,18 @@ class RunSettings:
         return self.duration if self.duration is not None else 30.0 / rate
 
 
+# Settings every subcommand reads; add_common names a command's further ones.
+_MODEL_KEYS = ("nu_hz", "gamma_hz", "n_occ", "alpha_in", "mu", "mu1")
+# Flags of the settings that have one; every setting can come from --config.
+_FLAGS = {
+    "filter_mode": ("--filter", {"choices": tuple(FILTER_MODES)}),
+    "seed": ("--seed", {"type": int}),
+    "r": ("--r", {"type": float, "help": "control effort weight"}),
+    "mu1": ("--mu1", {"type": float, "help": "source squeezing"}),
+    "mu": ("--mu", {"type": float, "help": "ancilla squeezing"}),
+    "dt": ("--dt", {"type": float, "help": "integrator step (s)"}),
+    "duration": ("--duration", {"type": float, "help": "total simulated time (s)"}),
+}
 _FLOAT_KEYS = ("nu_hz", "gamma_hz", "n_occ", "alpha_in", "mu", "mu1", "r", "dt", "duration")
 _INT_KEYS = ("seed", "ntraj")
 _CONFIG_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {
@@ -123,8 +137,7 @@ def parse_config_file(path: str, err) -> dict:
             elif key in _INT_KEYS:
                 values[key] = int(val)
             elif key == "filter_mode":
-                if val not in ("s1", "s2"):
-                    raise ValueError("must be s1 or s2")
+                syndrome_set(val)  # refuses a mode the table does not list
                 values[key] = val
             elif key == "drive":
                 parts = tuple(float(p) for p in val.split(","))
@@ -183,20 +196,17 @@ def _open_out(path: str | None):
     return open(path, "w", encoding="utf-8", newline="\n"), True
 
 
-def _header_lines(schema: str, settings: RunSettings, extra: dict | None = None) -> list[str]:
-    items = {
-        "alpha_in": _fmt(settings.alpha_in),
-        "drive": ",".join(_fmt(v) for v in settings.drive),
-        "filter_mode": settings.filter_mode,
-        "gamma_hz": _fmt(settings.gamma_hz),
-        "mu": _fmt(settings.mu),
-        "mu1": _fmt(settings.mu1),
-        "n_occ": _fmt(settings.n_occ),
-        "nu_hz": _fmt(settings.nu_hz),
-        "seed": str(settings.seed),
-    }
-    if extra:
-        items.update({k: str(v) for k, v in extra.items()})
+def _text(value) -> str:
+    """Header text of a setting: numbers as _fmt, the drive comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(_fmt(v) for v in value)
+    return str(value) if isinstance(value, (str, int)) else _fmt(value)
+
+
+def _header_lines(schema: str, settings: RunSettings, keys, **extra) -> list[str]:
+    """CSV header: the settings named by `keys`, then `extra`, which may
+    override one of them (a sweep writes its grid in place of the value)."""
+    items = {k: _text(getattr(settings, k)) for k in keys} | extra
     lines = [f"# schema = {schema}", f"# version = {__version__}"]
     lines += [f"# {k} = {items[k]}" for k in sorted(items)]
     return lines
@@ -216,15 +226,7 @@ def cmd_steady(args, err) -> int:
     report = {
         "schema": "memlqg.steady/1",
         "version": __version__,
-        "settings": {
-            "nu_hz": settings.nu_hz,
-            "gamma_hz": settings.gamma_hz,
-            "n_occ": settings.n_occ,
-            "alpha_in": settings.alpha_in,
-            "mu": settings.mu,
-            "mu1": settings.mu1,
-            "drive": list(settings.drive),
-        },
+        "settings": {k: getattr(settings, k) for k in args.keys},  # json lists the drive tuple
         "single_mode": {
             "mean_q": mean_c.real,
             "mean_p": mean_c.imag,
@@ -272,7 +274,7 @@ def cmd_sweep_fidelity(args, err) -> int:
     out, close = _open_out(args.out)
     try:
         for line in _header_lines(
-            "memlqg.sweep-fidelity/1", settings, extra={"mu": mu_text, "log2r": log2r_text}
+            "memlqg.sweep-fidelity/1", settings, args.keys, mu=mu_text, log2r=log2r_text
         ):
             out.write(line + "\n")
         out.write("mu,log2r_neg,fidelity_controlled,fidelity_uncontrolled\n")
@@ -295,6 +297,7 @@ def cmd_sweep_squeezed(args, err) -> int:
     settings = resolve_settings(args, err)
     # the informed/blind contrast only shows up under strong feedback
     r = settings.r if settings.r is not None else 2.0**-40
+    settings = replace(settings, r=r)  # as the header writes it
     mu_text = args.mu_range or "-2:0:5"
     mu1_text = args.mu1_range or "-1:1:9"
     mus = parse_range(mu_text, err, "--mu")
@@ -304,25 +307,22 @@ def cmd_sweep_squeezed(args, err) -> int:
     out, close = _open_out(args.out)
     try:
         for line in _header_lines(
-            "memlqg.sweep-squeezed/1",
-            settings,
-            extra={"r": _fmt(r), "mu": mu_text, "mu1": mu1_text},
+            "memlqg.sweep-squeezed/1", settings, args.keys, mu=mu_text, mu1=mu1_text
         ):
             out.write(line + "\n")
-        out.write("mu,mu1,fidelity_s1,fidelity_s2\n")
+        out.write(",".join(["mu", "mu1"] + [f"fidelity_{m}" for m in FILTER_MODES]) + "\n")
         for mu in mus:
             for mu1 in mu1s:
                 noise = standard_noise(squeezed_vacuum(float(mu1)), float(mu), params)
-                f1 = builder(noise, "s1", r).fidelity()
-                f2 = builder(noise, "s2", r).fidelity()
-                out.write(f"{_fmt(mu)},{_fmt(mu1)},{_fmt(f1)},{_fmt(f2)}\n")
+                fs = [builder(noise, mode, r).fidelity() for mode in FILTER_MODES]
+                out.write(",".join(_fmt(v) for v in (mu, mu1, *fs)) + "\n")
     finally:
         if close:
             out.close()
     return 0
 
 
-def _write_trajectory_csv(path: str, traj, settings: RunSettings, control: str, r: float) -> None:
+def _write_trajectory_csv(path: str, traj, header: list[str]) -> None:
     m = traj.pi_s.shape[1]
     cols = (
         ["t"]
@@ -332,16 +332,7 @@ def _write_trajectory_csv(path: str, traj, settings: RunSettings, control: str, 
         + [f"errband{i+1}" for i in range(m)]
     )
     with open(path, "w", encoding="utf-8", newline="\n") as out:
-        for line in _header_lines(
-            "memlqg.trajectory/1",
-            settings,
-            extra={
-                "control": control,
-                "dt": _fmt(traj.cfg.dt),
-                "duration": _fmt(traj.cfg.duration),
-                "r": _fmt(r),
-            },
-        ):
+        for line in header:
             out.write(line + "\n")
         out.write(",".join(cols) + "\n")
         table = np.column_stack([traj.times, traj.x, traj.pi_s, traj.u, traj.err_band])
@@ -363,10 +354,12 @@ def _write_trajectory_csv(path: str, traj, settings: RunSettings, control: str, 
 
 def cmd_trajectory(args, err) -> int:
     settings = resolve_settings(args, err)
+    r = settings.r if settings.r is not None else 1e-9
+    dt, duration = settings.resolved_dt(), settings.resolved_duration()
+    settings = replace(settings, r=r, dt=dt, duration=duration)  # as the header writes them
     params = settings.params
     enc = standard_encoding(settings.alpha_in)
     controls = args.control or ["on", "off"]
-    r = settings.r if settings.r is not None else 1e-9
     noise_true = standard_noise(squeezed_vacuum(settings.mu1), settings.mu, params)
     loop = LoopBuilder(params, enc)(noise_true, settings.filter_mode, r)
     stem = args.out or "trajectory"
@@ -375,17 +368,15 @@ def cmd_trajectory(args, err) -> int:
     written = []
     for control in controls:
         cfg = TrajectoryConfig(
-            dt=settings.resolved_dt(),
-            duration=settings.resolved_duration(),
-            seed=settings.seed,
-            control_enabled=(control == "on"),
+            dt=dt, duration=duration, seed=settings.seed, control_enabled=(control == "on")
         )
+        header = _header_lines("memlqg.trajectory/1", settings, args.keys, control=control)
         for k in range(settings.ntraj):
             traj = simulate_trajectory(
                 cfg, loop, stream_index=k, drive=np.asarray(settings.drive)
             )
             path = f"{stem}.{control}.{k:03d}.csv"
-            _write_trajectory_csv(path, traj, settings, control, r)
+            _write_trajectory_csv(path, traj, header)
             written.append(path)
     print("\n".join(written))
     return 0
@@ -410,44 +401,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"memlqg {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *flags, mu_grid=False, mu1_grid=False):
-        """--config, --out, --mu1, --mu and those of `flags` the command reads."""
+    def add_common(p, *keys, grids=()):
+        """--config, --out and the flags of `keys`, the settings that shape
+        the command's output; they also head its CSV or JSON. The flag of a
+        key in `grids` takes a range a:b:n in place of the value."""
+        p.set_defaults(keys=keys)
         p.add_argument("--config", help="flat key=value settings file")
         p.add_argument("--out", help="output path (default: stdout)")
-        if "filter" in flags:
-            p.add_argument("--filter", dest="filter_mode", choices=("s1", "s2"))
-        if "seed" in flags:
-            p.add_argument("--seed", type=int)
-        if "r" in flags:
-            p.add_argument("--r", type=float, help="control effort weight")
-        if mu1_grid:
-            p.add_argument("--mu1", dest="mu1_range", help="source squeezing range a:b:n")
-        else:
-            p.add_argument("--mu1", type=float, help="source squeezing")
-        if mu_grid:
-            p.add_argument("--mu", dest="mu_range", help="ancilla squeezing range a:b:n")
-        else:
-            p.add_argument("--mu", type=float, help="ancilla squeezing")
+        for key in keys:
+            if key not in _FLAGS:
+                continue
+            flag, kwargs = _FLAGS[key]
+            if key in grids:
+                kwargs = {"help": kwargs["help"] + " range a:b:n"}
+            p.add_argument(flag, dest=f"{key}_range" if key in grids else key, **kwargs)
 
     p_steady = sub.add_parser("steady", help="open-loop steady-state JSON report")
-    add_common(p_steady)
+    add_common(p_steady, *_MODEL_KEYS, "drive")
     p_steady.set_defaults(func=cmd_steady)
 
     p_sf = sub.add_parser("sweep-fidelity", help="fidelity grid CSV over (mu, -log2 r)")
-    add_common(p_sf, "filter", mu_grid=True)
+    add_common(p_sf, *_MODEL_KEYS, "filter_mode", grids=("mu",))
     p_sf.add_argument("--log2r", help="-log2(r) range a:b:n (default 10:40:4)")
     p_sf.set_defaults(func=cmd_sweep_fidelity)
 
     p_ss = sub.add_parser(
         "sweep-squeezed", help="fidelity CSV over (mu, mu1) for informed vs blind filters"
     )
-    add_common(p_ss, "r", mu_grid=True, mu1_grid=True)
+    add_common(p_ss, *_MODEL_KEYS, "r", grids=("mu", "mu1"))
     p_ss.set_defaults(func=cmd_sweep_squeezed)
 
     p_tr = sub.add_parser("trajectory", help="Monte Carlo sample paths as CSV")
-    add_common(p_tr, "filter", "seed", "r")
-    p_tr.add_argument("--dt", type=float, help="integrator step (s)")
-    p_tr.add_argument("--duration", type=float, help="total simulated time (s)")
+    add_common(p_tr, *_MODEL_KEYS, "filter_mode", "drive", "seed", "r", "dt", "duration")
+    # --ntraj and --control choose which files are written, not what is in them
     p_tr.add_argument("--ntraj", type=int, help="trajectories per control state")
     p_tr.add_argument(
         "--control",

@@ -31,7 +31,14 @@ from .estimation import (
     measurement_model,
     stationary_filter,
 )
-from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, input_covariance
+from .model import (
+    Encoding,
+    MemoryParams,
+    NoiseModel,
+    SourceSpec,
+    input_covariance,
+    syndrome_set,
+)
 from .numerics import solve_lyapunov_steady, symmetrize
 from .openloop import fidelity, system_matrices
 
@@ -239,10 +246,10 @@ class Loop:
 class LoopBuilder:
     """Assembles loops for one memory and encoding: `builder(noise, mode, r)`.
 
-    Mode 's1' is the informed filter and sees the true noise; mode 's2' is
-    the blind one and sees the source block replaced by the vacuum. The
-    stationary filter depends on neither r nor, when blind, the true source,
-    so each builder solves it once per (mode, filter-view noise).
+    A filter that knows the source (model.FILTER_MODES) sees the true noise;
+    a blind one sees the source block replaced by the vacuum. The stationary
+    filter depends on neither r nor, when blind, the true source, so each
+    builder solves it once per (mode, filter-view noise).
     """
 
     def __init__(self, params: MemoryParams, enc: Encoding):
@@ -252,7 +259,7 @@ class LoopBuilder:
 
     def __call__(self, noise: NoiseModel, mode: str, r: float) -> Loop:
         # the filter never knows the amplitude, so only covariance_known matters
-        source = SourceSpec(alpha_in=0.0, covariance_known=(mode == "s1"))
+        source = SourceSpec(alpha_in=0.0, covariance_known=syndrome_set(mode).knows_source)
         view = filter_view_noise(noise, source, self.params)
         key = (mode, view.Lambda.tobytes())
         if key not in self._filters:

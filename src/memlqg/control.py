@@ -1,10 +1,11 @@
 """Optimal linear feedback on the syndrome coordinates.
 
 The regulator penalises the syndrome quadratic form that upper-bounds the
-logical error (weight 9 on the collective-momentum coordinate, 3 on each
-mode-difference coordinate) plus an effort term r |u|^2. Because the
-syndrome maps are isometric and the drift is a uniform decay -c I, the
-algebraic Riccati equation decouples per coordinate and the solution is
+logical error, with the per-coordinate weights q_i of model.FILTER_MODES
+(9 on the collective-momentum coordinate, 3 on each mode-difference
+coordinate), plus an effort term r |u|^2. Because the syndrome maps are
+isometric and the drift is a uniform decay -c I, the algebraic Riccati
+equation decouples per coordinate and the solution is
 
     P = r diag{f_i},   f_i = -c + sqrt(c^2 + q_i / r),   c = (nu+gamma)/2,
 
@@ -19,9 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoding, MemoryParams
-
-_WEIGHTS = {"s1": (9.0, 3.0, 3.0), "s2": (3.0, 3.0)}
+from .model import Encoding, MemoryParams, syndrome_set
 
 
 @dataclass(frozen=True)
@@ -34,8 +33,7 @@ class LqgConfig:
     def __post_init__(self):
         if not self.r > 0.0:
             raise ValueError("control penalty r must be positive")
-        if self.mode not in _WEIGHTS:
-            raise ValueError(f"unknown filter mode {self.mode!r}")
+        syndrome_set(self.mode)  # refuses an unknown mode
 
 
 @dataclass(frozen=True)
@@ -60,7 +58,7 @@ class Gains:
 def feedback_rates(config: LqgConfig, params: MemoryParams) -> np.ndarray:
     """Per-coordinate closed-form rates f_i = -c + sqrt(c^2 + q_i/r)."""
     c = params.damping
-    q = np.asarray(_WEIGHTS[config.mode])
+    q = np.asarray(syndrome_set(config.mode).weights)
     return -c + np.sqrt(c * c + q / config.r)
 
 

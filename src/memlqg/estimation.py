@@ -12,9 +12,9 @@ dVc/dt = A Vc + Vc A^T + B Sw B^T - K R K^T.
 
 Because the syndrome maps annihilate the drive, the filter can equivalently
 be run directly on the m syndrome coordinates (pi_s = Btil pi_x), which
-requires no knowledge of the written amplitude. With Z2 the innovation
-covariance is e^mu I2 regardless of the payload statistics, so that filter
-is completely source-blind.
+requires no knowledge of the written amplitude. With the two rows of mode
+'s2' the innovation covariance is e^mu I2 regardless of the payload
+statistics, so that filter is completely source-blind.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ import numpy as np
 from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
 from .numerics import ConvergenceError, newton_kleinman, solve_care, symmetrize
 from .openloop import system_matrices
-
-FILTER_MODES = ("s1", "s2")
 
 
 def filter_view_noise(
@@ -69,10 +67,7 @@ class MeasurementModel:
 def measurement_model(
     mode: str, enc: Encoding, params: MemoryParams, noise: NoiseModel
 ) -> MeasurementModel:
-    """Build the output model for filter mode 's1' (three channels, needs the
-    payload covariance) or 's2' (two channels, source-blind)."""
-    if mode not in FILTER_MODES:
-        raise ValueError(f"unknown filter mode {mode!r} (expected 's1' or 's2')")
+    """Build the output model for one mode of model.FILTER_MODES."""
     Z = enc.selector(mode)
     Btil = enc.syndrome_map(mode)
     C = np.sqrt(2.0 * params.nu) * Btil
@@ -83,8 +78,8 @@ def measurement_model(
         mode=mode,
         C=C,
         D=D,
-        Z=Z.copy(),
-        Btil=Btil.copy(),
+        Z=Z,
+        Btil=Btil,
         innovation_cov=symmetrize(innovation_cov),
         cross_cov=cross_cov,
     )

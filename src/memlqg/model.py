@@ -9,11 +9,12 @@ Conventions
   2 and 3 the squeezed ancillas.
 
 The memory is written through a balanced three-way passive mixer ("tritter"),
-an orthogonal 6x6 quadrature map T. Syndrome coordinates are rows of T^T
-selected by the index matrices Z1 (three rows: the collective momentum sum
-and two position differences) and Z2 (the two position differences only).
-Both selections annihilate the drive direction, which is what makes the
-write-in amplitude invisible to the error-correction layer.
+an orthogonal 6x6 quadrature map T. Syndrome coordinates are rows of T^T.
+FILTER_MODES states the two filters once: 's1' measures three rows (the
+collective momentum sum and two position differences) and may assume the
+payload covariance; 's2' measures the two position differences only and is
+source-blind. Both selections annihilate the drive direction, which is what
+makes the write-in amplitude invisible to the error-correction layer.
 """
 
 from __future__ import annotations
@@ -47,15 +48,6 @@ _TRITTER = np.array(
         [0.0, _S13, 0.0, _S16, 0.0, -_S12],
     ]
 )
-
-# Syndrome selectors: rows of T^T picked by index. Z1 keeps (p1+p2+p3)/sqrt(3),
-# (q2+q3-2q1)/sqrt(6) and (q2-q3)/sqrt(2); Z2 keeps only the two position
-# differences, which are the source-blind channels.
-_Z1 = np.zeros((3, 6))
-_Z1[0, 1] = _Z1[1, 2] = _Z1[2, 4] = 1.0
-_Z2 = np.zeros((2, 6))
-_Z2[0, 2] = _Z2[1, 4] = 1.0
-
 
 def tritter() -> np.ndarray:
     """The 6x6 orthogonal encoding matrix (a fresh copy)."""
@@ -196,57 +188,71 @@ class SourceSpec:
 
 
 @dataclass(frozen=True)
-class Encoding:
-    """Tritter, drive direction, and the two syndrome maps.
+class SyndromeSet:
+    """What one filter mode measures, penalises and may assume.
 
-    Btil1/Btil2 are the isometric syndrome maps Z_i T^T; both annihilate
-    beta, so syndromes carry no information about the written amplitude.
+    rows         : rows of T^T measured, so the selector Z is I6[rows]
+    weights      : regulator weight on each measured row
+    knows_source : whether the filter may assume the payload covariance
+    """
+
+    rows: tuple[int, ...]
+    weights: tuple[float, ...]
+    knows_source: bool
+
+
+# Rows 1, 2, 4 of T^T are (p1+p2+p3)/sqrt(3), (q2+q3-2q1)/sqrt(6) and
+# (q2-q3)/sqrt(2). The weights bound the logical error: 9 on the collective
+# momentum, 3 on each position difference.
+FILTER_MODES = {
+    "s1": SyndromeSet(rows=(1, 2, 4), weights=(9.0, 3.0, 3.0), knows_source=True),
+    "s2": SyndromeSet(rows=(2, 4), weights=(3.0, 3.0), knows_source=False),
+}
+
+
+def syndrome_set(mode: str) -> SyndromeSet:
+    """The FILTER_MODES entry of `mode`; every unknown mode is refused here."""
+    try:
+        return FILTER_MODES[mode]
+    except KeyError:
+        expected = " or ".join(repr(k) for k in FILTER_MODES)
+        raise ValueError(f"unknown filter mode {mode!r} (expected {expected})") from None
+
+
+@dataclass(frozen=True)
+class Encoding:
+    """Tritter and drive direction.
+
+    The syndrome map of each filter mode is Btil = Z T^T. It is isometric
+    because T is orthogonal, and it must annihilate beta, so that syndromes
+    carry no information about the written amplitude.
     """
 
     T: np.ndarray
     beta: np.ndarray
-    Z1: np.ndarray
-    Z2: np.ndarray
-    Btil1: np.ndarray
-    Btil2: np.ndarray
 
     def __post_init__(self):
         if np.abs(self.T @ self.T.T - np.eye(6)).max() > 1e-12:
             raise ValueError("T is not orthogonal")
-        for name, B in (("Btil1", self.Btil1), ("Btil2", self.Btil2)):
-            if np.abs(B @ B.T - np.eye(B.shape[0])).max() > 1e-12:
-                raise ValueError(f"{name} is not isometric")
-            if np.abs(B @ self.beta).max() > 1e-10 * max(1.0, np.abs(self.beta).max()):
-                raise ValueError(f"{name} does not annihilate the drive")
-        for arr in (self.T, self.beta, self.Z1, self.Z2, self.Btil1, self.Btil2):
-            arr.setflags(write=False)
-
-    def syndrome_map(self, mode: str) -> np.ndarray:
-        if mode == "s1":
-            return self.Btil1
-        if mode == "s2":
-            return self.Btil2
-        raise ValueError(f"unknown filter mode {mode!r} (expected 's1' or 's2')")
+        for mode in FILTER_MODES:
+            leak = np.abs(self.syndrome_map(mode) @ self.beta).max()
+            if leak > 1e-10 * max(1.0, np.abs(self.beta).max()):
+                raise ValueError(f"syndrome map of {mode!r} does not annihilate the drive")
+        self.T.setflags(write=False)
+        self.beta.setflags(write=False)
 
     def selector(self, mode: str) -> np.ndarray:
-        if mode == "s1":
-            return self.Z1
-        if mode == "s2":
-            return self.Z2
-        raise ValueError(f"unknown filter mode {mode!r} (expected 's1' or 's2')")
+        """Z, the m x 6 selector of the mode's rows."""
+        return np.eye(6)[list(syndrome_set(mode).rows)]
+
+    def syndrome_map(self, mode: str) -> np.ndarray:
+        """Btil = Z T^T, the m x 6 isometric syndrome map."""
+        return self.selector(mode) @ self.T.T
 
 
 def standard_encoding(alpha_in: float) -> Encoding:
     """The balanced encoding used throughout, with drive set by alpha_in."""
-    T = tritter()
-    return Encoding(
-        T=T,
-        beta=drive_vector(alpha_in),
-        Z1=_Z1.copy(),
-        Z2=_Z2.copy(),
-        Btil1=_Z1 @ T.T,
-        Btil2=_Z2 @ T.T,
-    )
+    return Encoding(T=tritter(), beta=drive_vector(alpha_in))
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ CLASSICAL_LIMIT_RATE = 7.5
 #: Below this the three-mode state is inseparable.
 ENTANGLEMENT_BOUND = 6.0
 
-_QI = (0, 2, 4)  # position indices
 _PI = (1, 3, 5)  # momentum indices
 _PAIRS = ((0, 2), (2, 4), (4, 0))  # position-difference pairs (q_i - q_j)
 
@@ -163,15 +162,9 @@ def psys(V: np.ndarray) -> float:
     """Collective variance sum of pairwise position differences plus 3x the
     total-momentum variance, evaluated on a memory covariance."""
     V = symmetrize(np.asarray(V, dtype=float))
-    total = 0.0
-    for i, j in _PAIRS:
-        w = np.zeros(6)
-        w[i], w[j] = 1.0, -1.0
-        total += float(w @ V @ w)
     wp = np.zeros(6)
     wp[list(_PI)] = 1.0
-    total += 3.0 * float(wp @ V @ wp)
-    return total
+    return float(syndrome_statistics(V).sum()) + 3.0 * float(wp @ V @ wp)
 
 
 def psys_closed_form(mu: float, params: MemoryParams) -> float:

@@ -151,6 +151,18 @@ def test_sweep_squeezed_csv(tmp_path):
     assert float(header["r"]) == pytest.approx(2.0**-40)
 
 
+def test_sweep_headers_name_only_the_settings_they_read(tmp_path):
+    fid, sq = tmp_path / "f.csv", tmp_path / "s.csv"
+    assert run(["sweep-fidelity", "--mu=-0.4", "--log2r", "20", "--out", str(fid)]) == 0
+    assert run(["sweep-squeezed", "--mu=-0.4", "--mu1=0", "--out", str(sq)]) == 0
+    sq_header, fid_header = read_csv(sq)[0], read_csv(fid)[0]
+    # sweep-squeezed computes both filters, so no single filter_mode heads it
+    assert "filter_mode" not in sq_header
+    common = {"schema", "version", "nu_hz", "gamma_hz", "n_occ", "alpha_in", "mu", "mu1"}
+    assert set(sq_header) == common | {"r"}
+    assert set(fid_header) == common | {"filter_mode", "log2r"}
+
+
 @pytest.mark.parametrize(
     "argv,solves",
     [
@@ -275,7 +287,8 @@ def _hand_trajectory(n_rows: int) -> Trajectory:
 def test_trajectory_csv_constant_columns_keep_savetxt_bytes(tmp_path, n_rows):
     traj = _hand_trajectory(n_rows)
     path = tmp_path / "hand.csv"
-    cli._write_trajectory_csv(str(path), traj, cli.RunSettings(), "off", 1e-9)
+    header = cli._header_lines("memlqg.trajectory/1", cli.RunSettings(), ("seed",))
+    cli._write_trajectory_csv(str(path), traj, header)
     text = path.read_bytes()
     body = text[text.index(b"\nt,") + 1 :].split(b"\n", 1)[1]
     table = np.column_stack([traj.times, traj.x, traj.pi_s, traj.u, traj.err_band])

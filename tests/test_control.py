@@ -75,7 +75,7 @@ def test_control_input_acts_only_in_syndrome_span():
     pi_s = rng.standard_normal(2)
     u = g.Fgain @ pi_s
     # u lies in the row space of Btil2: projecting there loses nothing
-    B = ENC.Btil2
+    B = ENC.syndrome_map("s2")
     assert_allclose(B.T @ (B @ u), u, atol=1e-12)
     # and it drives the syndrome estimate downhill
     assert float(pi_s @ (B @ u)) < 0.0
@@ -84,7 +84,7 @@ def test_control_input_acts_only_in_syndrome_span():
 def test_feedback_stabilizes_each_coordinate():
     g = lqg_gains(LqgConfig(r=1e-6, mode="s1"), PARAMS, ENC)
     # syndrome drift under feedback: -c - f_i on the diagonal
-    Acl = -PARAMS.damping * np.eye(3) + ENC.Btil1 @ g.Fgain
+    Acl = -PARAMS.damping * np.eye(3) + ENC.syndrome_map("s1") @ g.Fgain
     eig = np.linalg.eigvals(Acl).real
     assert eig.max() < -PARAMS.damping  # strictly faster than open loop
 

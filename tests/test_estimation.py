@@ -5,8 +5,9 @@ from numpy.testing import assert_allclose
 from memlqg import estimation
 from memlqg.acceptance import reference_params
 from memlqg.closedloop import LoopBuilder
-from memlqg.estimation import FILTER_MODES, measurement_model, stationary_filter
+from memlqg.estimation import measurement_model, stationary_filter
 from memlqg.model import (
+    FILTER_MODES,
     MemoryParams,
     input_covariance,
     noise_model,
@@ -42,7 +43,7 @@ def test_measurement_model_shapes(mode, m):
 def test_measurement_model_rejects_unknown_mode():
     with pytest.raises(ValueError):
         measurement_model("s3", ENC, PARAMS, NOISE)
-    assert FILTER_MODES == ("s1", "s2")
+    assert tuple(FILTER_MODES) == ("s1", "s2")
 
 
 def test_innovation_cov_vacuum_is_identity():

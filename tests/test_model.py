@@ -128,26 +128,24 @@ def test_input_covariance_preserves_purity():
 
 def test_encoding_maps_annihilate_drive():
     enc = standard_encoding(-230.0)
-    assert_allclose(enc.Btil1 @ enc.beta, 0.0, atol=1e-10)
-    assert_allclose(enc.Btil2 @ enc.beta, 0.0, atol=1e-10)
-    assert enc.Btil1.shape == (3, 6)
-    assert enc.Btil2.shape == (2, 6)
-    # isometries
-    assert_allclose(enc.Btil1 @ enc.Btil1.T, np.eye(3), atol=1e-13)
-    assert_allclose(enc.Btil2 @ enc.Btil2.T, np.eye(2), atol=1e-13)
+    for mode, m in (("s1", 3), ("s2", 2)):
+        B = enc.syndrome_map(mode)
+        assert_allclose(B @ enc.beta, 0.0, atol=1e-10)
+        assert B.shape == (m, 6)
+        assert_allclose(B @ B.T, np.eye(m), atol=1e-13)  # isometry
 
 
 def test_syndrome_coordinates_by_hand():
     """The three s1 coordinates evaluated on a raw memory vector."""
     enc = standard_encoding(0.0)
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])  # (q1,p1,q2,p2,q3,p3)
-    s = enc.Btil1 @ x
+    s = enc.syndrome_map("s1") @ x
     q1, p1, q2, p2, q3, p3 = x
     assert s[0] == pytest.approx(np.sqrt(1 / 3) * (p1 + p2 + p3))
     assert s[1] == pytest.approx(np.sqrt(1 / 6) * (q2 + q3 - 2 * q1))
     assert s[2] == pytest.approx(np.sqrt(1 / 2) * (q2 - q3))
     # s2 is the position-difference pair only
-    s2 = enc.Btil2 @ x
+    s2 = enc.syndrome_map("s2") @ x
     assert_allclose(s2, s[1:])
 
 
@@ -156,14 +154,10 @@ def test_encoding_rejects_nonorthogonal_tritter():
     bad = T.copy()
     bad[0, 0] += 0.01
     with pytest.raises(ValueError):
-        Encoding(
-            T=bad,
-            beta=drive_vector(1.0),
-            Z1=np.eye(6)[[1, 2, 4]],
-            Z2=np.eye(6)[[2, 4]],
-            Btil1=np.eye(6)[[1, 2, 4]] @ T.T,
-            Btil2=np.eye(6)[[2, 4]] @ T.T,
-        )
+        Encoding(T=bad, beta=drive_vector(1.0))
+    # the p1 direction is invisible to the s2 rows, but s1 reads it
+    with pytest.raises(ValueError, match="syndrome map of 's1'"):
+        Encoding(T=T, beta=np.eye(6)[1])
 
 
 def test_source_spec_filter_view():

@@ -3,8 +3,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.linalg import solve_discrete_lyapunov
 
 from memlqg import closedloop
+from memlqg.acceptance import reference_params
 from memlqg.closedloop import LoopBuilder
 from memlqg.control import Gains
 from memlqg.estimation import StationaryFilter, filter_view_noise
@@ -178,6 +180,33 @@ def test_affine_kernel_matches_per_step_reference(control, n):
     assert_allclose(np.hstack([t.x, t.pi_s, t.pi_x]), states, rtol=0, atol=1e-12)
     assert_allclose(t.innovations, innovations, rtol=0, atol=1e-12)
     assert_allclose(t.u[:-1], inputs, rtol=0, atol=1e-12)
+
+
+def test_euler_maruyama_bias_is_first_order_in_dt():
+    """At check 9's point, the stationary covariance of the map the engine
+    runs (a discrete Lyapunov solve) sits O(dt) from the continuous Vz, and
+    its innovation rate carries the dt H Vz H^T term on top of R."""
+    params = reference_params()
+    enc = standard_encoding(-230.0)
+    loop = LoopBuilder(params, enc)(standard_noise(vacuum(), -0.4, params), "s1", 1e-9)
+    vz, k = loop.Vz, loop.Vz.shape[0]
+
+    def stationary(dt):
+        cfg = TrajectoryConfig(dt=dt, duration=dt, seed=0)
+        M, _ = _affine_step(cfg, loop, system_matrices(params, enc))
+        n = M.shape[0] - 12
+        phi, gam, h, j = M[:n, :n].T, M[n:, :n].T, M[:n, n:].T, M[n:, n:].T
+        S = solve_discrete_lyapunov(phi, gam @ gam.T)
+        rel = np.linalg.norm(S[:k, :k] - vz) / np.linalg.norm(vz)
+        return rel, (h @ S @ h.T + j @ j.T) / dt
+
+    dt = 2e-3 / (params.nu + params.gamma)
+    rel, innovation_rate = stationary(dt)
+    assert 1e-4 < rel < 1e-3
+    assert rel / stationary(dt / 2)[0] == pytest.approx(2.0, abs=0.05)
+    H = np.hstack([loop.mm.C, -np.sqrt(2.0 * params.nu) * np.eye(k - 6)])
+    expected = loop.mm.innovation_cov + dt * H @ vz @ H.T
+    assert np.linalg.norm(innovation_rate - expected) <= 1e-5 * np.linalg.norm(expected)
 
 
 def test_lifted_map_composes_one_step_map():

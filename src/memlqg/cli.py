@@ -70,7 +70,6 @@ class RunSettings:
     mu1: float = 0.0
     r: float | None = None  # per-command default when left unset
     filter_mode: str = "s1"
-    drive: tuple = (100.0, 0.0, 100.0, 0.0, 100.0, 0.0)
     seed: int = 20260819
     dt: float | None = None
     duration: float | None = None
@@ -103,13 +102,20 @@ _FLAGS = {
     "dt": ("--dt", {"type": float, "help": "integrator step (s)"}),
     "duration": ("--duration", {"type": float, "help": "total simulated time (s)"}),
 }
-_FLOAT_KEYS = ("nu_hz", "gamma_hz", "n_occ", "alpha_in", "mu", "mu1", "r", "dt", "duration")
-_INT_KEYS = ("seed", "ntraj")
-_CONFIG_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | {
-    "filter_mode",
-    "drive",
-    "temp_k",
-    "omega_m_hz",
+
+
+def _filter_mode(text: str) -> str:
+    syndrome_set(text)  # refuses a mode the table does not list
+    return text
+
+
+# Parser of each config key: every setting, plus the two that derive n_occ.
+_PARSERS = {f.name: float for f in fields(RunSettings)} | {
+    "seed": int,
+    "ntraj": int,
+    "filter_mode": _filter_mode,
+    "temp_k": float,
+    "omega_m_hz": float,
 }
 
 
@@ -129,21 +135,10 @@ def parse_config_file(path: str, err) -> dict:
             err(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _PARSERS:
             err(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            if key in _FLOAT_KEYS or key in ("temp_k", "omega_m_hz"):
-                values[key] = float(val)
-            elif key in _INT_KEYS:
-                values[key] = int(val)
-            elif key == "filter_mode":
-                syndrome_set(val)  # refuses a mode the table does not list
-                values[key] = val
-            elif key == "drive":
-                parts = tuple(float(p) for p in val.split(","))
-                if len(parts) != 6:
-                    raise ValueError("need 6 comma-separated values")
-                values[key] = parts
+            values[key] = _PARSERS[key](val)
         except ValueError as exc:
             err(f"{path}:{lineno}: bad value for {key!r}: {exc}")
     return values
@@ -197,9 +192,7 @@ def _open_out(path: str | None):
 
 
 def _text(value) -> str:
-    """Header text of a setting: numbers as _fmt, the drive comma-joined."""
-    if isinstance(value, tuple):
-        return ",".join(_fmt(v) for v in value)
+    """Header text of a setting: floats as _fmt, strings and ints as written."""
     return str(value) if isinstance(value, (str, int)) else _fmt(value)
 
 
@@ -218,7 +211,7 @@ def cmd_steady(args, err) -> int:
     enc = standard_encoding(settings.alpha_in)
     src_mode = squeezed_vacuum(settings.mu1)
     noise = standard_noise(src_mode, settings.mu, params)
-    state = steady_state(params, enc, noise, drive=np.asarray(settings.drive))
+    state = steady_state(params, enc, noise)
     mean_c, var = single_mode_check(params, settings.alpha_in)
     vp, vm = steady_mode_variances(
         params, [src_mode, squeezed_vacuum(settings.mu), squeezed_vacuum(settings.mu)]
@@ -226,7 +219,7 @@ def cmd_steady(args, err) -> int:
     report = {
         "schema": "memlqg.steady/1",
         "version": __version__,
-        "settings": {k: getattr(settings, k) for k in args.keys},  # json lists the drive tuple
+        "settings": {k: getattr(settings, k) for k in args.keys},
         "single_mode": {
             "mean_q": mean_c.real,
             "mean_p": mean_c.imag,
@@ -354,6 +347,8 @@ def _write_trajectory_csv(path: str, traj, header: list[str]) -> None:
 
 def cmd_trajectory(args, err) -> int:
     settings = resolve_settings(args, err)
+    if settings.ntraj < 1:
+        err(f"ntraj must be >= 1, got {settings.ntraj}")
     r = settings.r if settings.r is not None else 1e-9
     dt, duration = settings.resolved_dt(), settings.resolved_duration()
     settings = replace(settings, r=r, dt=dt, duration=duration)  # as the header writes them
@@ -372,9 +367,7 @@ def cmd_trajectory(args, err) -> int:
         )
         header = _header_lines("memlqg.trajectory/1", settings, args.keys, control=control)
         for k in range(settings.ntraj):
-            traj = simulate_trajectory(
-                cfg, loop, stream_index=k, drive=np.asarray(settings.drive)
-            )
+            traj = simulate_trajectory(cfg, loop, stream_index=k)
             path = f"{stem}.{control}.{k:03d}.csv"
             _write_trajectory_csv(path, traj, header)
             written.append(path)
@@ -417,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(flag, dest=f"{key}_range" if key in grids else key, **kwargs)
 
     p_steady = sub.add_parser("steady", help="open-loop steady-state JSON report")
-    add_common(p_steady, *_MODEL_KEYS, "drive")
+    add_common(p_steady, *_MODEL_KEYS)
     p_steady.set_defaults(func=cmd_steady)
 
     p_sf = sub.add_parser("sweep-fidelity", help="fidelity grid CSV over (mu, -log2 r)")
@@ -432,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ss.set_defaults(func=cmd_sweep_squeezed)
 
     p_tr = sub.add_parser("trajectory", help="Monte Carlo sample paths as CSV")
-    add_common(p_tr, *_MODEL_KEYS, "filter_mode", "drive", "seed", "r", "dt", "duration")
+    add_common(p_tr, *_MODEL_KEYS, "filter_mode", "seed", "r", "dt", "duration")
     # --ntraj and --control choose which files are written, not what is in them
     p_tr.add_argument("--ntraj", type=int, help="trajectories per control state")
     p_tr.add_argument(

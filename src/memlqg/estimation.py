@@ -49,14 +49,13 @@ class MeasurementModel:
 
     mode: str
     C: np.ndarray  # m x 6
-    D: np.ndarray  # m x 12
-    Z: np.ndarray  # m x 6 selector
+    D: np.ndarray  # m x 12, sqrt(2) (Z, 0) for the selector Z
     Btil: np.ndarray  # m x 6 syndrome map
     innovation_cov: np.ndarray  # m x m, D Sw D^T = 2 Z Lambda Z^T
     cross_cov: np.ndarray  # 6 x m, B Sw D^T = -sqrt(2 nu) T Lambda Z^T
 
     def __post_init__(self):
-        for arr in (self.C, self.D, self.Z, self.Btil, self.innovation_cov, self.cross_cov):
+        for arr in (self.C, self.D, self.Btil, self.innovation_cov, self.cross_cov):
             arr.setflags(write=False)
 
     @property
@@ -78,7 +77,6 @@ def measurement_model(
         mode=mode,
         C=C,
         D=D,
-        Z=Z,
         Btil=Btil,
         innovation_cov=symmetrize(innovation_cov),
         cross_cov=cross_cov,

@@ -59,33 +59,21 @@ class SystemMatrices:
             arr.setflags(write=False)
 
 
-def system_matrices(
-    params: MemoryParams, enc: Encoding, drive: np.ndarray | None = None
-) -> SystemMatrices:
-    """Assemble the linear model; `drive` overrides the default -sqrt(nu)*beta."""
+def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
+    """Assemble the linear model; the drive is the encoding's -sqrt(nu)*beta."""
     A = -params.damping * np.eye(6)
     B = np.hstack([-np.sqrt(params.nu) * enc.T, -np.sqrt(params.gamma) * np.eye(6)])
-    if drive is None:
-        drive = -np.sqrt(params.nu) * enc.beta
-    drive = np.asarray(drive, dtype=float)
-    if drive.shape != (6,):
-        raise ValueError(f"drive must be a 6-vector, got shape {drive.shape}")
-    return SystemMatrices(A=A, B=B, drive=drive.copy())
+    return SystemMatrices(A=A, B=B, drive=-np.sqrt(params.nu) * enc.beta)
 
 
-def steady_state(
-    params: MemoryParams,
-    enc: Encoding,
-    noise: NoiseModel,
-    drive: np.ndarray | None = None,
-) -> GaussianState:
+def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> GaussianState:
     """Stationary mean and covariance of the uncontrolled memory.
 
     The mean is -A^-1 drive = 2*drive/(nu+gamma); the covariance solves the
     steady Lyapunov equation. Requires gamma > 0 or any damping at all, which
     A = -(nu+gamma)/2 I guarantees for physical parameters.
     """
-    sys = system_matrices(params, enc, drive)
+    sys = system_matrices(params, enc)
     mean = 2.0 * sys.drive / (params.nu + params.gamma)
     cov = solve_lyapunov_steady(sys.A, sys.B @ noise.SigmaW @ sys.B.T)
     return GaussianState(mean=mean, cov=cov)

@@ -251,7 +251,6 @@ def _block_map(
 def _run_batch(
     cfg: TrajectoryConfig,
     loop: Loop,
-    drive: np.ndarray | None,
     streams: range,
     consume,
     first_read: int = 1,
@@ -269,7 +268,7 @@ def _run_batch(
     """
     params = loop.params
     _check_dt(cfg, params)
-    sys = system_matrices(params, loop.enc, drive=drive)
+    sys = system_matrices(params, loop.enc)
     M, c = _affine_step(cfg, loop, sys)
     m = loop.mm.n_channels
     n = 12 + m
@@ -321,9 +320,7 @@ def _run_batch(
     return start, s
 
 
-def simulate_trajectory(
-    cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0, drive: np.ndarray | None = None
-) -> Trajectory:
+def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0) -> Trajectory:
     """Run one seeded trajectory of `loop` and record it at every step.
 
     The plant and the record use the loop's true noise; the controller reads
@@ -341,7 +338,7 @@ def simulate_trajectory(
         innovations[step - 1 : step - 1 + k] = innovation[0]
 
     streams = range(stream_index, stream_index + 1)
-    start, _ = _run_batch(cfg, loop, drive, streams, record)
+    start, _ = _run_batch(cfg, loop, streams, record)
     states[0] = start[0]
     pi_s = states[:, 6 : 6 + m]
     band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
@@ -383,7 +380,6 @@ def ensemble_moments(
     n_traj: int,
     window_fraction: float = 0.2,
     sf: StationaryFilter | None = None,
-    drive: np.ndarray | None = None,
 ) -> EnsembleMoments:
     """Vectorized ensemble run accumulating steady-window moments.
 
@@ -421,9 +417,7 @@ def ensemble_moments(
             gram += flat.T @ flat
             row_sum += rows.sum(axis=1)
 
-    _, final = _run_batch(
-        cfg, loop, drive, range(n_traj), accumulate, first_read=window_start + 1
-    )
+    _, final = _run_batch(cfg, loop, range(n_traj), accumulate, first_read=window_start + 1)
 
     z1 = row_sum[:, :dz].sum(axis=0)
     z2 = gram[:dz, :dz]

@@ -61,6 +61,19 @@ def test_steady_json_report(capsys):
     assert len(report["steady_mean"]) == 6
 
 
+def test_steady_mean_follows_alpha_in(capsys):
+    """The one drive is -sqrt(nu) beta of alpha_in, so each q quadrature of
+    the three-mode mean is sqrt(2/3) of the single directly-driven mode's."""
+    assert run(["steady"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    mean_q = report["single_mode"]["mean_q"]
+    assert report["steady_mean"][0::2] == pytest.approx(
+        [np.sqrt(2.0 / 3.0) * mean_q] * 3, rel=1e-12
+    )
+    assert report["steady_mean"][1::2] == [0.0] * 3
+    assert "drive" not in report["settings"]
+
+
 def test_steady_to_file_and_rerun_identical(tmp_path):
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["steady", "--out", str(out1)]) == 0
@@ -82,19 +95,25 @@ def test_config_file_layering(tmp_path, capsys):
     assert report["settings"]["gamma_hz"] == 2.0
 
 
-def test_config_rejects_unknown_key(tmp_path):
+def test_config_rejects_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text("mu = -1.0\nbogus = 3\n")
+    # There is no drive key: the drive follows from alpha_in.
+    cases = (("mu = -1.0\nbogus = 3\n", "bogus"), ("drive = 0,100,0,100,0,100\n", "drive"))
+    for text, key in cases:
+        cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run(["trajectory", "--config", str(cfg), "--filter", "s1"])
+        assert exc.value.code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
+def test_config_rejects_bad_value(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed = 1.5\n")  # seeds are integers
     with pytest.raises(SystemExit) as exc:
         run(["steady", "--config", str(cfg)])
     assert exc.value.code == 2
-
-
-def test_config_rejects_bad_value(tmp_path):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text("drive = 1,2,3\n")  # needs 6 entries
-    with pytest.raises(SystemExit):
-        run(["steady", "--config", str(cfg)])
+    assert "bad value for 'seed'" in capsys.readouterr().err
 
 
 def test_config_temperature_derives_occupation(tmp_path, capsys):
@@ -212,6 +231,22 @@ def test_trajectory_single_control_state(tmp_path):
     ) == 0
     assert (stem.parent / "only.on.000.csv").exists()
     assert not (stem.parent / "only.off.000.csv").exists()
+
+
+@pytest.mark.parametrize("how", ["--ntraj=0", "--ntraj=-2", "config"])
+def test_trajectory_refuses_fewer_than_one_path(tmp_path, capsys, how):
+    argv = ["trajectory", "--duration", "1e-4", "--out", str(tmp_path / "none")]
+    if how == "config":
+        cfg = tmp_path / "zero.cfg"
+        cfg.write_text("ntraj = 0\n")
+        argv += ["--config", str(cfg)]
+    else:
+        argv.append(how)
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "ntraj must be >= 1" in capsys.readouterr().err
+    assert list(tmp_path.glob("none*")) == []
 
 
 def test_trajectory_rerun_is_byte_identical(tmp_path):

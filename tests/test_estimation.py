@@ -37,7 +37,7 @@ def test_measurement_model_shapes(mode, m):
     assert_allclose(mm.C, np.sqrt(2.0 * PARAMS.nu) * mm.Btil)
     # record map: sqrt(2) Z on the field block, nothing on the bath block
     assert_allclose(mm.D[:, 6:], 0.0)
-    assert_allclose(mm.D[:, :6], np.sqrt(2.0) * mm.Z)
+    assert_allclose(mm.D[:, :6], np.sqrt(2.0) * ENC.selector(mode))
 
 
 def test_measurement_model_rejects_unknown_mode():

@@ -44,12 +44,6 @@ def test_system_matrices_shapes_and_drift():
     assert_allclose(sys.drive, -np.sqrt(3.0) * ENC.beta)
 
 
-def test_drive_override():
-    d = np.arange(6.0)
-    sys = system_matrices(PARAMS, ENC, drive=d)
-    assert_allclose(sys.drive, d)
-
-
 def test_steady_mean_balances_drive():
     noise = standard_noise(vacuum(), 0.0, PARAMS)
     st = steady_state(PARAMS, ENC, noise)

@@ -8,7 +8,7 @@ import memlqg
 from memlqg.cli import build_parser, parse_config_file
 from memlqg.model import FILTER_MODES
 
-# Used only by tests until run diagnostics are exposed as data (ROADMAP item 3).
+# Used only by tests until run diagnostics are exposed as data (ROADMAP item 4).
 _UNREFERENCED = {"innovation_diagnostics", "InnovationReport.all_pass"}
 
 

@@ -138,11 +138,10 @@ def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
         assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-def reference_loop(cfg, loop, stream_index=0, drive=None):
-    """The SDE stepped one vector at a time, drawing the stream's noise
-    blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs."""
+def reference_loop(cfg, loop, sysm, stream_index=0):
+    """The SDE of `sysm` stepped one vector at a time, drawing the stream's
+    noise blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs."""
     mm, sf, g = loop.mm, loop.sf, loop.g
-    sysm = system_matrices(P, ENC, drive=drive)
     L = noise_factor(NOISE.SigmaW)
     stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(stream_index,))
     rng = np.random.default_rng(stream)
@@ -166,17 +165,18 @@ def reference_loop(cfg, loop, stream_index=0, drive=None):
 
 @pytest.mark.parametrize("n", [1, 15, 17, CHUNK + 19, 2 * CHUNK + 7])
 @pytest.mark.parametrize("control", [True, False])
-def test_affine_kernel_matches_per_step_reference(control, n):
+def test_affine_kernel_matches_per_step_reference(control, n, monkeypatch):
     """Runs shorter than, between and beyond lifted steps and noise blocks,
     stepped by the lifted affine kernel and by the literal per-step loop,
-    agree to rounding. The drive is one the syndromes see, so the lifted
-    map's constant reaches the innovations."""
+    agree to rounding. The engine is handed a drive the syndromes see, so
+    the lifted map's constant reaches the innovations."""
     loop = make_loop()
-    drive = np.array([3.0, -1.0, 0.0, 2.0, 0.0, 0.0])
+    sysm = replace(system_matrices(P, ENC), drive=np.array([3.0, -1.0, 0.0, 2.0, 0.0, 0.0]))
+    monkeypatch.setattr(simulate, "system_matrices", lambda params, enc: sysm)
     cfg = TrajectoryConfig(dt=0.01, duration=n * 0.01, seed=42, control_enabled=control)
     assert cfg.n_steps == n
-    t = simulate_trajectory(cfg, loop, stream_index=3, drive=drive)
-    states, innovations, inputs = reference_loop(cfg, loop, stream_index=3, drive=drive)
+    t = simulate_trajectory(cfg, loop, stream_index=3)
+    states, innovations, inputs = reference_loop(cfg, loop, sysm, stream_index=3)
     assert_allclose(np.hstack([t.x, t.pi_s, t.pi_x]), states, rtol=0, atol=1e-12)
     assert_allclose(t.innovations, innovations, rtol=0, atol=1e-12)
     assert_allclose(t.u[:-1], inputs, rtol=0, atol=1e-12)

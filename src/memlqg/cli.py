@@ -14,14 +14,18 @@ Parameters resolve in three layers: built-in defaults, then a flat
 `key = value` config file (--config), then explicit flags. Frequencies in
 the config are laboratory values in Hz (nu_hz, gamma_hz); internally
 everything runs in rad/s. Reruns with identical settings produce
-byte-identical output files.
+byte-identical output files. A command that fails leaves no partial file,
+and a NaN or infinite setting is refused as a usage error (exit status 2).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -109,13 +113,21 @@ def _filter_mode(text: str) -> str:
     return text
 
 
+def _finite(text: str) -> float:
+    """float(text), refusing NaN and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 # Parser of each config key: every setting, plus the two that derive n_occ.
-_PARSERS = {f.name: float for f in fields(RunSettings)} | {
+_PARSERS = {f.name: _finite for f in fields(RunSettings)} | {
     "seed": int,
     "ntraj": int,
     "filter_mode": _filter_mode,
-    "temp_k": float,
-    "omega_m_hz": float,
+    "temp_k": _finite,
+    "omega_m_hz": _finite,
 }
 
 
@@ -158,6 +170,8 @@ def resolve_settings(args: argparse.Namespace, err) -> RunSettings:
     overrides = {}
     for f in fields(RunSettings):
         flag = getattr(args, f.name, None)
+        if isinstance(flag, float) and not math.isfinite(flag):
+            err(f"argument {_FLAGS[f.name][0]}: {flag!r} is not a finite number")
         if flag is not None:
             overrides[f.name] = flag
     if overrides:
@@ -175,8 +189,8 @@ def parse_range(text: str, err, name: str) -> np.ndarray:
             count = int(n)
             if count < 1:
                 raise ValueError("count must be >= 1")
-            return np.linspace(float(a), float(b), count)
-        return np.array([float(text)])
+            return np.linspace(_finite(a), _finite(b), count)
+        return np.array([_finite(text)])
     except ValueError as exc:
         err(f"bad {name} range {text!r} (want 'a:b:n' or a number): {exc}")
 
@@ -185,10 +199,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def _open_out(path: str | None):
+@contextmanager
+def _output(path: str | None):
+    """stdout when path is None, else a file that appears whole or not at all:
+    the text goes to a temporary file beside `path`, which replaces it on
+    success and is removed on any exception, leaving an old file untouched."""
     if path is None:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+            yield out
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _text(value) -> str:
@@ -244,13 +271,9 @@ def cmd_steady(args, err) -> int:
         },
         "steady_mean": state.mean.tolist(),
     }
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         json.dump(report, out, indent=2, sort_keys=True)
         out.write("\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -264,8 +287,7 @@ def cmd_sweep_fidelity(args, err) -> int:
     log2rs = parse_range(log2r_text, err, "--log2r")
     source_mode = squeezed_vacuum(settings.mu1)
     builder = LoopBuilder(params, enc)
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for line in _header_lines(
             "memlqg.sweep-fidelity/1", settings, args.keys, mu=mu_text, log2r=log2r_text
         ):
@@ -280,9 +302,6 @@ def cmd_sweep_fidelity(args, err) -> int:
                 out.write(
                     f"{_fmt(mu)},{_fmt(lg)},{_fmt(f_ctl)},{_fmt(f_unc)}\n"
                 )
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -297,8 +316,7 @@ def cmd_sweep_squeezed(args, err) -> int:
     mu1s = parse_range(mu1_text, err, "--mu1")
     params = settings.params
     builder = LoopBuilder(params, standard_encoding(settings.alpha_in))
-    out, close = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         for line in _header_lines(
             "memlqg.sweep-squeezed/1", settings, args.keys, mu=mu_text, mu1=mu1_text
         ):
@@ -309,9 +327,6 @@ def cmd_sweep_squeezed(args, err) -> int:
                 noise = standard_noise(squeezed_vacuum(float(mu1)), float(mu), params)
                 fs = [builder(noise, mode, r).fidelity() for mode in FILTER_MODES]
                 out.write(",".join(_fmt(v) for v in (mu, mu1, *fs)) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
@@ -324,7 +339,7 @@ def _write_trajectory_csv(path: str, traj, header: list[str]) -> None:
         + [f"u{i+1}" for i in range(6)]
         + [f"errband{i+1}" for i in range(m)]
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
+    with _output(path) as out:
         for line in header:
             out.write(line + "\n")
         out.write(",".join(cols) + "\n")

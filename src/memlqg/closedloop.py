@@ -70,8 +70,8 @@ def build_augmented(
     """Assemble the joint drift of memory and stationary syndrome filter.
 
     Blocks: [[A, F], [Ktil C, -c I - sqrt(2 nu) Ktil + Btil F]] with noise
-    map [[B], [Ktil D]]. The loop must be stable; a non-negative eigenvalue
-    raises immediately rather than letting the Lyapunov solve fail opaquely.
+    map [[B], [Ktil D]]. Stability is checked by the Lyapunov solve in
+    closed_loop_covariance, which every reader of the model goes through.
     """
     if g.Fgain.shape[1] != mm.n_channels:
         raise ValueError("gains and measurement model disagree on syndrome count")
@@ -86,10 +86,6 @@ def build_augmented(
         - np.sqrt(2.0 * params.nu) * sf.Ktil
         + mm.Btil @ g.Fgain
     )
-    eigs = np.linalg.eigvals(Az)
-    worst = eigs[np.argmax(eigs.real)]
-    if worst.real >= 0.0:
-        raise ValueError(f"closed loop unstable: drift eigenvalue {worst:.6g}")
     Bz = np.vstack([sys.B, sf.Ktil @ mm.D])
     return AugmentedModel(Az=Az, Bz=Bz, Sigma=noise.SigmaW.copy())
 
@@ -217,7 +213,8 @@ class Loop:
     the filter is allowed to assume and `g` holds the regulator gains. `am`,
     the augmented (x, pi_s) model driven by the true noise, and `Vz`, its
     steady joint covariance, are built on first read, so a loop that is only
-    simulated never assembles either.
+    simulated never assembles either. The first read of `Vz` checks that the
+    loop is stable (numerics.UnstableDriftError).
     """
 
     params: MemoryParams

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
+from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
 from .numerics import ConvergenceError, newton_kleinman, solve_care, symmetrize
 from .openloop import system_matrices
 
@@ -72,7 +72,7 @@ def measurement_model(
     C = np.sqrt(2.0 * params.nu) * Btil
     D = np.hstack([np.sqrt(2.0) * Z, np.zeros_like(Z)])
     innovation_cov = 2.0 * Z @ noise.Lambda @ Z.T
-    cross_cov = -np.sqrt(2.0 * params.nu) * enc.T @ noise.Lambda @ Z.T
+    cross_cov = -np.sqrt(2.0 * params.nu) * _TRITTER @ noise.Lambda @ Z.T
     return MeasurementModel(
         mode=mode,
         C=C,

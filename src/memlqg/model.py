@@ -38,6 +38,7 @@ _S12 = np.sqrt(1.0 / 2.0)
 
 # Quadrature-space tritter: orthogonal, mixes the three modes evenly and
 # routes the two ancilla-difference directions to separate output ports.
+# The one encoding matrix T: every layer reads this constant.
 _TRITTER = np.array(
     [
         [_S13, 0.0, -_S23, 0.0, 0.0, 0.0],
@@ -48,10 +49,7 @@ _TRITTER = np.array(
         [0.0, _S13, 0.0, _S16, 0.0, -_S12],
     ]
 )
-
-def tritter() -> np.ndarray:
-    """The 6x6 orthogonal encoding matrix (a fresh copy)."""
-    return _TRITTER.copy()
+_TRITTER.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -221,24 +219,20 @@ def syndrome_set(mode: str) -> SyndromeSet:
 
 @dataclass(frozen=True)
 class Encoding:
-    """Tritter and drive direction.
+    """Drive direction beta of the write-in through the tritter T.
 
     The syndrome map of each filter mode is Btil = Z T^T. It is isometric
     because T is orthogonal, and it must annihilate beta, so that syndromes
     carry no information about the written amplitude.
     """
 
-    T: np.ndarray
     beta: np.ndarray
 
     def __post_init__(self):
-        if np.abs(self.T @ self.T.T - np.eye(6)).max() > 1e-12:
-            raise ValueError("T is not orthogonal")
         for mode in FILTER_MODES:
             leak = np.abs(self.syndrome_map(mode) @ self.beta).max()
             if leak > 1e-10 * max(1.0, np.abs(self.beta).max()):
                 raise ValueError(f"syndrome map of {mode!r} does not annihilate the drive")
-        self.T.setflags(write=False)
         self.beta.setflags(write=False)
 
     def selector(self, mode: str) -> np.ndarray:
@@ -247,12 +241,12 @@ class Encoding:
 
     def syndrome_map(self, mode: str) -> np.ndarray:
         """Btil = Z T^T, the m x 6 isometric syndrome map."""
-        return self.selector(mode) @ self.T.T
+        return self.selector(mode) @ _TRITTER.T
 
 
 def standard_encoding(alpha_in: float) -> Encoding:
     """The balanced encoding used throughout, with drive set by alpha_in."""
-    return Encoding(T=tritter(), beta=drive_vector(alpha_in))
+    return Encoding(beta=drive_vector(alpha_in))
 
 
 @dataclass(frozen=True)

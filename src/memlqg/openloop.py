@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Encoding, FieldMode, MemoryParams, NoiseModel
+from .model import _TRITTER, Encoding, FieldMode, MemoryParams, NoiseModel
 from .numerics import min_eigenvalue, solve_lyapunov_steady, symmetrize
 
 #: Collective-variance rate of a classical (measure-and-prepare) write-in.
@@ -62,7 +62,7 @@ class SystemMatrices:
 def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
     """Assemble the linear model; the drive is the encoding's -sqrt(nu)*beta."""
     A = -params.damping * np.eye(6)
-    B = np.hstack([-np.sqrt(params.nu) * enc.T, -np.sqrt(params.gamma) * np.eye(6)])
+    B = np.hstack([-np.sqrt(params.nu) * _TRITTER, -np.sqrt(params.gamma) * np.eye(6)])
     return SystemMatrices(A=A, B=B, drive=-np.sqrt(params.nu) * enc.beta)
 
 

@@ -70,17 +70,13 @@ import numpy as np
 
 from .closedloop import Loop
 from .control import Gains
-from .estimation import (
-    MeasurementModel,
-    StationaryFilter,
-    filter_view_noise,
-    stationary_filter,
-)
+from .estimation import MeasurementModel, StationaryFilter
 from .model import Encoding, MemoryParams, NoiseModel, SourceSpec
 from .openloop import SystemMatrices, system_matrices
 
 CHUNK = 256  # noise block length; fixed so stream consumption never depends on batching
 LIFT = 16  # steps per lifted map for a batch of one; divides CHUNK
+WINDOW_FRACTION = 0.2  # trailing share of a run whose moments ensemble_moments pools
 
 
 class SimulationUnstableError(RuntimeError):
@@ -117,7 +113,6 @@ class TrajectoryConfig:
 class Trajectory:
     """Sample paths recorded at every step."""
 
-    cfg: TrajectoryConfig
     times: np.ndarray  # (n_steps + 1,)
     x: np.ndarray  # (n_steps + 1, 6)
     pi_s: np.ndarray  # (n_steps + 1, m)
@@ -125,7 +120,6 @@ class Trajectory:
     u: np.ndarray  # (n_steps + 1, 6), input applied over the following step
     innovations: np.ndarray  # (n_steps, m)
     err_band: np.ndarray  # (n_steps + 1, m), sqrt diag Btil Vc Btil^T
-    expected_innovation_cov: np.ndarray  # m x m, the filter's R
 
     def __post_init__(self):
         n = len(self.times)
@@ -343,7 +337,6 @@ def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0
     pi_s = states[:, 6 : 6 + m]
     band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
     return Trajectory(
-        cfg=cfg,
         times=np.arange(n_rec) * cfg.dt,
         x=states[:, :6],
         pi_s=pi_s,
@@ -351,7 +344,6 @@ def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0
         u=pi_s @ g.Fgain.T if cfg.control_enabled else np.zeros((n_rec, 6)),
         innovations=innovations,
         err_band=np.tile(band, (n_rec, 1)),
-        expected_innovation_cov=mm.innovation_cov.copy(),
     )
 
 
@@ -378,32 +370,29 @@ def ensemble_moments(
     g: Gains,
     source: SourceSpec,
     n_traj: int,
-    window_fraction: float = 0.2,
-    sf: StationaryFilter | None = None,
+    *,
+    sf: StationaryFilter,
 ) -> EnsembleMoments:
     """Vectorized ensemble run accumulating steady-window moments.
 
     The pieces form one Loop, stepped as simulate_trajectory steps it:
     trajectory k consumes exactly the stream simulate_trajectory(cfg, loop,
     stream_index=k) would, so endpoints cross-check against single runs.
-    Only the window is read: every full noise block that ends before the
-    window's first step is crossed by one state-only map, and the window's
-    rows [s, innovation] go into one Gram matrix and one per-trajectory row
-    sum. The moments and endpoints agree with step-by-step stepping to
-    rounding. Memory stays bounded: only these accumulators and one noise
-    block per batch are held.
+    Only the window, the last WINDOW_FRACTION of the run, is read: every full
+    noise block that ends before the window's first step is crossed by one
+    state-only map, and the window's rows [s, innovation] go into one Gram
+    matrix and one per-trajectory row sum. The moments and endpoints agree
+    with step-by-step stepping to rounding. Memory stays bounded: only these
+    accumulators and one noise block per batch are held. Nothing reads
+    `source` until the signature takes the loop (ROADMAP item 1).
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
-    if not 0.0 < window_fraction <= 1.0:
-        raise ValueError("window_fraction must lie in (0, 1]")
-    if sf is None:
-        sf = stationary_filter(mm, params, enc, filter_view_noise(noise, source, params))
     loop = Loop(params=params, enc=enc, noise=noise, mm=mm, sf=sf, g=g)
     m = mm.n_channels
     dz = 6 + m
     n_steps = cfg.n_steps
-    window_start = n_steps - max(1, int(round(window_fraction * n_steps)))
+    window_start = n_steps - max(1, int(round(WINDOW_FRACTION * n_steps)))
     n = 12 + m
     gram = np.zeros((n + m, n + m))  # of the window's rows [s, innovation]
     row_sum = np.zeros((n_traj, n + m))  # the same rows summed per trajectory
@@ -441,47 +430,4 @@ def ensemble_moments(
         final_states=final,
         n_traj=n_traj,
         n_pooled=n_pooled,
-    )
-
-
-@dataclass(frozen=True)
-class InnovationReport:
-    cov_rate: np.ndarray  # (m, m) empirical innovation covariance per unit time
-    expected_cov: np.ndarray  # (m, m)
-    cov_rel_error: float
-    lag1: np.ndarray  # (m,) lag-1 autocorrelation per channel
-    standardized_mean: np.ndarray  # (m,) mean / (3-sigma denominator-free) z-score
-    cov_pass: bool
-    whiteness_pass: bool
-    mean_pass: bool
-
-    @property
-    def all_pass(self) -> bool:
-        return self.cov_pass and self.whiteness_pass and self.mean_pass
-
-
-def innovation_diagnostics(traj: Trajectory) -> InnovationReport:
-    """Whiteness, scale and bias checks on the recorded innovation sequence."""
-    inn = traj.innovations
-    n = len(inn)
-    if n < 10:
-        raise ValueError("too few innovation samples")
-    dt = traj.cfg.dt
-    mean = inn.mean(axis=0)
-    centered = inn - mean
-    cov_rate = (centered.T @ centered) / ((n - 1) * dt)
-    expected = traj.expected_innovation_cov
-    cov_rel = float(np.linalg.norm(cov_rate - expected) / np.linalg.norm(expected))
-    var = centered.var(axis=0)
-    lag1 = (centered[1:] * centered[:-1]).mean(axis=0) / var
-    z = mean * np.sqrt(n) / np.sqrt(np.diag(expected) * dt)
-    return InnovationReport(
-        cov_rate=cov_rate,
-        expected_cov=expected.copy(),
-        cov_rel_error=cov_rel,
-        lag1=lag1,
-        standardized_mean=z,
-        cov_pass=cov_rel < 0.05,
-        whiteness_pass=bool(np.all(np.abs(lag1) < 0.05)),
-        mean_pass=bool(np.all(np.abs(z) < 3.0)),
     )

@@ -7,7 +7,7 @@ import pytest
 
 from memlqg import cli, closedloop
 from memlqg.cli import build_parser, main, parse_range
-from memlqg.simulate import Trajectory, TrajectoryConfig
+from memlqg.simulate import Trajectory
 
 
 def run(argv):
@@ -249,6 +249,55 @@ def test_trajectory_refuses_fewer_than_one_path(tmp_path, capsys, how):
     assert list(tmp_path.glob("none*")) == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep-fidelity", "--mu=-0.4:-60:3", "--log2r", "10"],
+        ["sweep-squeezed", "--mu=-0.4", "--mu1=0:-60:2"],
+    ],
+    ids=["sweep-fidelity", "sweep-squeezed"],
+)
+def test_failed_command_leaves_no_file_at_out(tmp_path, capsys, argv):
+    """Each sweep writes a valid row and then fails on an ideal-squeezing
+    point: no partial file appears, no temporary file stays behind, and a
+    file already at --out keeps its bytes."""
+    out = tmp_path / "grid.csv"
+    assert run(argv + ["--out", str(out)]) == 1
+    assert "memlqg: error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    out.write_bytes(b"earlier result\n")
+    assert run(argv + ["--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == [out]
+    assert out.read_bytes() == b"earlier result\n"
+
+
+@pytest.mark.parametrize(
+    "argv,config,name",
+    [
+        (["steady", "--mu", "nan"], None, "--mu"),
+        (["trajectory", "--dt", "inf"], None, "--dt"),
+        (["sweep-fidelity", "--mu=inf"], None, "--mu"),
+        (["sweep-squeezed", "--mu1=0:nan:3"], None, "--mu1"),
+        (["steady"], "n_occ = nan\n", "'n_occ'"),
+        (["steady"], "temp_k = -inf\nomega_m_hz = 1e6\n", "'temp_k'"),
+    ],
+    ids=["flag", "flag-dt", "grid", "grid-bound", "config", "config-temp_k"],
+)
+def test_non_finite_settings_are_usage_errors(tmp_path, capsys, argv, config, name):
+    """NaN and the infinities are refused up front, naming the flag or key,
+    with exit status 2 and no output file."""
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = argv + ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert name in err and "not a finite number" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_trajectory_rerun_is_byte_identical(tmp_path):
     s1, s2 = tmp_path / "r1", tmp_path / "r2"
     argv = ["trajectory", "--duration", "1e-4", "--control", "on"]
@@ -304,7 +353,6 @@ def _hand_trajectory(n_rows: int) -> Trajectory:
     u = np.zeros((n_rows, 6))
     u[:, 5] = np.inf
     return Trajectory(
-        cfg=TrajectoryConfig(dt=1e-6, duration=1e-6 * max(n_rows - 1, 1), seed=1),
         times=np.arange(n_rows) * 1e-6,
         x=x,
         pi_s=rng.standard_normal((n_rows, 2)),
@@ -312,7 +360,6 @@ def _hand_trajectory(n_rows: int) -> Trajectory:
         u=u,
         innovations=np.zeros((n_rows - 1, 2)),
         err_band=np.full((n_rows, 2), 0.1234567890123),  # needs all 12 digits
-        expected_innovation_cov=np.eye(2),
     )
 
 

@@ -15,6 +15,7 @@ from memlqg.closedloop import (
 from memlqg.control import Gains, LqgConfig, feedback_rates, lqg_gains
 from memlqg.estimation import filter_view_noise, measurement_model, stationary_filter
 from memlqg.model import (
+    _TRITTER,
     FieldMode,
     MemoryParams,
     SourceSpec,
@@ -24,10 +25,9 @@ from memlqg.model import (
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
-    tritter,
     vacuum,
 )
-from memlqg.numerics import min_eigenvalue
+from memlqg.numerics import UnstableDriftError, min_eigenvalue
 from memlqg.openloop import fidelity, steady_state, system_matrices
 
 PARAMS = MemoryParams(nu=3.0, gamma=1.0, n_occ=2.0)
@@ -109,7 +109,7 @@ def test_per_channel_closed_loop_oracle(mode, measured):
     mm, sf, g = loop_pieces(mode=mode, r=r)
     am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
     _, Vp = closed_loop_covariance(am)
-    T = tritter()
+    T = _TRITTER
     rotated = T.T @ Vp @ T
     a = np.diag(NOISE.Lambda)
     f = feedback_rates(LqgConfig(r=r, mode=mode), PARAMS)
@@ -232,8 +232,8 @@ def test_build_augmented_rejects_unstable_loop():
         f1=g0.f1,
         f2=g0.f2,
     )
-    with pytest.raises(ValueError, match="unstable"):
-        build_augmented(PARAMS, ENC, NOISE, mm, runaway, sf)
+    with pytest.raises(UnstableDriftError, match="unstable drift"):
+        closed_loop_covariance(build_augmented(PARAMS, ENC, NOISE, mm, runaway, sf))
 
 
 def test_build_augmented_rejects_mode_mismatch():

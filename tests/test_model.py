@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from memlqg.model import (
+    _TRITTER,
     MU_FLOOR,
     Encoding,
     FieldMode,
@@ -16,7 +17,6 @@ from memlqg.model import (
     standard_encoding,
     standard_noise,
     thermal_occupation,
-    tritter,
     vacuum,
 )
 
@@ -25,7 +25,7 @@ KB = 1.380649e-23
 
 
 def test_tritter_is_orthogonal_and_balanced():
-    T = tritter()
+    T = _TRITTER
     assert_allclose(T @ T.T, np.eye(6), atol=1e-14)
     # balanced first column: the payload quadratures spread evenly over modes
     q_weights = T[0::2, 0]
@@ -34,7 +34,7 @@ def test_tritter_is_orthogonal_and_balanced():
 
 def test_tritter_position_rows_orthonormal_by_hand():
     # Independently reconstructed rows: equal-weight plus two difference rows.
-    T = tritter()
+    T = _TRITTER
     expected_first_two = np.array(
         [
             [np.sqrt(1 / 3), 0, -np.sqrt(2 / 3), 0, 0, 0],
@@ -149,15 +149,10 @@ def test_syndrome_coordinates_by_hand():
     assert_allclose(s2, s[1:])
 
 
-def test_encoding_rejects_nonorthogonal_tritter():
-    T = tritter()
-    bad = T.copy()
-    bad[0, 0] += 0.01
-    with pytest.raises(ValueError):
-        Encoding(T=bad, beta=drive_vector(1.0))
+def test_encoding_rejects_drive_along_p1():
     # the p1 direction is invisible to the s2 rows, but s1 reads it
     with pytest.raises(ValueError, match="syndrome map of 's1'"):
-        Encoding(T=T, beta=np.eye(6)[1])
+        Encoding(beta=np.eye(6)[1])
 
 
 def test_source_spec_filter_view():
@@ -189,6 +184,8 @@ def test_noise_arrays_are_frozen():
     nm = standard_noise(vacuum(), 0.0, MemoryParams(nu=1.0, gamma=0.5, n_occ=0.0))
     with pytest.raises(ValueError):
         nm.SigmaW[0, 0] = 99.0
+    with pytest.raises(ValueError):
+        _TRITTER[0, 0] = 2.0
     enc = standard_encoding(1.0)
     with pytest.raises(ValueError):
-        enc.T[0, 0] = 2.0
+        enc.beta[0] = 2.0

@@ -3,13 +3,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 from memlqg.model import (
+    _TRITTER,
     MemoryParams,
     input_covariance,
     lambda_matrix,
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
-    tritter,
     vacuum,
 )
 from memlqg.openloop import (
@@ -39,7 +39,7 @@ def test_system_matrices_shapes_and_drift():
     assert_allclose(sys.A, -2.0 * np.eye(6))  # -(nu+gamma)/2
     assert sys.B.shape == (6, 12)
     # noise map columns: input-field part scaled by sqrt(nu), bath by sqrt(gamma)
-    assert_allclose(sys.B[:, :6], -np.sqrt(3.0) * ENC.T)
+    assert_allclose(sys.B[:, :6], -np.sqrt(3.0) * _TRITTER)
     assert_allclose(sys.B[:, 6:], -1.0 * np.eye(6))
     assert_allclose(sys.drive, -np.sqrt(3.0) * ENC.beta)
 
@@ -59,7 +59,7 @@ def test_steady_covariance_channelwise_oracle():
     mu = -0.7
     noise = standard_noise(vacuum(), mu, PARAMS)
     st = steady_state(PARAMS, ENC, noise)
-    T = tritter()
+    T = _TRITTER
     rotated = T.T @ st.cov @ T
     a = np.diag(noise.Lambda)
     expected = (PARAMS.nu * a + PARAMS.gamma * (PARAMS.n_occ + 0.5)) / (

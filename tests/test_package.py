@@ -8,9 +8,6 @@ import memlqg
 from memlqg.cli import build_parser, parse_config_file
 from memlqg.model import FILTER_MODES
 
-# Used only by tests until run diagnostics are exposed as data (ROADMAP item 4).
-_UNREFERENCED = {"innovation_diagnostics", "InnovationReport.all_pass"}
-
 
 def _modules():
     """(name, syntax tree) of every package module but __init__.py."""
@@ -55,10 +52,7 @@ def test_exports_resolve_sorted_and_unique():
 
 
 def test_every_export_has_a_caller_in_the_package():
-    used = _read_names()
-    exempt = _UNREFERENCED & set(memlqg.__all__)
-    assert sorted(set(memlqg.__all__) - used - exempt) == []
-    assert exempt <= set(memlqg.__all__) - used
+    assert sorted(set(memlqg.__all__) - _read_names()) == []
 
 
 def test_every_public_definition_has_a_caller_in_the_package():
@@ -66,8 +60,7 @@ def test_every_public_definition_has_a_caller_in_the_package():
     test-only API: it goes, or it gets a caller."""
     used = _read_names()
     unread = {label for label, name in _public_definitions() if name not in used}
-    assert sorted(unread - _UNREFERENCED) == []
-    assert _UNREFERENCED <= unread
+    assert sorted(unread) == []
 
 
 def test_unknown_filter_mode_is_refused_alike_everywhere(tmp_path):

@@ -27,8 +27,8 @@ from memlqg.simulate import (
     LIFT,
     SimulationUnstableError,
     TrajectoryConfig,
+    WINDOW_FRACTION,
     ensemble_moments,
-    innovation_diagnostics,
     noise_factor,
     _affine_step,
     _block_map,
@@ -46,12 +46,26 @@ def make_loop(mode="s1", r=1e-3, params=P, noise=NOISE, enc=ENC):
     return LoopBuilder(params, enc)(noise, mode, r)
 
 
-def ensemble(cfg, loop, n_traj, **kwargs):
+def ensemble(cfg, loop, n_traj):
     """ensemble_moments on the pieces of `loop`."""
     return ensemble_moments(
-        cfg, loop.params, loop.enc, loop.noise, loop.mm, loop.g, SRC,
-        n_traj=n_traj, sf=loop.sf, **kwargs,
+        cfg, loop.params, loop.enc, loop.noise, loop.mm, loop.g, SRC, n_traj=n_traj, sf=loop.sf
     )
+
+
+def innovation_statistics(traj, dt, expected):
+    """Covariance-rate relative error, lag-1 autocorrelation per channel and
+    mean z-score per channel of a recorded innovation sequence whose
+    covariance per unit time should be `expected`."""
+    inn = traj.innovations
+    n = len(inn)
+    mean = inn.mean(axis=0)
+    centered = inn - mean
+    cov_rate = (centered.T @ centered) / ((n - 1) * dt)
+    cov_rel = np.linalg.norm(cov_rate - expected) / np.linalg.norm(expected)
+    lag1 = (centered[1:] * centered[:-1]).mean(axis=0) / centered.var(axis=0)
+    z = mean * np.sqrt(n) / np.sqrt(np.diag(expected) * dt)
+    return cov_rel, lag1, z
 
 
 def test_config_validation():
@@ -108,7 +122,8 @@ def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
     """Skipped noise blocks, a window that starts mid-block (or on the last
     step of a block) and a partial tail block: the moments pooled by the
     ensemble (skip-ahead plus Gram accumulation) equal those pooled from the
-    recorded single paths."""
+    recorded single paths. Each run length puts the window, its last
+    WINDOW_FRACTION, at the parametrized start."""
     maps = []
 
     def spy(M, c, b):
@@ -117,11 +132,11 @@ def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
 
     monkeypatch.setattr(simulate, "_block_map", spy)
     loop = make_loop()
-    n_steps = 4 * CHUNK + 100
+    n_steps = round(window_start / (1.0 - WINDOW_FRACTION))  # 1030 and 959
     window = n_steps - window_start
     cfg = TrajectoryConfig(dt=0.005, duration=n_steps * 0.005, seed=99)
-    assert cfg.n_steps == n_steps
-    em = ensemble(cfg, loop, 3, window_fraction=window / n_steps)
+    assert cfg.n_steps == n_steps and n_steps % CHUNK != 0  # a partial tail block
+    em = ensemble(cfg, loop, 3)
     assert maps == [CHUNK] and em.n_pooled == 3 * window
 
     paths = [simulate_trajectory(cfg, loop, stream_index=k) for k in range(3)]
@@ -268,7 +283,6 @@ def test_error_band_is_filter_band():
     mm = loop.mm
     band = np.sqrt(np.diag(mm.Btil @ loop.sf.Vc @ mm.Btil.T))
     assert_allclose(t.err_band, np.tile(band, (len(t.times), 1)))
-    assert_allclose(t.expected_innovation_cov, mm.innovation_cov)
 
 
 def test_coarse_step_is_rejected():
@@ -304,8 +318,6 @@ def test_ensemble_argument_validation():
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=3)
     with pytest.raises(ValueError):
         ensemble(cfg, loop, 1)
-    with pytest.raises(ValueError):
-        ensemble(cfg, loop, 4, window_fraction=0.0)
 
 
 def test_uncontrolled_lossless_vacuum_reaches_ground_state():
@@ -343,23 +355,23 @@ def test_innovations_are_white_and_scaled():
     loop = make_loop(r=1.0, params=p, noise=standard_noise(vacuum(), -2.0, p))
     cfg = TrajectoryConfig(dt=0.005, duration=300.0, seed=901)
     traj = simulate_trajectory(cfg, loop)
-    rep = innovation_diagnostics(traj)
-    assert rep.cov_pass and rep.whiteness_pass and rep.mean_pass
-    assert rep.all_pass
+    cov_rel, lag1, z = innovation_statistics(traj, cfg.dt, loop.mm.innovation_cov)
+    assert cov_rel < 0.05
+    assert np.all(np.abs(lag1) < 0.05)
+    assert np.all(np.abs(z) < 3.0)
 
 
 def test_wrong_gain_breaks_innovation_whiteness():
     """Doubling the filter gain leaves the loop stable but the innovation
-    sequence visibly autocorrelated — the diagnostics must flag it."""
+    sequence visibly autocorrelated — the whiteness test must flag it."""
     p = MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0)
     loop = make_loop(r=1.0, params=p, noise=standard_noise(vacuum(), -2.0, p))
     sf = loop.sf
     bad = StationaryFilter(Vc=sf.Vc.copy(), K=2.0 * sf.K, Ktil=2.0 * sf.Ktil)
     cfg = TrajectoryConfig(dt=0.025, duration=500.0, seed=901)
     traj = simulate_trajectory(cfg, replace(loop, sf=bad))
-    rep = innovation_diagnostics(traj)
-    assert not rep.whiteness_pass
-    assert not rep.all_pass
+    _, lag1, _ = innovation_statistics(traj, cfg.dt, loop.mm.innovation_cov)
+    assert not np.all(np.abs(lag1) < 0.05)
 
 
 def test_plant_and_record_share_noise():
@@ -395,9 +407,3 @@ def test_noise_factor_roundtrip_and_guard():
     assert_allclose(L @ L.T, NOISE.SigmaW, atol=1e-12)
     with pytest.raises(ValueError):
         noise_factor(np.diag([1.0, -0.5]))
-
-
-def test_innovation_diagnostics_guards():
-    short = simulate_trajectory(TrajectoryConfig(dt=0.01, duration=0.05, seed=10), make_loop())
-    with pytest.raises(ValueError, match="few"):
-        innovation_diagnostics(short)

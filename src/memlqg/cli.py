@@ -163,6 +163,8 @@ def resolve_settings(args: argparse.Namespace, err) -> RunSettings:
         if "omega_m_hz" not in cfg:
             err("config key 'temp_k' needs 'omega_m_hz' as well")
         cfg["n_occ"] = thermal_occupation(cfg["temp_k"], TWO_PI * cfg["omega_m_hz"])
+        if not math.isfinite(cfg["n_occ"]):
+            err("config keys 'temp_k' and 'omega_m_hz' give an infinite n_occ")
     cfg.pop("temp_k", None)
     cfg.pop("omega_m_hz", None)
 

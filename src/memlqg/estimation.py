@@ -107,7 +107,8 @@ def stationary_filter(
 
     Both routes remove the plant/sensor correlation by the standard shift
     A -> A - S R^-1 C, Q -> Q - S R^-1 S^T and solve the resulting algebraic
-    Riccati equation. method='care' uses the scipy QZ/Schur solver.
+    Riccati equation. method='care' uses `solve_care`: Laub's Schur method on
+    the Hamiltonian matrix, with a Newton-Kleinman polish when needed.
     method='newton' is the independent cross-check route: Newton-Kleinman
     from the open-loop gain -(S R^-1)^T, whose first closed-loop drift is the
     Hurwitz A = -(nu+gamma)/2 I, so it uses only Bartels-Stewart Lyapunov

@@ -126,7 +126,9 @@ def squeezed_vacuum(mu: float) -> FieldMode:
 
 
 def thermal_occupation(temp_k: float, omega: float) -> float:
-    """Planck occupation 1/(e^x - 1), x = hbar*omega/(kB*T); omega in rad/s."""
+    """Planck occupation 1/(e^x - 1), x = hbar*omega/(kB*T); omega in rad/s.
+
+    Returns inf, without a warning, when x underflows to 0."""
     if temp_k < 0.0 or omega <= 0.0:
         raise ValueError("temp_k must be >= 0 and omega > 0")
     if temp_k == 0.0:
@@ -134,7 +136,8 @@ def thermal_occupation(temp_k: float, omega: float) -> float:
     x = HBAR * omega / (K_B * temp_k)
     if x > 700.0:  # exp overflow guard; occupation is indistinguishable from 0
         return 0.0
-    return 1.0 / np.expm1(x)
+    with np.errstate(divide="ignore"):  # inf when x underflows to 0
+        return 1.0 / np.expm1(x)
 
 
 def drive_vector(alpha_in: float) -> np.ndarray:
@@ -144,13 +147,18 @@ def drive_vector(alpha_in: float) -> np.ndarray:
     return beta
 
 
+def _isclose(a: complex, b: complex) -> bool:
+    """np.isclose's rule with its default tolerances, for two scalars."""
+    return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
+
+
 def lambda_matrix(m1: FieldMode, m2: FieldMode, m3: FieldMode) -> np.ndarray:
     """Block-diagonal 6x6 input-field covariance diag{L1, L2, L3}.
 
     The two ancilla modes must carry identical statistics; that symmetry is
     what decouples the syndrome channels.
     """
-    if not (np.isclose(m2.N, m3.N) and np.isclose(m2.M, m3.M)):
+    if not (_isclose(m2.N, m3.N) and _isclose(m2.M, m3.M)):
         raise ValueError("ancilla modes m2 and m3 must have identical statistics")
     out = np.zeros((6, 6))
     for k, m in enumerate((m1, m2, m3)):

@@ -1,15 +1,18 @@
 """Dense real-matrix kernels: steady Lyapunov, CARE, Newton-Kleinman.
 
-Matrices are plain float64 numpy arrays throughout. Covariance-like results
-are re-symmetrized after every update and verified against their defining
-equation before being returned, so callers can rely on the residual bounds
-stated in each docstring.
+Matrices are plain float64 numpy arrays throughout. Both equation solvers
+call LAPACK's real Schur decomposition (dgees) directly: the Lyapunov
+equation by Bartels & Stewart (CACM 15, 1972), with dtrsyl on the Schur
+form, and the CARE by Laub's Schur method (IEEE TAC 24, 1979) on the
+Hamiltonian matrix. Covariance-like results are re-symmetrized after every
+update and verified against their defining equation before being returned,
+so callers can rely on the residual bounds stated in each docstring.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgees, dtrsyl
 
 
 class UnstableDriftError(ValueError):
@@ -48,25 +51,59 @@ def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     return symmetrize(M)
 
 
+def _no_sort(wr: float, wi: float) -> None:
+    return None
+
+
+def _real_schur(A: np.ndarray, solver: str, select=None) -> tuple:
+    """dgees on A: (T, U, sdim, wr, wi), with A = U T U^T and U orthogonal.
+
+    `select(wr, wi)` moves the eigenvalues it accepts to the top left of T;
+    sdim counts them. The workspace size comes from dgees' own lwork=-1
+    query, as in scipy.linalg.schur, so T and U match that function's.
+    Raises ConvergenceError("<solver> failed: ...") on any nonzero info.
+    """
+    lwork = int(dgees(_no_sort, A, lwork=-1)[-2][0])
+    sort_t = 0 if select is None else 1
+    T, sdim, wr, wi, U, _, info = dgees(select or _no_sort, A, lwork=lwork, sort_t=sort_t)
+    if info != 0:
+        raise ConvergenceError(f"{solver} failed: dgees info {info}")
+    return T, U, sdim, wr, wi
+
+
 def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     """Solve A X + X A^T + Qn = 0 for symmetric X, A strictly Hurwitz.
 
-    Backed by the dense Bartels-Stewart solver; the result is re-symmetrized
-    and checked to satisfy the equation to 1e-10 relative to ||Qn||.
+    Bartels-Stewart: the real Schur form A = U T U^T, then dtrsyl solves
+    T Y + Y T^T = -U^T Qn U and X = U Y U^T, the same calls and order of
+    operations as scipy.linalg.solve_continuous_lyapunov. Stability is read
+    off the Schur form's eigenvalues. The result is re-symmetrized and
+    checked to satisfy the equation to 1e-10 relative to ||Qn||. Raises
+    ValueError on NaN or inf entries, UnstableDriftError unless every
+    eigenvalue of A has Re < 0, and ConvergenceError on a LAPACK failure or
+    an inaccurate solve.
     """
     A = _check_square(A, "A")
+    Qn = _check_square(Qn, "Qn")
+    if not (np.isfinite(A).all() and np.isfinite(Qn).all()):
+        raise ValueError("A and Qn must not contain infs or NaNs")
     Qn = _check_symmetric(Qn, "Qn")
     if A.shape != Qn.shape:
         raise ValueError(f"shape mismatch: A {A.shape} vs Qn {Qn.shape}")
-    eigs = np.linalg.eigvals(A)
-    worst = eigs[np.argmax(eigs.real)]
-    if worst.real >= 0.0:
+    T, U, _, wr, wi = _real_schur(A, "Lyapunov solve")
+    k = int(np.argmax(wr))
+    if wr[k] >= 0.0:
+        worst = complex(wr[k], wi[k]) if wi.any() else float(wr[k])  # as np.linalg.eigvals
         raise UnstableDriftError(f"unstable drift: eigenvalue {worst} has Re >= 0")
 
     qscale = float(np.linalg.norm(Qn))
     if qscale == 0.0:
         return np.zeros_like(Qn)
-    X = symmetrize(scipy.linalg.solve_continuous_lyapunov(A, -Qn))
+    Y, scale, info = dtrsyl(T, T, U.T.dot((-Qn).dot(U)), tranb="T")
+    if info != 0:
+        raise ConvergenceError(f"Lyapunov solve failed: dtrsyl info {info}")
+    Y *= scale
+    X = symmetrize(U.dot(Y).dot(U.T))
     residual = float(np.linalg.norm(A @ X + X @ A.T + Qn)) / qscale
     if residual > 1e-10:
         raise ConvergenceError("Lyapunov solve inaccurate", residual)
@@ -117,18 +154,32 @@ def newton_kleinman(
     return P
 
 
+def _left_half_plane(wr: float, wi: float) -> bool:
+    return wr < 0.0
+
+
 def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of Atil^T P + P Atil + Q - P Btil R^-1 Btil^T P = 0.
 
-    R must be symmetric positive definite; Q symmetric PSD. Backed by the
-    scipy CARE solver, polished by `newton_kleinman` unless its residual is
-    already below 1e-12; the returned P satisfies the equation to 1e-8
-    relative to ||Q||.
+    R must be symmetric positive definite; Q symmetric PSD. Laub's Schur
+    method: the real Schur form of the Hamiltonian
+    H = [[Atil, -Btil R^-1 Btil^T], [-Q, -Atil^T]], sorted so that its n
+    left-half-plane eigenvalues come first, spans the stable invariant
+    subspace [U11; U21], and P = U21 U11^-1. That seed is polished by
+    `newton_kleinman` unless its residual is already below 1e-12; the
+    returned P satisfies the equation to 1e-8 relative to ||Q||. Raises
+    ValueError on NaN or inf entries, and ConvergenceError when H has no
+    n-dimensional stable subspace with an invertible U11 (no stabilizing
+    solution).
     """
     Atil = _check_square(Atil, "Atil")
+    Btil = np.asarray(Btil, dtype=float)
+    Q = _check_square(Q, "Q")
+    R = _check_square(R, "R")
+    if not all(np.isfinite(M).all() for M in (Atil, Btil, Q, R)):
+        raise ValueError("Atil, Btil, Q and R must not contain infs or NaNs")
     Q = _check_symmetric(Q, "Q")
     R = _check_symmetric(R, "R")
-    Btil = np.asarray(Btil, dtype=float)
     if Btil.ndim != 2 or Btil.shape[0] != Atil.shape[0] or Btil.shape[1] != R.shape[0]:
         raise ValueError(
             f"shape mismatch: Atil {Atil.shape}, Btil {Btil.shape}, R {R.shape}"
@@ -146,12 +197,25 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     if qscale == 0.0:
         return np.zeros_like(Q)
 
-    try:
-        P = symmetrize(scipy.linalg.solve_continuous_are(Atil, Btil, Q, R))
-    except Exception as exc:  # scipy raises LinAlgError or ValueError
-        raise ConvergenceError(f"CARE solver failed: {exc}") from exc
+    n = Atil.shape[0]
+    G = symmetrize(Btil @ np.linalg.solve(R, Btil.T))
+    H = np.block([[Atil, -G], [-Q, -Atil.T]])
+    _, U, sdim, _, _ = _real_schur(H, "CARE solver", _left_half_plane)
+    if sdim != n:
+        raise ConvergenceError(
+            f"CARE solver failed: {sdim} of {2 * n} Hamiltonian eigenvalues "
+            f"in the open left half plane, expected {n}"
+        )
+    U11, U21 = U[:n, :n], U[n:, :n]
+    # U is orthogonal, so ||U11|| <= 1 and its smallest singular value is
+    # its distance to the nearest singular matrix
+    if np.linalg.svd(U11, compute_uv=False)[-1] <= n * np.finfo(float).eps:
+        raise ConvergenceError("CARE solver failed: U11 is singular")
+    P = symmetrize(np.linalg.solve(U11.T, U21.T).T)
+    if not np.isfinite(P).all():
+        raise ConvergenceError("CARE solver failed: solution is not finite")
 
-    # Newton-Kleinman polish: each step squares the error of the QZ-based seed.
+    # Newton-Kleinman polish: each step squares the error of the Schur seed.
     residual = _care_residual(Atil, Btil, Q, R, P, qscale)
     if residual < 1e-12:
         return P

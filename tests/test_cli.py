@@ -128,6 +128,19 @@ def test_config_temperature_derives_occupation(tmp_path, capsys):
         run(["steady", "--config", str(cfg)])
 
 
+def test_config_temperature_refuses_infinite_occupation(tmp_path, capsys):
+    """A finite temp_k and omega_m_hz whose ratio underflows give n_occ = inf:
+    a usage error naming both keys, with no warning and no output file."""
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text("temp_k = 1e300\nomega_m_hz = 1e-300\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["steady", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "'temp_k'" in err and "'omega_m_hz'" in err and "n_occ" in err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_sweep_fidelity_csv(tmp_path):
     out = tmp_path / "grid.csv"
     assert run(

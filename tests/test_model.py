@@ -117,6 +117,29 @@ def test_lambda_matrix_requires_twin_ancillas():
     assert_allclose(lam[2:4, 2:4], 0.5 * np.eye(2))
 
 
+@pytest.mark.parametrize(
+    "base,delta",
+    [
+        (FieldMode(N=0.5), FieldMode(N=1.0)),
+        (FieldMode(N=0.5, M=0.3j), FieldMode(N=0.5, M=0.3 + 0.3j)),
+    ],
+    ids=["N", "M"],
+)
+def test_lambda_matrix_twin_tolerance(base, delta):
+    """The ancillas match within np.isclose's default tolerances: a 1e-9
+    mismatch in N or in complex M is accepted, a 1e-3 mismatch refused."""
+
+    def shifted(eps):
+        return FieldMode(
+            N=base.N + eps * (delta.N - base.N), M=base.M + eps * (delta.M - base.M)
+        )
+
+    lam = lambda_matrix(vacuum(), base, shifted(1e-9))
+    assert_allclose(lam[2:4, 2:4], base.block())
+    with pytest.raises(ValueError, match="identical statistics"):
+        lambda_matrix(vacuum(), base, shifted(1e-3))
+
+
 def test_input_covariance_preserves_purity():
     # T is symplectic-orthogonal here, so det of each 2x2 mode block of a
     # pure product input stays 1/4 after encoding

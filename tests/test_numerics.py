@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
+from memlqg import estimation
+from memlqg.acceptance import reference_params
+from memlqg.estimation import measurement_model, stationary_filter
+from memlqg.model import standard_encoding, standard_noise, vacuum
 from memlqg.numerics import (
+    ConvergenceError,
     UnstableDriftError,
     min_eigenvalue,
     newton_kleinman,
@@ -40,6 +46,30 @@ def test_lyapunov_solution_satisfies_equation(n):
     assert min_eigenvalue(X) >= -1e-10
 
 
+@pytest.mark.parametrize("n", [2, 6, 9])
+def test_lyapunov_matches_scipy_bit_for_bit(n):
+    """The direct dgees + dtrsyl calls repeat scipy's, in scipy's order."""
+    rng = np.random.default_rng(100 + n)
+    for _ in range(5):
+        A = random_stable(n, rng) + 0.3 * rng.standard_normal((n, n))  # not normal
+        A -= max(0.0, np.linalg.eigvals(A).real.max() + 0.1) * np.eye(n)
+        G = rng.standard_normal((n, n))
+        Q = G @ G.T
+        for drift in (A, A.T):  # the Newton-Kleinman steps pass a transposed view
+            X = solve_lyapunov_steady(drift, Q)
+            oracle = symmetrize(scipy.linalg.solve_continuous_lyapunov(drift, -Q))
+            assert np.array_equal(X, oracle)
+
+
+@pytest.mark.parametrize("where", ["A", "Qn"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_lyapunov_rejects_non_finite_input(where, bad):
+    A, Qn = -np.eye(3), np.eye(3)
+    (A if where == "A" else Qn)[1, 1] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_lyapunov_steady(A, Qn)
+
+
 def test_lyapunov_scalar_oracle():
     # dx = -a x dt + sqrt(q) dW  ->  steady var q / (2a)
     a, q = 3.0, 5.0
@@ -48,7 +78,7 @@ def test_lyapunov_scalar_oracle():
 
 
 def test_lyapunov_rejects_unstable_drift():
-    with pytest.raises(UnstableDriftError):
+    with pytest.raises(UnstableDriftError, match=r"eigenvalue 0\.001 has Re >= 0"):
         solve_lyapunov_steady(np.array([[1e-3]]), np.array([[1.0]]))
 
 
@@ -99,3 +129,48 @@ def test_care_scalar_oracle():
     # -2p - p^2 + 1 = 0 -> p = sqrt(2) - 1
     P = solve_care(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1))
     assert P[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-12)
+
+
+def assert_care_matches_scipy(A, B, Q, R):
+    oracle = scipy.linalg.solve_continuous_are(A, B, Q, R)
+    P = solve_care(A, B, Q, R)
+    assert np.linalg.norm(P - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+
+@pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (6, 3)])
+def test_care_matches_scipy_on_random_problems(n, m):
+    assert_care_matches_scipy(*random_care_problem(n, m, np.random.default_rng(200 + n)))
+
+
+@pytest.mark.parametrize("mode", ["s1", "s2"])
+def test_care_matches_scipy_on_filter_problem(mode, monkeypatch):
+    """The stationary filter's shifted CARE at the reference point."""
+    problems = []
+    solve = estimation.solve_care
+
+    def capture(*args):
+        problems.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(estimation, "solve_care", capture)
+    params = reference_params()
+    enc = standard_encoding(-230.0)
+    noise = standard_noise(vacuum(), -0.4, params)
+    stationary_filter(measurement_model(mode, enc, params, noise), params, enc, noise)
+    assert len(problems) == 1
+    assert_care_matches_scipy(*problems[0])
+
+
+@pytest.mark.parametrize("where", range(4))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_care_rejects_non_finite_input(where, bad):
+    args = [-np.eye(2), np.eye(2), np.eye(2), np.eye(2)]
+    args[where][0, 0] = bad
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        solve_care(*args)
+
+
+def test_care_rejects_unstabilizable_problem():
+    # A = 1 with no input: no gain stabilizes it, so no stabilizing P exists
+    with pytest.raises(ConvergenceError, match="CARE solver failed"):
+        solve_care(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))

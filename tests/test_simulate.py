@@ -1,3 +1,4 @@
+import mmap
 from dataclasses import replace
 
 import numpy as np
@@ -33,6 +34,7 @@ from memlqg.simulate import (
     _affine_step,
     _block_map,
     _lift,
+    _noise_buffer,
     simulate_trajectory,
 )
 
@@ -266,6 +268,15 @@ def test_block_map_composes_one_step_map():
         s = (np.hstack([s, rows[:, n + 12 * j : n + 12 * (j + 1)]]) @ M + c)[:, :n]
     crossed = rows[:, :n] @ Phi + rows[:, n:] @ G + cb
     assert np.abs(crossed - s).max() <= 1e-13 * np.abs(s).max()
+
+
+def test_noise_buffer_has_its_own_mapping():
+    """The noise block sits on a fresh page-aligned mapping, not in the heap."""
+    buf = _noise_buffer(3)
+    assert buf.shape == (3, CHUNK, 12) and buf.dtype == np.float64
+    assert buf.flags.writeable and buf.flags.c_contiguous
+    assert isinstance(buf.base.base.obj, mmap.mmap)
+    assert buf.ctypes.data % mmap.PAGESIZE == 0
 
 
 def test_control_off_leaves_input_zero():

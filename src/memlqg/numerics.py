@@ -11,6 +11,8 @@ so callers can rely on the residual bounds stated in each docstring.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.linalg.lapack import dgees, dtrsyl
 
@@ -55,15 +57,24 @@ def _no_sort(wr: float, wi: float) -> None:
     return None
 
 
+@lru_cache(maxsize=None)
+def _schur_lwork(n: int) -> int:
+    """dgees' own lwork=-1 workspace query for an n x n matrix, as
+    scipy.linalg.schur makes it. The answer depends on n alone (LAPACK sizes
+    it from ilaenv block sizes and a query of dhseqr on rows 1..n), so it is
+    asked once per n."""
+    return int(dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+
+
 def _real_schur(A: np.ndarray, solver: str, select=None) -> tuple:
     """dgees on A: (T, U, sdim, wr, wi), with A = U T U^T and U orthogonal.
 
     `select(wr, wi)` moves the eigenvalues it accepts to the top left of T;
-    sdim counts them. The workspace size comes from dgees' own lwork=-1
-    query, as in scipy.linalg.schur, so T and U match that function's.
+    sdim counts them. The workspace size is dgees' own query (_schur_lwork),
+    as in scipy.linalg.schur, so T and U match that function's.
     Raises ConvergenceError("<solver> failed: ...") on any nonzero info.
     """
-    lwork = int(dgees(_no_sort, A, lwork=-1)[-2][0])
+    lwork = _schur_lwork(A.shape[0])
     sort_t = 0 if select is None else 1
     T, sdim, wr, wi, U, _, info = dgees(select or _no_sort, A, lwork=lwork, sort_t=sort_t)
     if info != 0:

@@ -41,25 +41,29 @@ dominates, and 1 for larger batches, where b > 1 would cost about b times
 the arithmetic; there M_1 is exactly the one-step map. Steps left over at
 the end of a run (its length modulo b) take the one-step map.
 
-A consumer that reads only the end of a run, as ensemble_moments reads its
-moment window, names the first step it reads. Every full noise block that
-ends before that step is crossed by one state-only map (see _block_map),
+The chain is linear and Gaussian, so its state after N steps has a closed
+form (see _cross),
 
-    s_{t+CHUNK} = s_t Phi_B + [w_t .. w_{t+CHUNK-1}] G_B + c_B,
+    s_N = s_0 Phi_N + c_N + e,    e ~ N(0, Q_N),    Phi_N = (Phi^T)^N,
 
-one matrix product over the block's noise, with nothing handed to the
-consumer. It costs no more arithmetic than CHUNK plain steps and runs as
-one product instead of CHUNK small ones. Partial blocks, the block that
-holds the first read step and every step after it take the maps above.
+with Phi_N by binary powering and Q_N by Smith's doubling (SIAM J. Appl.
+Math. 16, 1968), in about log2 N small products. ensemble_moments reads only
+the last WINDOW_FRACTION of a run. From the start law (x ~ N(0, I/2),
+pi = 0) the window's first state is Gaussian with mean c_N and covariance
+Phi_N^T V_0 Phi_N + Q_N, so each trajectory draws it at once and steps only
+the window.
 
 Reproducibility: trajectory k draws from the stream
-SeedSequence(entropy=seed, spawn_key=(k,)) — first the initial plant state
-(6 normals), then noise in fixed blocks of CHUNK steps, skipped or not — so
-single and batched runs consume identical noise values. A rerun is
-bit-identical; a trajectory run alone and the same one inside a batch agree
-to rounding, because they apply maps lifted by different b or crossed by a
-block map, and a one-row and a many-row matrix product may sum in different
-orders.
+SeedSequence(entropy=seed, spawn_key=(k,)). simulate_trajectory draws first
+the initial plant state (6 normals), then noise in fixed blocks of CHUNK
+steps. ensemble_moments draws first the window's first state (12 + m
+normals, times the law's symmetric square root), then the window's noise in
+blocks of CHUNK steps. Each stream's
+values do not depend on the batch. A rerun is bit-identical, and a
+trajectory agrees to rounding across batch sizes, because a one-row and a
+many-row matrix product may sum in different orders. The ensemble's
+trajectory k is the same Euler-Maruyama chain as simulate_trajectory's, in
+law, but not the same realization.
 """
 
 from __future__ import annotations
@@ -73,6 +77,7 @@ from .closedloop import Loop
 from .control import Gains
 from .estimation import MeasurementModel, StationaryFilter
 from .model import Encoding, MemoryParams, NoiseModel, SourceSpec
+from .numerics import symmetrize
 from .openloop import SystemMatrices, system_matrices
 
 CHUNK = 256  # noise block length; fixed so stream consumption never depends on batching
@@ -132,14 +137,17 @@ class Trajectory:
 
 
 def noise_factor(SigmaW: np.ndarray) -> np.ndarray:
-    """Symmetric factor L with L L^T = SigmaW, by spectral decomposition.
+    """Factor L = U sqrt(w) with L L^T = SigmaW, by spectral decomposition.
 
-    Eigenvalues in [-1e-12, 0) are clipped to zero (roundoff repair); more
-    negative ones mean the matrix is not a covariance and raise.
+    Negative eigenvalues down to -1e-12 times the largest are clipped to zero
+    (roundoff repair: eigh's error scales with the matrix norm); more negative
+    ones mean the matrix is not a covariance and raise.
     """
     w, U = np.linalg.eigh(np.asarray(SigmaW, dtype=float))
-    if w.min() < -1e-12:
-        raise ValueError(f"noise covariance not PSD (min eigenvalue {w.min():.3e})")
+    if w.min() < -1e-12 * max(w.max(), 0.0):
+        raise ValueError(
+            f"noise covariance not PSD (min eigenvalue {w.min():.3e}, max {w.max():.3e})"
+        )
     return U * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -218,29 +226,31 @@ def _lift(M: np.ndarray, c: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]
     return rows[:-1], rows[-1]
 
 
-def _block_map(
-    M: np.ndarray, c: np.ndarray, b: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """State-only matrices (Phi_b, G_b, c_b) of b steps of the map
-    [s_next, innovation] = [s, w] M + c:
+def _cross(M: np.ndarray, c: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Law (Phi_N, Q_N, c_N) of N steps of the map [s_next, innovation] = [s, w] M + c:
 
-        s_b = s_0 Phi_b + [w_0 .. w_{b-1}] G_b + c_b.
+        s_N = s_0 Phi_N + c_N + e,    e ~ N(0, Q_N),
 
-    Composed backward from the last step: if T maps s_{j+1} to s_b, the
-    one-step map's state columns applied to T give s_j -> s_b (the next T),
-    w_j -> s_b (G_j = M_ws Phi^(b-1-j)) and the drive's share of c_b. Unlike
-    _lift it never forms the (12 b)-square identity of the noise rows.
+    for standard normal noise rows w. One step has Phi = M[:n, :n], noise
+    map Gamma = M[n:, :n] (so Q_1 = Gamma^T Gamma) and c_s = c[:n], the
+    row-form transposes of the module docstring's Phi and Gamma. Joining
+    a steps after b steps gives Phi_b Phi_a, Q = Phi_a^T Q_b Phi_a + Q_a and
+    c = c_b Phi_a + c_a; the law of 2^i steps comes from that of 2^(i-1) by
+    Smith's doubling, and N's binary digits pick which of them to join.
     """
     n = M.shape[0] - 12
-    one_step = np.vstack([M[:, :n], c[:n]])  # rows s, w, one -> s_next
-    T = np.eye(n)
-    G = np.empty((b, 12, n))
-    cb = np.zeros(n)
-    for j in reversed(range(b)):
-        out = one_step @ T
-        T, G[j] = out[:n], out[n:-1]
-        cb += out[-1]
-    return T, G.reshape(12 * b, n), cb
+    Phi_a, Gamma = M[:n, :n], M[n:, :n]
+    Q_a, c_a = Gamma.T @ Gamma, c[:n]
+    Phi, Q, cN = np.eye(n), np.zeros((n, n)), np.zeros(n)
+    while True:
+        if N & 1:
+            Phi, Q, cN = Phi @ Phi_a, symmetrize(Phi_a.T @ Q @ Phi_a + Q_a), cN @ Phi_a + c_a
+        N >>= 1
+        if not N:
+            return Phi, Q, cN
+        Phi_a, Q_a, c_a = (
+            Phi_a @ Phi_a, symmetrize(Phi_a.T @ Q_a @ Phi_a + Q_a), c_a @ Phi_a + c_a
+        )
 
 
 def _noise_buffer(batch: int) -> np.ndarray:
@@ -256,36 +266,46 @@ def _noise_buffer(batch: int) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, batch * CHUNK * 12 * 8)).reshape(batch, CHUNK, 12)
 
 
+def _step_map(cfg: TrajectoryConfig, loop: Loop) -> tuple[np.ndarray, np.ndarray, float]:
+    """The run's one-step map (M, c) (see _affine_step), after the step-size
+    check, and the bound on |x| past which a run has diverged."""
+    params = loop.params
+    _check_dt(cfg, params)
+    sys = system_matrices(params, loop.enc)
+    bound = 1e9 * max(
+        1.0, float(np.max(np.abs(2.0 * sys.drive / (params.nu + params.gamma))))
+    )
+    M, c = _affine_step(cfg, loop, sys)
+    return M, c, bound
+
+
+def _check_bound(peak: float, bound: float, step: int) -> None:
+    if not peak <= bound:  # catches NaN from overflow, not just growth
+        raise SimulationUnstableError(step, peak)
+
+
 def _run_batch(
-    cfg: TrajectoryConfig,
-    loop: Loop,
-    streams: range,
+    M: np.ndarray,
+    c: np.ndarray,
+    bound: float,
+    rngs: list,
+    start: np.ndarray,
+    first_step: int,
+    n_steps: int,
     consume,
-    first_read: int = 1,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Step one row s = (x, pi_s, pi_x) per stream; return the first and last rows.
+) -> np.ndarray:
+    """Step the rows `start` (one per stream in rngs: s = (x, pi_s, pi_x)
+    after step first_step - 1) through step n_steps; return the last rows.
 
     consume(step, s, innovation) receives k consecutive steps at a time:
     s of shape (batch, k, 12 + m) holds the rows after steps step ..
     step + k - 1 (counting from 1) and innovation of shape (batch, k, m)
-    their innovations. Steps before first_read may be withheld: a full
-    noise block that ends before it is crossed by one state-only map
-    (_block_map) and handed to no consumer. Noise is drawn one CHUNK block
-    per stream at a time, so each stream's values do not depend on the
-    batch; divergence is checked once per block.
+    their innovations. Noise is drawn one CHUNK block per stream at a time,
+    from first_step on, so each stream's values do not depend on the batch;
+    divergence is checked once per block.
     """
-    params = loop.params
-    _check_dt(cfg, params)
-    sys = system_matrices(params, loop.enc)
-    M, c = _affine_step(cfg, loop, sys)
-    m = loop.mm.n_channels
-    n = 12 + m
-    n_steps = cfg.n_steps
-    bound = 1e9 * max(
-        1.0, float(np.max(np.abs(2.0 * sys.drive / (params.nu + params.gamma))))
-    )
-
-    rngs = [_trajectory_rng(cfg.seed, k) for k in streams]
+    n = M.shape[0] - 12
+    m = M.shape[1] - n
     b = LIFT if len(rngs) == 1 else 1
     Mb, cb = _lift(M, c, b)
 
@@ -301,31 +321,18 @@ def _run_batch(
             s = rows[:, -1]
         return s, step
 
-    last_unread = min(first_read - 1, n_steps)
-    if last_unread >= CHUNK:
-        Phi_blk, G_blk, c_blk = _block_map(M, c, CHUNK)
-
-    start = np.zeros((len(rngs), n))
-    start[:, :6] = np.vstack([r.standard_normal(6) for r in rngs]) * np.sqrt(0.5)
     s = start
-    step = 0
+    step = first_step - 1
     block = _noise_buffer(len(rngs))  # refilled in place: one noise buffer per run
     while step < n_steps:
         blen = min(CHUNK, n_steps - step)
         for k, r in enumerate(rngs):
             r.standard_normal(out=block[k, :blen])
-        if step + CHUNK <= last_unread:
-            s = s @ Phi_blk + block.reshape(len(rngs), 12 * CHUNK) @ G_blk
-            s += c_blk
-            step += CHUNK
-        else:
-            head = blen - blen % b
-            s, step = advance(s, step, block[:, :head], Mb, cb, b)
-            s, step = advance(s, step, block[:, head:blen], M, c, 1)
-        peak = float(np.max(np.abs(s[:, :6])))
-        if not peak <= bound:  # catches NaN from overflow, not just growth
-            raise SimulationUnstableError(step, peak)
-    return start, s
+        head = blen - blen % b
+        s, step = advance(s, step, block[:, :head], Mb, cb, b)
+        s, step = advance(s, step, block[:, head:blen], M, c, 1)
+        _check_bound(float(np.max(np.abs(s[:, :6]))), bound, step)
+    return s
 
 
 def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0) -> Trajectory:
@@ -345,9 +352,11 @@ def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0
         states[step : step + k] = s[0]
         innovations[step - 1 : step - 1 + k] = innovation[0]
 
-    streams = range(stream_index, stream_index + 1)
-    start, _ = _run_batch(cfg, loop, streams, record)
-    states[0] = start[0]
+    M, c, bound = _step_map(cfg, loop)
+    rng = _trajectory_rng(cfg.seed, stream_index)
+    states[0] = 0.0
+    states[0, :6] = rng.standard_normal(6) * np.sqrt(0.5)
+    _run_batch(M, c, bound, [rng], states[:1].copy(), 1, cfg.n_steps, record)
     pi_s = states[:, 6 : 6 + m]
     band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
     return Trajectory(
@@ -389,16 +398,20 @@ def ensemble_moments(
 ) -> EnsembleMoments:
     """Vectorized ensemble run accumulating steady-window moments.
 
-    The pieces form one Loop, stepped as simulate_trajectory steps it:
-    trajectory k consumes exactly the stream simulate_trajectory(cfg, loop,
-    stream_index=k) would, so endpoints cross-check against single runs.
-    Only the window, the last WINDOW_FRACTION of the run, is read: every full
-    noise block that ends before the window's first step is crossed by one
-    state-only map, and the window's rows [s, innovation] go into one Gram
-    matrix and one per-trajectory row sum. The moments and endpoints agree
-    with step-by-step stepping to rounding. Memory stays bounded: only these
-    accumulators and one noise block per batch are held. Nothing reads
-    `source` until the signature takes the loop (ROADMAP item 1).
+    The pieces form one Loop, stepped by the Euler-Maruyama chain that
+    simulate_trajectory steps. Only the window, the last WINDOW_FRACTION of
+    the run, is read. The steps before it are crossed exactly (see _cross):
+    trajectory k draws the window's first state from the chain's law after
+    window_start steps, as the first 12 + m normals of its stream times the
+    law's symmetric square root, then steps the window on that stream's
+    next CHUNK blocks. So every returned
+    moment has the law that step-by-step stepping from the start would give,
+    though not its realization. The window's rows [s, innovation] go into one
+    Gram matrix and one per-trajectory row sum. Memory stays bounded: only
+    these accumulators and one noise block per batch are held. A chain that
+    diverges before the window raises SimulationUnstableError at
+    window_start, before its law is factorized. Nothing reads `source` until
+    the signature takes the loop (ROADMAP item 1).
     """
     if n_traj < 2:
         raise ValueError("need at least 2 trajectories")
@@ -408,19 +421,34 @@ def ensemble_moments(
     n_steps = cfg.n_steps
     window_start = n_steps - max(1, int(round(WINDOW_FRACTION * n_steps)))
     n = 12 + m
+
+    M, c, bound = _step_map(cfg, loop)
+    Phi, Q, mean = _cross(M, c, window_start)
+    cov = Q + 0.5 * Phi[:6].T @ Phi[:6]  # Phi^T V_0 Phi + Q with V_0 = diag(I/2, 0)
+    spread = np.abs(mean[:6]) + np.sqrt(np.abs(np.diag(cov)[:6]))  # |x|'s scale at window_start
+    _check_bound(float(np.max(spread)), bound, window_start)
+    # The symmetric root U sqrt(w) U^T = L diag(1/|L_k|) L^T of L = U sqrt(w).
+    # L alone depends on eigh's basis within each repeated eigenvalue's
+    # eigenspace (the law has several), so a rounding-level change in cov
+    # would redraw every start; the symmetric root moves by about sqrt(eps).
+    L = noise_factor(cov)
+    norms = np.linalg.norm(L, axis=0)
+    keep = norms > 0.0
+    root = (L[:, keep] / norms[keep]) @ L[:, keep].T
+    rngs = [_trajectory_rng(cfg.seed, k) for k in range(n_traj)]
+    start = np.vstack([r.standard_normal(n) for r in rngs]) @ root + mean
+
     gram = np.zeros((n + m, n + m))  # of the window's rows [s, innovation]
     row_sum = np.zeros((n_traj, n + m))  # the same rows summed per trajectory
 
     def accumulate(step, s, innovation):
         nonlocal gram, row_sum
-        skip = max(0, window_start + 1 - step)  # leading steps before the window
-        if skip < s.shape[1]:
-            rows = np.concatenate([s[:, skip:], innovation[:, skip:]], axis=2)
-            flat = rows.reshape(-1, n + m)
-            gram += flat.T @ flat
-            row_sum += rows.sum(axis=1)
+        rows = np.concatenate([s, innovation], axis=2)
+        flat = rows.reshape(-1, n + m)
+        gram += flat.T @ flat
+        row_sum += rows.sum(axis=1)
 
-    _, final = _run_batch(cfg, loop, range(n_traj), accumulate, first_read=window_start + 1)
+    final = _run_batch(M, c, bound, rngs, start, window_start + 1, n_steps, accumulate)
 
     z1 = row_sum[:, :dz].sum(axis=0)
     z2 = gram[:dz, :dz]

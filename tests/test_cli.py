@@ -1,10 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import memlqg
 from memlqg import cli, closedloop
 from memlqg.cli import build_parser, main, parse_range
 from memlqg.simulate import Trajectory
@@ -34,6 +39,22 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert "memlqg" in capsys.readouterr().out
+
+
+def test_module_run_exits_with_main_status():
+    """`python -m memlqg` runs cli.main and exits with its status."""
+    src = str(Path(memlqg.__file__).resolve().parent.parent)
+    path = [src, os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+
+    def module_run(*argv):
+        cmd = [sys.executable, "-m", "memlqg", *argv]
+        return subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120)
+
+    shown = module_run("--help")
+    assert shown.returncode == 0 and "validate" in shown.stdout
+    refused = module_run("steady", "--mu", "nan")
+    assert refused.returncode == 2 and "error" in refused.stderr
 
 
 def test_parse_range_forms():

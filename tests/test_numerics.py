@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from numpy.testing import assert_allclose
+from scipy.linalg.lapack import dgees
 
 from memlqg import estimation
 from memlqg.acceptance import reference_params
@@ -15,6 +16,8 @@ from memlqg.numerics import (
     solve_care,
     solve_lyapunov_steady,
     symmetrize,
+    _real_schur,
+    _schur_lwork,
 )
 
 RNG = np.random.default_rng(41)
@@ -59,6 +62,18 @@ def test_lyapunov_matches_scipy_bit_for_bit(n):
             X = solve_lyapunov_steady(drift, Q)
             oracle = symmetrize(scipy.linalg.solve_continuous_lyapunov(drift, -Q))
             assert np.array_equal(X, oracle)
+
+
+def test_cached_schur_workspace_size_matches_a_fresh_query():
+    """The cached dgees workspace size equals a fresh lwork=-1 query on the
+    matrix at hand, and the Schur form is the one scipy.linalg.schur gives."""
+    rng = np.random.default_rng(18)
+    for n in range(1, 19):
+        A = rng.standard_normal((n, n))
+        assert _schur_lwork(n) == int(dgees(lambda wr, wi: None, A, lwork=-1)[-2][0])
+        T, U, *_ = _real_schur(A, "test")
+        T_scipy, U_scipy = scipy.linalg.schur(A)
+        assert np.array_equal(T, T_scipy) and np.array_equal(U, U_scipy)
 
 
 @pytest.mark.parametrize("where", ["A", "Qn"])

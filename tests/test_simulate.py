@@ -32,7 +32,7 @@ from memlqg.simulate import (
     ensemble_moments,
     noise_factor,
     _affine_step,
-    _block_map,
+    _cross,
     _lift,
     _noise_buffer,
     simulate_trajectory,
@@ -101,10 +101,11 @@ def test_streams_are_independent():
     assert not np.allclose(a.x, c.x)
 
 
-def test_batched_ensemble_matches_single_runs_exactly(monkeypatch):
-    """The batch kernel must consume per-trajectory noise streams identical
-    to the one-at-a-time kernel; endpoints agree to rounding. Neither reads
-    the augmented model, so both run with build_augmented unavailable."""
+def test_ensemble_trajectory_does_not_depend_on_batch_size(monkeypatch):
+    """Each stream's draws do not depend on the batch: trajectory k ends at
+    the same state, to rounding, in an ensemble of 3 and one of 5. Neither
+    run reads the augmented model, so both run with build_augmented
+    unavailable."""
 
     def unavailable(*args, **kwargs):
         raise AssertionError("the Monte Carlo layer built the augmented model")
@@ -112,58 +113,43 @@ def test_batched_ensemble_matches_single_runs_exactly(monkeypatch):
     monkeypatch.setattr(closedloop, "build_augmented", unavailable)
     loop = make_loop()
     cfg = TrajectoryConfig(dt=0.005, duration=3.0, seed=1234)
-    em = ensemble(cfg, loop, 3)
-    for k in range(3):
-        t = simulate_trajectory(cfg, loop, stream_index=k)
-        single = np.concatenate([t.x[-1], t.pi_s[-1], t.pi_x[-1]])
-        assert np.abs(single - em.final_states[k]).max() < 1e-12
+    three, five = ensemble(cfg, loop, 3), ensemble(cfg, loop, 5)
+    assert np.abs(three.final_states - five.final_states[:3]).max() < 1e-12
+    assert not np.allclose(five.final_states[3], five.final_states[4])
 
 
-@pytest.mark.parametrize("window_start", [3 * CHUNK + 56, 3 * CHUNK - 1])
-def test_ensemble_moments_match_recorded_paths(monkeypatch, window_start):
-    """Skipped noise blocks, a window that starts mid-block (or on the last
-    step of a block) and a partial tail block: the moments pooled by the
-    ensemble (skip-ahead plus Gram accumulation) equal those pooled from the
-    recorded single paths. Each run length puts the window, its last
-    WINDOW_FRACTION, at the parametrized start."""
-    maps = []
-
-    def spy(M, c, b):
-        maps.append(b)
-        return _block_map(M, c, b)
-
-    monkeypatch.setattr(simulate, "_block_map", spy)
+def test_ensemble_rerun_is_bit_identical():
     loop = make_loop()
-    n_steps = round(window_start / (1.0 - WINDOW_FRACTION))  # 1030 and 959
-    window = n_steps - window_start
-    cfg = TrajectoryConfig(dt=0.005, duration=n_steps * 0.005, seed=99)
-    assert cfg.n_steps == n_steps and n_steps % CHUNK != 0  # a partial tail block
-    em = ensemble(cfg, loop, 3)
-    assert maps == [CHUNK] and em.n_pooled == 3 * window
-
-    paths = [simulate_trajectory(cfg, loop, stream_index=k) for k in range(3)]
-    z = np.vstack([np.hstack([t.x, t.pi_s])[window_start + 1 :] for t in paths])
-    inn = np.vstack([t.innovations[window_start:] for t in paths])
-    err = [(t.x - t.pi_x)[window_start + 1 :].mean(axis=0) for t in paths]
-    final = [np.concatenate([t.x[-1], t.pi_s[-1], t.pi_x[-1]]) for t in paths]
-    for got, expected in (
-        (em.z_cov, np.cov(z.T)),
-        (em.innovation_cov_rate, np.cov(inn.T) / cfg.dt),
-        (em.err_mean, np.mean(err, axis=0)),
-        (em.final_states, np.array(final)),
-    ):
-        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+    cfg = TrajectoryConfig(dt=0.005, duration=3.0, seed=1234)
+    a, b = ensemble(cfg, loop, 4), ensemble(cfg, loop, 4)
+    for name in ("z_mean", "z_cov", "innovation_cov_rate", "err_mean", "err_sem", "final_states"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
-def reference_loop(cfg, loop, sysm, stream_index=0):
+def stream(seed, k):
+    """Trajectory k's noise stream, as the stream contract states it."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(k,)))
+
+
+def reference_loop(cfg, loop, sysm, stream_index=0, crossed=None):
     """The SDE of `sysm` stepped one vector at a time, drawing the stream's
-    noise blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs."""
+    noise blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs.
+
+    The run starts from the stream's initial plant state, or, given
+    crossed = (N, s_N), from s_N after step N: the stream's first 12 + m
+    normals are taken to have drawn s_N, and the remaining steps follow.
+    """
     mm, sf, g = loop.mm, loop.sf, loop.g
+    m = mm.n_channels
     L = noise_factor(NOISE.SigmaW)
-    stream = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(stream_index,))
-    rng = np.random.default_rng(stream)
-    x, pi_s, pi_x = rng.standard_normal(6) * np.sqrt(0.5), np.zeros(mm.n_channels), np.zeros(6)
-    n, dt = cfg.n_steps, cfg.dt
+    rng = stream(cfg.seed, stream_index)
+    if crossed is None:
+        first, s0 = 0, np.concatenate([rng.standard_normal(6) * np.sqrt(0.5), np.zeros(m + 6)])
+    else:
+        first, s0 = crossed
+        rng.standard_normal(12 + m)
+    x, pi_s, pi_x = s0[:6], s0[6 : 6 + m], s0[6 + m :]
+    n, dt = cfg.n_steps - first, cfg.dt
     noise = np.vstack([rng.standard_normal((min(CHUNK, n - k), 12)) for k in range(0, n, CHUNK)])
     states, innovations, inputs = [np.concatenate([x, pi_s, pi_x])], [], []
     for w in noise:
@@ -178,6 +164,56 @@ def reference_loop(cfg, loop, sysm, stream_index=0):
         innovations.append(inn)
         inputs.append(u)
     return np.array(states), np.array(innovations), np.array(inputs)
+
+
+@pytest.mark.parametrize("n_steps", [1, 1030, 1601])
+def test_ensemble_window_matches_per_step_reference(monkeypatch, n_steps):
+    """The window starts from the crossed law, drawn with each stream's first
+    12 + m normals times the law's symmetric square root (N = 0 for a
+    one-step run), and its moments and endpoints equal those of the literal
+    per-step loop started from that state on the same stream: a window
+    shorter than one noise block and one with a partial tail block."""
+    starts = []
+
+    def spy(M, c, bound, rngs, start, first_step, n, consume):
+        starts.append((first_step, start.copy()))
+        return run_batch(M, c, bound, rngs, start, first_step, n, consume)
+
+    run_batch = simulate._run_batch
+    monkeypatch.setattr(simulate, "_run_batch", spy)
+    loop = make_loop()
+    sysm = system_matrices(P, ENC)
+    cfg = TrajectoryConfig(dt=0.005, duration=n_steps * 0.005, seed=99)
+    window_start = n_steps - max(1, round(WINDOW_FRACTION * n_steps))
+    em = ensemble(cfg, loop, 3)
+    assert em.n_pooled == 3 * (n_steps - window_start)
+
+    M, c = _affine_step(cfg, loop, sysm)
+    Phi, Q, mean = _cross(M, c, window_start)
+    V0 = np.diag(np.r_[np.full(6, 0.5), np.zeros(len(mean) - 6)])
+    w, U = np.linalg.eigh(Phi.T @ V0 @ Phi + Q)
+    root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
+    normals = [stream(cfg.seed, k).standard_normal(len(mean)) for k in range(3)]
+    draws = np.vstack(normals) @ root
+    (first_step, start), = starts
+    assert first_step == window_start + 1
+    # a singular law's root moves by ~sqrt(eps) when the law moves by rounding
+    assert np.abs(start - mean - draws).max() <= 1e-7 * np.abs(draws).max()
+    paths = [reference_loop(cfg, loop, sysm, k, (window_start, start[k])) for k in range(3)]
+
+    m = loop.mm.n_channels
+    z = np.vstack([states[1:, : 6 + m] for states, _, _ in paths])
+    inn = np.vstack([innovations for _, innovations, _ in paths])
+    err = [(states[1:, :6] - states[1:, 6 + m :]).mean(axis=0) for states, _, _ in paths]
+    final = [states[-1] for states, _, _ in paths]
+    for got, expected in (
+        (em.z_mean, z.mean(axis=0)),
+        (em.z_cov, np.cov(z.T)),
+        (em.innovation_cov_rate, np.cov(inn.T) / cfg.dt),
+        (em.err_mean, np.mean(err, axis=0)),
+        (em.final_states, np.array(final)),
+    ):
+        assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @pytest.mark.parametrize("n", [1, 15, 17, CHUNK + 19, 2 * CHUNK + 7])
@@ -249,25 +285,37 @@ def test_lifted_map_composes_one_step_map():
     assert np.abs(lifted - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
-def test_block_map_composes_one_step_map():
-    """(Phi_b, G_b, c_b) on random rows [s, w_0 .. w_{b-1}] equals b one-step
-    maps in turn; for b = 1 it is the state part of the one-step map itself."""
-    cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=1)
-    M, c = _affine_step(cfg, make_loop(), system_matrices(P, ENC))
-    n = M.shape[0] - 12
-    Phi1, G1, c1 = _block_map(M, c, 1)
-    assert np.array_equal(Phi1, M[:n, :n]) and np.array_equal(G1, M[n:, :n])
-    assert np.array_equal(c1, c[:n])
+@pytest.fixture(
+    scope="module", params=[("s1", 1e-9), ("s2", 1e-9), ("s1", 1e-15)], ids=["s1", "s2", "cheap"]
+)
+def check9_step(request):
+    """One-step map (M, c) at check 9's operating point and step."""
+    params = reference_params()
+    enc = standard_encoding(-230.0)
+    mode, r = request.param
+    loop = LoopBuilder(params, enc)(standard_noise(vacuum(), -0.4, params), mode, r)
+    dt = 2e-3 / (params.nu + params.gamma)
+    cfg = TrajectoryConfig(dt=dt, duration=dt, seed=0)
+    return _affine_step(cfg, loop, system_matrices(params, enc))
 
-    b = CHUNK
-    Phi, G, cb = _block_map(M, c, b)
-    assert Phi.shape == (n, n) and G.shape == (12 * b, n)
-    rows = np.random.default_rng(7).standard_normal((5, n + 12 * b))
-    s = rows[:, :n]
-    for j in range(b):
-        s = (np.hstack([s, rows[:, n + 12 * j : n + 12 * (j + 1)]]) @ M + c)[:, :n]
-    crossed = rows[:, :n] @ Phi + rows[:, n:] @ G + cb
-    assert np.abs(crossed - s).max() <= 1e-13 * np.abs(s).max()
+
+@pytest.mark.parametrize("N", [1, 2, 3, 255, 12000])
+def test_cross_matches_step_composition_and_discrete_lyapunov(check9_step, N):
+    """The law of N steps equals N one-step compositions of (Phi, Q, c), and
+    Q_N equals X - Phi_N^T X Phi_N for the stationary covariance X of the
+    one-step chain, both to 1e-12 relative."""
+    M, c = check9_step
+    n = M.shape[0] - 12
+    Phi1, Gamma = M[:n, :n], M[n:, :n]
+    Phi, Q, cN = _cross(M, c, N)
+    Phi_b, Q_b, c_b = np.eye(n), np.zeros((n, n)), np.zeros(n)
+    for _ in range(N):
+        Phi_b, Q_b, c_b = Phi_b @ Phi1, Phi1.T @ Q_b @ Phi1 + Gamma.T @ Gamma, c_b @ Phi1 + c[:n]
+    X = solve_discrete_lyapunov(Phi1.T, Gamma.T @ Gamma)
+    for got, expected in ((Phi, Phi_b), (Q, Q_b), (cN, c_b), (Q, X - Phi.T @ X @ Phi)):
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert np.array_equal(Q, Q.T)
+    assert np.array_equal(_cross(M, c, 0)[0], np.eye(n)) and not _cross(M, c, 0)[1].any()
 
 
 def test_noise_buffer_has_its_own_mapping():
@@ -311,17 +359,57 @@ def test_unstable_loop_is_detected():
         simulate_trajectory(cfg, replace(loop, g=runaway))
 
 
-def test_unstable_ensemble_is_detected():
-    """The batched path crosses each noise block before its window with one
-    state-only map; a loop that diverges inside such a block (here the
-    second, with a finite block map) must stop at that block's end."""
+def test_unstable_ensemble_is_detected(monkeypatch):
+    """A chain that diverges before the window stops at the window's first
+    step, on the crossed law's check, before that law is factorized: with
+    runaway feedback gains, and where the step passes _check_dt but a large
+    filter gain makes the explicit step expand (spectral radius 22.3)."""
+    factored = []
+
+    def spy(cov):
+        factored.append(cov.shape)
+        return noise_factor(cov)
+
+    monkeypatch.setattr(simulate, "noise_factor", spy)
     loop = make_loop()
     g0 = loop.g
     runaway = Gains(P=g0.P.copy(), Fgain=-0.1 * g0.Fgain, f1=g0.f1, f2=g0.f2)
+    hot = MemoryParams(nu=4.0, gamma=1.0, n_occ=1e6)
+    coarse = make_loop(params=hot, noise=standard_noise(vacuum(), -1.0, hot))
     cfg = TrajectoryConfig(dt=0.01, duration=20.0, seed=5)  # window from step 1600
-    with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError) as err:
-        ensemble(cfg, replace(loop, g=runaway), 3)
-    assert err.value.step % CHUNK == 0 and CHUNK < err.value.step <= 1600
+    M, _ = _affine_step(cfg, coarse, system_matrices(hot, ENC))
+    n = M.shape[0] - 12
+    assert np.abs(np.linalg.eigvals(M[:n, :n])).max() > 20.0
+    for unstable, cfg, window_start in (
+        (replace(loop, g=runaway), cfg, 1600),
+        (coarse, TrajectoryConfig(dt=0.005, duration=3.0, seed=5), 480),
+    ):
+        factored.clear()
+        with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError) as err:
+            ensemble(cfg, unstable, 3)
+        assert err.value.step == window_start
+        assert factored == [(12, 12)]  # SigmaW's factor only
+
+
+def test_noise_factor_threshold_is_relative():
+    """The crossed law is singular, and at a large thermal occupation its
+    rounding puts eigenvalues below -1e-12 while its largest is ~2e4; it is
+    accepted and reproduced. A negative eigenvalue beyond 1e-12 of the
+    largest is still refused."""
+    hot = MemoryParams(nu=4.0, gamma=1.0, n_occ=1e5)
+    loop = make_loop(params=hot, noise=standard_noise(vacuum(), -1.0, hot))
+    cfg = TrajectoryConfig(dt=2e-4, duration=3.0, seed=5)
+    M, c = _affine_step(cfg, loop, system_matrices(hot, ENC))
+    Phi, Q, _ = _cross(M, c, cfg.n_steps - round(WINDOW_FRACTION * cfg.n_steps))
+    cov = Q + 0.5 * Phi[:6].T @ Phi[:6]
+    w = np.linalg.eigvalsh(cov)
+    assert w.min() < -1e-12 and w.max() > 1e4
+    L = noise_factor(cov)
+    assert np.linalg.norm(L @ L.T - cov) <= 1e-12 * np.linalg.norm(cov)
+    assert np.all(np.isfinite(ensemble(cfg, loop, 2).z_cov))
+    noise_factor(np.diag([1e4, -1e-9]))
+    with pytest.raises(ValueError, match="not PSD"):
+        noise_factor(np.diag([1.0, -2e-12]))
 
 
 def test_ensemble_argument_validation():

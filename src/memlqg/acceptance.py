@@ -88,7 +88,7 @@ def check_fidelity_closed_form() -> tuple[bool, str]:
             noise = standard_noise(vacuum(), float(mu), params)
             v_inf = steady_state(params, enc, noise).cov
             f_det = fidelity(v_inf, input_covariance(noise.Lambda))
-            f_cf = fidelity_closed_form(float(mu), params)
+            f_cf = fidelity_closed_form(params, noise.Lambda)
             worst = max(worst, abs(f_det - f_cf))
     return worst <= 1e-10, f"max |F_det - F_closed| = {worst:.2e} on 20x20 grid (tol 1e-10)"
 
@@ -187,7 +187,7 @@ def check_explicit_covariance_formula() -> tuple[bool, str]:
 
 
 def check_cheap_control_limit() -> tuple[bool, str]:
-    """Controlled covariance descends to the conditional one as r -> 0."""
+    """Controlled covariance descends to the conditional one as sqrt(r) -> 0."""
     params = reference_params()
     enc = standard_encoding(alpha_in=-230.0)
     noise = standard_noise(vacuum(), -0.4, params)
@@ -197,8 +197,12 @@ def check_cheap_control_limit() -> tuple[bool, str]:
         loop = builder(noise, "s1", r)
         gaps.append(float(np.linalg.norm(loop.Vz[:6, :6] - loop.sf.Vc)))
     monotone = all(b < a for a, b in zip(gaps, gaps[1:]))
+    ratio = gaps[-1] / gaps[-2]  # sqrt(1e-3) under the sqrt(r) law
     seq = ", ".join(f"{gp:.3e}" for gp in gaps)
-    return monotone, f"|V' - Vc|_F over r=1e-6..1e-15: {seq} (strictly decreasing: {monotone})"
+    return monotone and abs(ratio / np.sqrt(1e-3) - 1.0) <= 0.05, (
+        f"|V' - Vc|_F over r=1e-6..1e-15: {seq} (strictly decreasing: {monotone}); "
+        f"last ratio {ratio:.4f} vs sqrt(1e-3) = {np.sqrt(1e-3):.4f} (tol 5%)"
+    )
 
 
 def check_monte_carlo_moments() -> tuple[bool, str]:

@@ -42,8 +42,10 @@ from .model import (
     standard_noise,
     syndrome_set,
     thermal_occupation,
+    vacuum,
 )
 from .openloop import (
+    channel_variances,
     fidelity,
     fidelity_closed_form,
     occupation_threshold,
@@ -51,7 +53,6 @@ from .openloop import (
     psys,
     psys_closed_form,
     single_mode_check,
-    steady_mode_variances,
     steady_state,
     syndrome_statistics,
     syndrome_variance_ideal,
@@ -211,7 +212,11 @@ def _output(path: str | None):
         return
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as out:
+        out = open(tmp, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:  # name the output, not its temporary file
+        raise OSError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with out:
             yield out
         os.replace(tmp, path)
     except BaseException:
@@ -242,9 +247,7 @@ def cmd_steady(args, err) -> int:
     noise = standard_noise(src_mode, settings.mu, params)
     state = steady_state(params, enc, noise)
     mean_c, var = single_mode_check(params, settings.alpha_in)
-    vp, vm = steady_mode_variances(
-        params, [src_mode, squeezed_vacuum(settings.mu), squeezed_vacuum(settings.mu)]
-    )
+    v = channel_variances(params, noise.Lambda).tolist()
     report = {
         "schema": "memlqg.steady/1",
         "version": __version__,
@@ -254,7 +257,7 @@ def cmd_steady(args, err) -> int:
             "mean_p": mean_c.imag,
             "variance": var,
         },
-        "mode_variances": {"plus": vp.tolist(), "minus": vm.tolist()},
+        "mode_variances": {"plus": v[0::2], "minus": v[1::2]},
         "witnesses": {
             "pfd_rate": pfd_rate(settings.mu, src_mode),
             "classical_rate": 7.5,
@@ -269,7 +272,9 @@ def cmd_steady(args, err) -> int:
         },
         "fidelity": {
             "determinant_form": fidelity(state.cov, input_covariance(noise.Lambda)),
-            "closed_form_coherent": fidelity_closed_form(settings.mu, params),
+            "closed_form_coherent": fidelity_closed_form(
+                params, standard_noise(vacuum(), settings.mu, params).Lambda
+            ),
         },
         "steady_mean": state.mean.tolist(),
     }
@@ -465,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args, parser.error)
     except BrokenPipeError:
         return 0
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"memlqg: error: {exc}", file=sys.stderr)
         return 1
 

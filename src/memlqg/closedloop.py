@@ -6,10 +6,10 @@ steady solution gives the controlled memory covariance V' as the leading
 6x6 block. An explicit closed form for V' exists as well; it is exact
 whenever the filter gain stays inside the measured syndrome subspace
 (always the case for the two-channel filter, and for amplitude/phase-
-aligned squeezing where the input correlation matrix is block-diagonal in
-each mode with zero ImM). Both readings of its gain symbol — the full
-6 x m gain and its projection onto the syndrome subspace — are evaluated
-and compared against the Lyapunov solve, which is authoritative.
+aligned squeezing, where every mode's quadrature block is diagonal). Both
+readings of its gain symbol — the full 6 x m gain and its projection onto
+the syndrome subspace — are evaluated and compared against the Lyapunov
+solve, which is authoritative.
 
 The feedback never disturbs the stored word: the syndrome maps annihilate
 the drive direction, so the closed-loop steady mean equals the open-loop

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
-from .numerics import ConvergenceError, newton_kleinman, solve_care, symmetrize
+from .numerics import ConvergenceError, solve_care, symmetrize
 from .openloop import system_matrices
 
 
@@ -101,20 +101,15 @@ def stationary_filter(
     params: MemoryParams,
     enc: Encoding,
     noise: NoiseModel,
-    method: str = "care",
 ) -> StationaryFilter:
     """Solve the steady Riccati equation and freeze the gains.
 
-    Both routes remove the plant/sensor correlation by the standard shift
-    A -> A - S R^-1 C, Q -> Q - S R^-1 S^T and solve the resulting algebraic
-    Riccati equation. method='care' uses `solve_care`: Laub's Schur method on
-    the Hamiltonian matrix, with a Newton-Kleinman polish when needed.
-    method='newton' is the independent cross-check route: Newton-Kleinman
-    from the open-loop gain -(S R^-1)^T, whose first closed-loop drift is the
-    Hurwitz A = -(nu+gamma)/2 I, so it uses only Bartels-Stewart Lyapunov
-    solves.
-    Either result must zero the Riccati flow to 1e-8 relative to
-    max(1, ||B Sw B^T||), else ConvergenceError carries that residual.
+    The plant/sensor correlation is removed by the standard shift
+    A -> A - S R^-1 C, Q -> Q - S R^-1 S^T, and `solve_care` solves the
+    resulting algebraic Riccati equation: Laub's Schur method on the
+    Hamiltonian matrix, with a Newton-Kleinman polish when needed. The
+    result must zero the Riccati flow to 1e-8 relative to max(1, ||B Sw B^T||),
+    else ConvergenceError carries that residual.
     """
     sys = system_matrices(params, enc)
     Q = sys.B @ noise.SigmaW @ sys.B.T
@@ -132,13 +127,7 @@ def stationary_filter(
     SRinv = times_Rinv(mm.cross_cov)  # S R^-1, 6 x m
     Ashift = sys.A - SRinv @ mm.C
     Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
-    if method == "care":
-        Vc = solve_care(Ashift.T, mm.C.T, Qshift, mm.innovation_cov)
-    elif method == "newton":
-        Vc = newton_kleinman(Ashift.T, mm.C.T, Qshift, mm.innovation_cov, -SRinv.T)
-    else:
-        raise ValueError(f"unknown method {method!r} (expected 'care' or 'newton')")
-
+    Vc = solve_care(Ashift.T, mm.C.T, Qshift, mm.innovation_cov)
     Vs = symmetrize(Vc)
     K = times_Rinv(Vs @ mm.C.T + mm.cross_cov)  # K = (Vc C^T + S) R^-1
     flow = sys.A @ Vs + Vs @ sys.A.T + Q - K @ mm.innovation_cov @ K.T

@@ -7,6 +7,8 @@ Conventions
   inputs and converts; library code never does.
 * State ordering is (q1, p1, q2, p2, q3, p3): mode 1 holds the payload, modes
   2 and 3 the squeezed ancillas.
+* A FieldMode is its quadrature block (vq, vp, c), physical when
+  det = vq vp - c^2 >= 1/4, so a squeezed variance e^mu/2 is stored exactly.
 
 The memory is written through a balanced three-way passive mixer ("tritter"),
 an orthogonal 6x6 quadrature map T. Syndrome coordinates are rows of T^T.
@@ -81,38 +83,31 @@ class MemoryParams:
 
 @dataclass(frozen=True)
 class FieldMode:
-    """Stationary Gaussian statistics (N, M) of one input field mode.
+    """One input field mode as its quadrature covariance [[vq, c], [c, vp]].
 
-    N is the photon flux excess over vacuum, M the phase-sensitive moment.
-    Physicality requires N(N+1) >= |M|^2 (equality for pure squeezed vacuum).
+    Physical when vq, vp > 0 and vq vp - c^2 >= 1/4 (equality for a pure
+    state), to 1e-12 relative to vq vp, the scale of the determinant's rounding.
     """
 
-    N: float
-    M: complex = 0.0
+    vq: float
+    vp: float
+    c: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "M", complex(self.M))
-        if self.N < 0.0:
-            raise ValueError(f"N must be nonnegative, got {self.N}")
-        bound = self.N * (self.N + 1.0)
-        if abs(self.M) ** 2 > bound * (1.0 + 1e-12) + 1e-12:
+        det = self.vq * self.vp - self.c * self.c
+        if not (self.vq > 0.0 and self.vp > 0.0 and det >= 0.25 - 1e-12 * self.vq * self.vp):
             raise ValueError(
-                f"unphysical mode: |M|^2 = {abs(self.M)**2:.6g} exceeds "
-                f"N(N+1) = {self.N * (self.N + 1.0):.6g}"
+                f"unphysical mode: block {self.block().tolist()} (det {det:.6g}) needs "
+                "vq, vp > 0 and det >= 1/4"
             )
 
     def block(self) -> np.ndarray:
         """2x2 symmetrized quadrature covariance of the mode."""
-        return np.array(
-            [
-                [self.N + self.M.real + 0.5, self.M.imag],
-                [self.M.imag, self.N - self.M.real + 0.5],
-            ]
-        )
+        return np.array([[self.vq, self.c], [self.c, self.vp]])
 
 
 def vacuum() -> FieldMode:
-    return FieldMode(N=0.0, M=0.0)
+    return FieldMode(vq=0.5, vp=0.5)
 
 
 def squeezed_vacuum(mu: float) -> FieldMode:
@@ -121,8 +116,7 @@ def squeezed_vacuum(mu: float) -> FieldMode:
     mu < 0 squeezes position (used for the ancillas), mu > 0 squeezes
     momentum. mu = 0 is the vacuum.
     """
-    ep, em = np.exp(mu), np.exp(-mu)
-    return FieldMode(N=(ep + em - 2.0) / 4.0, M=(ep - em) / 4.0)
+    return FieldMode(vq=0.5 * np.exp(mu), vp=0.5 * np.exp(-mu))
 
 
 def thermal_occupation(temp_k: float, omega: float) -> float:
@@ -147,7 +141,7 @@ def drive_vector(alpha_in: float) -> np.ndarray:
     return beta
 
 
-def _isclose(a: complex, b: complex) -> bool:
+def _isclose(a: float, b: float) -> bool:
     """np.isclose's rule with its default tolerances, for two scalars."""
     return abs(a - b) <= 1e-8 + 1e-5 * abs(b)
 
@@ -158,7 +152,7 @@ def lambda_matrix(m1: FieldMode, m2: FieldMode, m3: FieldMode) -> np.ndarray:
     The two ancilla modes must carry identical statistics; that symmetry is
     what decouples the syndrome channels.
     """
-    if not (_isclose(m2.N, m3.N) and _isclose(m2.M, m3.M)):
+    if not (_isclose(m2.vq, m3.vq) and _isclose(m2.vp, m3.vp) and _isclose(m2.c, m3.c)):
         raise ValueError("ancilla modes m2 and m3 must have identical statistics")
     out = np.zeros((6, 6))
     for k, m in enumerate((m1, m2, m3)):

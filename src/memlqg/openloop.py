@@ -7,8 +7,9 @@ second moments obey
     dV/dt   = A V + V A^T + B Sw B^T, B = (-sqrt(nu) T, -sqrt(gamma) I6)
 
 with Sw the twelve-channel noise covariance. The closed forms implemented
-here (per-mode steady variances, transfer fidelity, the collective-variance
-witnesses) all follow from A being a scalar multiple of the identity.
+here (per-channel steady variances, transfer fidelity, the collective-variance
+witnesses) all follow from A being a scalar multiple of the identity: in the
+input-mode coordinates x' = T^T x each channel relaxes on its own.
 """
 
 from __future__ import annotations
@@ -79,21 +80,15 @@ def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> Gaus
     return GaussianState(mean=mean, cov=cov)
 
 
-def steady_mode_variances(params: MemoryParams, modes: tuple[FieldMode, FieldMode, FieldMode]):
-    """Per-mode steady variances (v_plus, v_minus) in the rotated frame.
-
-    v_j(+/-) = [nu(2N_j +/- 2M_j + 1) + gamma(1 + 2 n_occ)] / (2(nu+gamma)).
-    Only meaningful for real M (phase-aligned squeezing).
-    """
-    vp, vm = [], []
-    denom = 2.0 * (params.nu + params.gamma)
-    for m in modes:
-        if abs(m.M.imag) > 1e-12:
-            raise ValueError("closed-form mode variances require real M")
-        therm = params.gamma * (1.0 + 2.0 * params.n_occ)
-        vp.append((params.nu * (2.0 * m.N + 2.0 * m.M.real + 1.0) + therm) / denom)
-        vm.append((params.nu * (2.0 * m.N - 2.0 * m.M.real + 1.0) + therm) / denom)
-    return np.array(vp), np.array(vm)
+def channel_variances(params: MemoryParams, Lambda: np.ndarray) -> np.ndarray:
+    """Steady variances v_j = (nu lambda_j + gamma (n_occ + 1/2)) / (nu + gamma)
+    of the six input-mode channels x' = T^T x, lambda_j = Lambda[j, j]. Only a
+    diagonal Lambda (no q-p correlation) makes the channels independent."""
+    lam = np.diag(Lambda)
+    if np.abs(Lambda - np.diag(lam)).max() > 1e-12:
+        raise ValueError("closed-form channel variances require a diagonal Lambda")
+    therm = params.gamma * (params.n_occ + 0.5)
+    return (params.nu * lam + therm) / (params.nu + params.gamma)
 
 
 def single_mode_check(params: MemoryParams, alpha_in: float = 0.0) -> tuple[complex, float]:
@@ -119,31 +114,18 @@ def fidelity(V: np.ndarray, V_in: np.ndarray) -> float:
     return 1.0 / np.sqrt(det)
 
 
-def fidelity_closed_form(mu: float, params: MemoryParams) -> float:
-    """Steady transfer fidelity for a coherent payload and ancilla squeezing mu.
-
-    Product over sigma in {0, +mu, -mu} of
-        2(nu+gamma) / (2 nu e^sigma + gamma(e^sigma + 1 + 2 n_occ)).
-    """
-    out = 1.0
-    for sigma in (0.0, mu, -mu):
-        es = np.exp(sigma)
-        out *= (
-            2.0
-            * (params.nu + params.gamma)
-            / (2.0 * params.nu * es + params.gamma * (es + 1.0 + 2.0 * params.n_occ))
-        )
-    return float(out)
+def fidelity_closed_form(params: MemoryParams, Lambda: np.ndarray) -> float:
+    """Steady transfer fidelity of the input Lambda, prod_j (v_j + lambda_j)^-1/2
+    over the channels of `channel_variances`."""
+    return float(np.prod(channel_variances(params, Lambda) + np.diag(Lambda)) ** -0.5)
 
 
 def pfd_rate(mu: float, source: FieldMode) -> float:
-    """Growth rate of the collective variance sum under feed-forward write-in.
-
-    3 e^mu + (9/2)(2 N1 - 2 Re M1 + 1). Equals 7.5 for vacuum inputs
-    (the classical limit) and approaches 4.5 for ideal ancilla squeezing;
-    below ENTANGLEMENT_BOUND the three written modes are inseparable.
-    """
-    return float(3.0 * np.exp(mu) + 4.5 * (2.0 * source.N - 2.0 * source.M.real + 1.0))
+    """Growth rate 3 e^mu + 9 vp1 of the collective variance sum under
+    feed-forward write-in, vp1 the payload's momentum variance. Equals 7.5 for
+    vacuum inputs (the classical limit) and approaches 4.5 for ideal ancilla
+    squeezing; below ENTANGLEMENT_BOUND the three written modes are inseparable."""
+    return float(3.0 * np.exp(mu) + 9.0 * source.vp)
 
 
 def psys(V: np.ndarray) -> float:

@@ -305,6 +305,16 @@ def test_failed_command_leaves_no_file_at_out(tmp_path, capsys, argv):
     assert out.read_bytes() == b"earlier result\n"
 
 
+def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
+    """An --out in a directory that does not exist ends as one error line and
+    exit status 1, not a traceback, and leaves no file anywhere."""
+    stem = tmp_path / "runs" / "demo"
+    assert run(["trajectory", "--duration", "1e-4", "--out", str(stem)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"memlqg: error: cannot write {stem}.on.000.csv: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "argv,config,name",
     [

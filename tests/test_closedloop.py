@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from memlqg import closedloop
+from memlqg.acceptance import reference_params
 from memlqg.closedloop import (
     GAIN_READINGS,
     LoopBuilder,
@@ -16,6 +17,8 @@ from memlqg.control import Gains, LqgConfig, feedback_rates, lqg_gains
 from memlqg.estimation import filter_view_noise, measurement_model, stationary_filter
 from memlqg.model import (
     _TRITTER,
+    FILTER_MODES,
+    MU_FLOOR,
     FieldMode,
     MemoryParams,
     SourceSpec,
@@ -165,11 +168,10 @@ def test_explicit_formula_report_structure_on_agreement():
 
 
 def test_explicit_formula_report_flags_phase_squeezed_source():
-    """A source squeezed along a rotated axis (complex M) drags the optimal
-    gain out of the measured subspace; the closed form then fails under both
-    readings and the report must say so block by block."""
-    nh = np.sinh(0.5) ** 2
-    tilted = FieldMode(N=nh, M=1j * np.sqrt(nh * (nh + 1.0)))
+    """A source squeezed along a rotated axis (a q-p covariance c) drags the
+    optimal gain out of the measured subspace; the closed form then fails
+    under both readings and the report must say so block by block."""
+    tilted = FieldMode(vq=0.5 * np.cosh(1.0), vp=0.5 * np.cosh(1.0), c=0.5 * np.sinh(1.0))
     noise = noise_model(
         lambda_matrix(tilted, squeezed_vacuum(MU), squeezed_vacuum(MU)), PARAMS.n_occ
     )
@@ -222,6 +224,27 @@ def test_controlled_fidelity_beats_uncontrolled():
     f_ctl = controlled_fidelity(Vp, V_in)
     f_unc = fidelity(steady_state(p, ENC, noise).cov, V_in)
     assert f_ctl > f_unc
+
+
+@pytest.mark.parametrize("mode", FILTER_MODES)
+def test_loop_builds_at_mu_floor(mode):
+    """MU_FLOOR is the clamp that the singular-innovation error recommends,
+    so the loop must accept it: the squeezed variance e^MU_FLOOR/2 is stored
+    exactly, not rounded to 0."""
+    p = reference_params()
+    loop = LoopBuilder(p, ENC)(standard_noise(vacuum(), MU_FLOOR, p), mode, 1e-9)
+    assert 0.0 < loop.fidelity() < 1.0
+
+
+@pytest.mark.parametrize("mu", [-10.0, -14.0, -16.0])
+def test_lossless_transfer_at_strong_squeezing(mu):
+    """Check 1's lossless point under strong ancilla squeezing: with no loss
+    the open-loop and the controlled fidelity are both 1."""
+    p = MemoryParams(nu=2 * np.pi * 30e3, gamma=0.0, n_occ=8.8e3)
+    noise = standard_noise(vacuum(), mu, p)
+    V_in = input_covariance(noise.Lambda)
+    assert fidelity(steady_state(p, ENC, noise).cov, V_in) == pytest.approx(1.0, abs=1e-9)
+    assert LoopBuilder(p, ENC)(noise, "s1", 1e-9).fidelity() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_build_augmented_rejects_unstable_loop():

@@ -7,6 +7,7 @@ from memlqg.acceptance import reference_params
 from memlqg.closedloop import LoopBuilder
 from memlqg.estimation import measurement_model, stationary_filter
 from memlqg.model import (
+    _TRITTER,
     FILTER_MODES,
     MemoryParams,
     input_covariance,
@@ -81,24 +82,40 @@ def test_stationary_filter_zeroes_riccati_flow(mode):
     assert_allclose(sf.Ktil, mm.Btil @ sf.K, atol=1e-14)
 
 
-NEWTON_POINTS = {
+FILTER_POINTS = {
     "toy": (MemoryParams(nu=1.0, gamma=1.0, n_occ=1.0), -1.0, 0.0),
     "reference": (reference_params(), -0.4, 0.0),
     "lossy": (reference_params(gamma_hz=100.0), -3.0, -1.0),
 }
 
 
-@pytest.mark.parametrize("point", NEWTON_POINTS)
+def _filter_closed_form(mode, p, Lambda):
+    """Vc = T diag(v) T^T channel by channel: the open-loop variance on an
+    unmeasured channel; on a measured one the root of the scalar Riccati
+    equation (nu/lam) v^2 + (gamma - nu) v - gamma theta = 0, theta = n + 1/2."""
+    lam = np.diag(Lambda)
+    theta, d = p.n_occ + 0.5, p.nu - p.gamma
+    v = (p.nu * lam + p.gamma * theta) / (p.nu + p.gamma)
+    for j in FILTER_MODES[mode].rows:
+        v[j] = lam[j] * (d + np.sqrt(d * d + 4.0 * p.nu * p.gamma * theta / lam[j])) / (2.0 * p.nu)
+    return v
+
+
+@pytest.mark.parametrize("point", FILTER_POINTS)
 @pytest.mark.parametrize("mode", FILTER_MODES)
-def test_newton_and_care_routes_agree(mode, point):
-    p, mu, mu1 = NEWTON_POINTS[point]
+def test_care_filter_matches_channel_closed_form(mode, point):
+    """The memory is three independent linear systems: in the input-mode
+    coordinates T^T x the stationary filter is diagonal, channel by channel."""
+    p, mu, mu1 = FILTER_POINTS[point]
     noise = standard_noise(squeezed_vacuum(mu1), mu, p)
     mm = measurement_model(mode, ENC, p, noise)
-    sf_care = stationary_filter(mm, p, ENC, noise, method="care")
-    sf_newton = stationary_filter(mm, p, ENC, noise, method="newton")
-    assert np.linalg.norm(sf_newton.Vc - sf_care.Vc) <= 1e-9 * np.linalg.norm(sf_care.Vc)
-    with pytest.raises(ValueError):
-        stationary_filter(mm, p, ENC, noise, method="march")
+    Vc = stationary_filter(mm, p, ENC, noise).Vc
+    v = _filter_closed_form(mode, p, noise.Lambda)
+    expected = _TRITTER @ np.diag(v) @ _TRITTER.T
+    assert np.linalg.norm(Vc - expected) <= 1e-12 * np.linalg.norm(expected)
+    # entrywise in the T^T basis, each entry against its channels' scale
+    rotated = _TRITTER.T @ Vc @ _TRITTER
+    assert np.all(np.abs(rotated - np.diag(v)) <= 1e-12 * np.sqrt(np.outer(v, v)))
 
 
 def test_stationary_filter_reports_riccati_residual(monkeypatch):

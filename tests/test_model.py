@@ -55,44 +55,43 @@ def test_memory_params_validation_and_damping():
 
 def test_vacuum_and_squeezed_blocks():
     v = vacuum()
-    assert v.N == 0.0 and v.M == 0.0
+    assert v == FieldMode(vq=0.5, vp=0.5, c=0.0)
     assert_allclose(v.block(), 0.5 * np.eye(2))
     s = squeezed_vacuum(-1.0)
-    # diag(e^mu, e^-mu)/2 convention
-    assert_allclose(s.block(), 0.5 * np.diag([np.exp(-1.0), np.exp(1.0)]), atol=1e-15)
-    # N and M of a pure squeezed state: N = sinh^2(mu/2), M = real
-    assert s.N == pytest.approx(np.sinh(0.5) ** 2, rel=1e-12)
-    assert s.M.imag == 0.0
+    # diag(e^mu, e^-mu)/2 convention, stored exactly
+    assert s == FieldMode(vq=0.5 * np.exp(-1.0), vp=0.5 * np.exp(1.0), c=0.0)
+    assert np.array_equal(s.block(), 0.5 * np.diag([np.exp(-1.0), np.exp(1.0)]))
+    # hashable and compared by value, as a frozen dataclass of floats
+    assert len({s, squeezed_vacuum(-1.0), v}) == 2
 
 
 def test_squeezed_vacuum_is_minimum_uncertainty():
-    for mu in (-3.0, -0.4, 0.0, 1.2):
-        m = squeezed_vacuum(mu)
-        # |M|^2 = N(N+1) exactly on the pure-state boundary
-        assert abs(m.M) ** 2 == pytest.approx(m.N * (m.N + 1.0), rel=1e-10, abs=1e-12)
+    for mu in (MU_FLOOR, -3.0, -0.4, 0.0, 1.2, -MU_FLOOR):
+        # det = 1/4 on the pure-state boundary
+        assert np.linalg.det(squeezed_vacuum(mu).block()) == pytest.approx(0.25, rel=1e-15)
 
 
 def test_field_mode_rejects_unphysical_correlation():
-    with pytest.raises(ValueError):
-        FieldMode(N=0.1, M=1.0)  # |M|^2 > N(N+1)
+    for vq, vp, c in ((0.5, 0.5, 0.1), (0.4, 0.5, 0.0), (-1.0, -1.0, 0.0), (0.0, 1e300, 0.0)):
+        with pytest.raises(ValueError, match="unphysical mode"):
+            FieldMode(vq=vq, vp=vp, c=c)  # det < 1/4, or a variance not positive
 
 
 def test_field_mode_accepts_boundary_at_large_scale():
-    # the purity bound must be checked in relative terms: at strong squeezing
-    # N(N+1) is ~1e16 and an absolute epsilon would misfire
-    m = squeezed_vacuum(MU_FLOOR)
-    assert abs(m.M) ** 2 <= m.N * (m.N + 1.0) * (1.0 + 1e-10)
+    # the uncertainty bound must be checked relative to vq vp: a pure mode
+    # squeezed along a tilted axis has vq vp ~ c^2 ~ 1e16 at s = 20, and the
+    # determinant's rounding alone then exceeds any epsilon on 1/4
+    s = 20.0
+    tilted = FieldMode(vq=0.5 * np.cosh(s), vp=0.5 * np.cosh(s), c=0.5 * np.sinh(s))
+    assert tilted.vq * tilted.vp - tilted.c**2 != 0.25  # rounding, not physics
+    with pytest.raises(ValueError, match="unphysical mode"):
+        FieldMode(vq=tilted.vq, vp=tilted.vp, c=tilted.c * (1.0 + 1e-9))
 
 
 def test_squeezed_vacuum_at_floor_still_constructs():
-    # MU_FLOOR marks where further squeezing is numerically pointless; the
-    # constructor must still accept it without tripping the purity check
     floor = squeezed_vacuum(MU_FLOOR)
-    # (N, M) cancellation leaves only absolute precision ~ulp(e^|mu|/4) here
-    assert floor.block()[0, 0] == pytest.approx(0.5 * np.exp(MU_FLOOR), abs=1e-7)
-    assert floor.block()[1, 1] == pytest.approx(0.5 * np.exp(-MU_FLOOR), rel=1e-12)
-    # still pure: N(N+1) = |M|^2 to the purity check's relative precision
-    assert floor.N * (floor.N + 1.0) == pytest.approx(abs(floor.M) ** 2, rel=1e-10)
+    assert floor.block()[0, 0] == pytest.approx(0.5 * np.exp(MU_FLOOR), rel=1e-15)
+    assert floor.block()[1, 1] == pytest.approx(0.5 * np.exp(-MU_FLOOR), rel=1e-15)
 
 
 def test_thermal_occupation_bose_einstein():
@@ -120,18 +119,21 @@ def test_lambda_matrix_requires_twin_ancillas():
 @pytest.mark.parametrize(
     "base,delta",
     [
-        (FieldMode(N=0.5), FieldMode(N=1.0)),
-        (FieldMode(N=0.5, M=0.3j), FieldMode(N=0.5, M=0.3 + 0.3j)),
+        (FieldMode(vq=1.0, vp=1.0), FieldMode(vq=1.5, vp=1.5)),
+        (FieldMode(vq=1.0, vp=1.0, c=0.3), FieldMode(vq=1.3, vp=0.7, c=0.6)),
     ],
-    ids=["N", "M"],
+    ids=["variances", "covariance"],
 )
 def test_lambda_matrix_twin_tolerance(base, delta):
     """The ancillas match within np.isclose's default tolerances: a 1e-9
-    mismatch in N or in complex M is accepted, a 1e-3 mismatch refused."""
+    mismatch in the variances or in the covariance is accepted, a 1e-3
+    mismatch refused."""
 
     def shifted(eps):
         return FieldMode(
-            N=base.N + eps * (delta.N - base.N), M=base.M + eps * (delta.M - base.M)
+            vq=base.vq + eps * (delta.vq - base.vq),
+            vp=base.vp + eps * (delta.vp - base.vp),
+            c=base.c + eps * (delta.c - base.c),
         )
 
     lam = lambda_matrix(vacuum(), base, shifted(1e-9))
@@ -181,8 +183,8 @@ def test_encoding_rejects_drive_along_p1():
 def test_source_spec_filter_view():
     informed = SourceSpec(alpha_in=-230.0, mode=squeezed_vacuum(-1.0))
     blind = SourceSpec(alpha_in=-230.0, mode=squeezed_vacuum(-1.0), covariance_known=False)
-    assert informed.filter_view().M != 0.0
-    assert blind.filter_view().N == 0.0  # vacuum stand-in
+    assert informed.filter_view() == squeezed_vacuum(-1.0)
+    assert blind.filter_view() == vacuum()  # vacuum stand-in
 
 
 def test_noise_model_layout():

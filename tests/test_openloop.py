@@ -4,6 +4,7 @@ from numpy.testing import assert_allclose
 
 from memlqg.model import (
     _TRITTER,
+    FieldMode,
     MemoryParams,
     input_covariance,
     lambda_matrix,
@@ -16,6 +17,7 @@ from memlqg.openloop import (
     CLASSICAL_LIMIT_RATE,
     ENTANGLEMENT_BOUND,
     GaussianState,
+    channel_variances,
     fidelity,
     fidelity_closed_form,
     occupation_threshold,
@@ -23,7 +25,6 @@ from memlqg.openloop import (
     psys,
     psys_closed_form,
     single_mode_check,
-    steady_mode_variances,
     steady_state,
     syndrome_statistics,
     syndrome_variance_ideal,
@@ -92,16 +93,19 @@ def test_single_mode_check_values():
     assert var == pytest.approx(0.5 + 1.0 * 2.0 / 4.0)
 
 
-def test_steady_mode_variances_oracle():
-    modes = (vacuum(), squeezed_vacuum(-1.0), squeezed_vacuum(-1.0))
-    vp, vm = steady_mode_variances(PARAMS, modes)
-    # v_plus for mode 2: [nu e^mu + gamma(1+2n)] / (2(nu+gamma))
-    expected_p2 = (3.0 * np.exp(-1.0) + 1.0 * 5.0) / 8.0
-    expected_m2 = (3.0 * np.exp(1.0) + 1.0 * 5.0) / 8.0
-    assert vp[1] == pytest.approx(expected_p2, rel=1e-12)
-    assert vm[1] == pytest.approx(expected_m2, rel=1e-12)
-    # vacuum payload: plus and minus agree
-    assert vp[0] == pytest.approx(vm[0])
+def test_channel_variances_oracle():
+    lam = lambda_matrix(vacuum(), squeezed_vacuum(-1.0), squeezed_vacuum(-1.0))
+    v = channel_variances(PARAMS, lam)
+    # q and p of mode 2: [nu e^(-/+1) + gamma(1+2n)] / (2(nu+gamma))
+    assert v[2] == pytest.approx((3.0 * np.exp(-1.0) + 1.0 * 5.0) / 8.0, rel=1e-12)
+    assert v[3] == pytest.approx((3.0 * np.exp(1.0) + 1.0 * 5.0) / 8.0, rel=1e-12)
+    # vacuum payload: q and p agree, and the twin ancillas agree
+    assert v[0] == v[1]
+    assert_allclose(v[4:], v[2:4], rtol=0.0)
+    # a q-p correlation couples the channels: refused
+    tilted = FieldMode(vq=1.0, vp=1.0, c=0.5)
+    with pytest.raises(ValueError, match="diagonal Lambda"):
+        channel_variances(PARAMS, lambda_matrix(tilted, vacuum(), vacuum()))
 
 
 def test_fidelity_vacuum_against_vacuum():
@@ -109,9 +113,11 @@ def test_fidelity_vacuum_against_vacuum():
 
 
 def test_fidelity_closed_form_hand_value():
-    # nu=3, gamma=1, n=2, mu=0: each factor 2*4/(6+1+1+4) = 8/12 -> F=(2/3)^3
+    # nu=3, gamma=1, n=2, vacuum inputs: each channel has v = (3/2 + 5/2)/4 = 1,
+    # so v + 1/2 = 3/2 and F = (2/3)^(6/2)
     p = MemoryParams(nu=3.0, gamma=1.0, n_occ=2.0)
-    assert fidelity_closed_form(0.0, p) == pytest.approx((2.0 / 3.0) ** 3, rel=1e-12)
+    lam = lambda_matrix(vacuum(), vacuum(), vacuum())
+    assert fidelity_closed_form(p, lam) == pytest.approx((2.0 / 3.0) ** 3, rel=1e-15)
 
 
 @pytest.mark.parametrize("mu", [0.0, -0.4, -1.5])
@@ -120,7 +126,11 @@ def test_fidelity_det_matches_closed_form(mu):
     st = steady_state(PARAMS, ENC, noise)
     lam = lambda_matrix(vacuum(), squeezed_vacuum(mu), squeezed_vacuum(mu))
     f_det = fidelity(st.cov, input_covariance(lam))
-    assert f_det == pytest.approx(fidelity_closed_form(mu, PARAMS), rel=1e-10)
+    assert f_det == pytest.approx(fidelity_closed_form(PARAMS, lam), rel=1e-10)
+    # any diagonal Lambda, a squeezed payload included
+    noise = standard_noise(squeezed_vacuum(0.6), mu, PARAMS)
+    f_det = fidelity(steady_state(PARAMS, ENC, noise).cov, input_covariance(noise.Lambda))
+    assert f_det == pytest.approx(fidelity_closed_form(PARAMS, noise.Lambda), rel=1e-10)
 
 
 def test_fidelity_rejects_bad_inputs():

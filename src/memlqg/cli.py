@@ -389,9 +389,10 @@ def cmd_trajectory(args, err) -> int:
         )
         header = _header_lines("memlqg.trajectory/1", settings, args.keys, control=control)
         for k in range(settings.ntraj):
-            traj = simulate_trajectory(cfg, loop, stream_index=k)
+            # No name holds a written trajectory, so its record is released
+            # before the next one is stepped.
             path = f"{stem}.{control}.{k:03d}.csv"
-            _write_trajectory_csv(path, traj, header)
+            _write_trajectory_csv(path, simulate_trajectory(cfg, loop, stream_index=k), header)
             written.append(path)
     print("\n".join(written))
     return 0

@@ -19,27 +19,38 @@ and g for filter and controller. It never reads the loop's augmented model
 or Vz, so sampled moments are checked against build_augmented, not built on it.
 
 The step is written out once, on the rows s = (x, pi_s, pi_x) of a batch
-(see _affine_step). Every term is linear in s, in the noise and in the
-drive, so with dw = sqrt(dt) L w for standard normals w one step is the
-affine map
+(see _affine_step). dw reaches the plant and the record only through
+[dw B^T, dw D^T], whose covariance K SigmaW K^T dt (K = [B; D]) has rank
+6 + m at most, so a step draws 6 + m standard normals w and takes that
+increment as sqrt(dt) w L^T with L L^T = K SigmaW K^T: the same law from
+fewer normals. Every term is linear in s, in w and in the drive, so one
+step is the map
 
-    s <- s Phi^T + w Gamma^T + c,    innovation = s H^T + w J^T,
+    [innovation, s_next] = [s, w, 1] M,    M = [[H^T, Phi^T], [J^T, Gamma^T], [0, c]],
 
-whose matrices are read off by evaluating the step once on unit inputs. A
-single block loop applies it: a trajectory is a batch of one plus a
-recorder, an ensemble the same loop plus a moment accumulator.
+whose matrix, constant row last, is read off by evaluating the step once
+on unit rows. A single block loop applies it: a trajectory is a batch of
+one plus a recorder, an ensemble the same loop plus a moment accumulator.
 
 The loop applies the b-step lifted map (see _lift)
 
-    [s_{t+1} .. s_{t+b}, inn_t .. inn_{t+b-1}] = [s_t, w_t .. w_{t+b-1}] M_b + c_b,
+    [inn_t, s_{t+1} .. inn_{t+b-1}, s_{t+b}] = [s_t, w_t .. w_{t+b-1}, 1] M_b,
 
 read off by composing the one-step map b times on unit rows, so the SDE
-stays written once. Each lifted step costs two matrix products, like one
-plain step, and hands b steps to the consumer. b follows from the batch
-size alone: LIFT for a batch of one, where per-step Python overhead
-dominates, and 1 for larger batches, where b > 1 would cost about b times
-the arithmetic; there M_1 is exactly the one-step map. Steps left over at
-the end of a run (its length modulo b) take the one-step map.
+stays written once. b follows from the batch size alone: LIFT for a batch
+of one, where per-step Python overhead dominates, and 1 for larger
+batches, where b > 1 would cost about b times the arithmetic; there M_1 is
+exactly the one-step map. Steps left over at the end of a run (its length
+modulo b) take the one-step map.
+
+The kernel steps a sub-block of SUB_ROWS trajectory-steps at a time (at
+most CHUNK steps) in a time-major buffer. The buffer's row for a (lifted)
+step holds that step's [innovation, s] rows, then the noise and the 1 that
+the next step reads, so [s, w, 1] is one contiguous row and each step is
+one matrix product from one row of the buffer into the next. A consumer
+receives a whole sub-block: an ensemble's accumulator does one Gram
+product and one row sum per sub-block, a trajectory's recorder one slice
+copy.
 
 The chain is linear and Gaussian, so its state after N steps has a closed
 form (see _cross),
@@ -55,10 +66,10 @@ the window.
 
 Reproducibility: trajectory k draws from the stream
 SeedSequence(entropy=seed, spawn_key=(k,)). simulate_trajectory draws first
-the initial plant state (6 normals), then noise in fixed blocks of CHUNK
-steps. ensemble_moments draws first the window's first state (12 + m
-normals, times the law's symmetric square root), then the window's noise in
-blocks of CHUNK steps. Each stream's
+the initial plant state (6 normals), then 6 + m normals per step in fixed
+blocks of CHUNK steps. ensemble_moments draws first the window's first
+state (12 + m normals, times the law's symmetric square root), then the
+window's 6 + m normals per step in blocks of CHUNK steps. Each stream's
 values do not depend on the batch. A rerun is bit-identical, and a
 trajectory agrees to rounding across batch sizes, because a one-row and a
 many-row matrix product may sum in different orders. The ensemble's
@@ -68,6 +79,7 @@ law, but not the same realization.
 
 from __future__ import annotations
 
+import math
 import mmap
 from dataclasses import dataclass
 
@@ -82,6 +94,7 @@ from .openloop import SystemMatrices, system_matrices
 
 CHUNK = 256  # noise block length; fixed so stream consumption never depends on batching
 LIFT = 16  # steps per lifted map for a batch of one; divides CHUNK
+SUB_ROWS = 4096  # trajectory-steps per sub-block, so the stepping buffer is small at any batch
 WINDOW_FRACTION = 0.2  # trailing share of a run whose moments ensemble_moments pools
 
 
@@ -163,84 +176,85 @@ def _check_dt(cfg: TrajectoryConfig, params: MemoryParams) -> None:
         )
 
 
-def _affine_step(
-    cfg: TrajectoryConfig, loop: Loop, sys: SystemMatrices
-) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (M, c) of one Euler-Maruyama step on rows s = (x, pi_s, pi_x).
+def _affine_step(cfg: TrajectoryConfig, loop: Loop, sys: SystemMatrices) -> np.ndarray:
+    """Matrix M of one Euler-Maruyama step on rows s = (x, pi_s, pi_x).
 
     `step` is the SDE of the module docstring written out literally, with
-    the noise given as standard normals w (dw = sqrt(dt) L w) and the drive
-    scaled by `one`. It is affine, so its values on unit rows give
+    the drive scaled by `one`. The noise reaches the plant and the record
+    only as the joint increment [dw B^T, dw D^T], of covariance
+    K SigmaW K^T dt with K = [B; D], so the step takes it as
+    sqrt(dt) w L^T for 6 + m standard normals w and L L^T = K SigmaW K^T:
+    the law of the 12-dimensional dw's, from the normals a step can see.
+    `step` is affine, so its values on unit rows give
 
-        [s_next, innovation] = [s, w] M + c,
+        [innovation, s_next] = [s, w, 1] M,
 
-    with M = [[Phi^T, H^T], [Gamma^T, J^T]] and c = [c_s, 0].
+    the constant row last.
     """
     params, mm, sf, g = loop.params, loop.mm, loop.sf, loop.g
     dt = cfg.dt
     m = mm.n_channels
-    L = noise_factor(loop.noise.SigmaW)
+    K = np.vstack([sys.B, mm.D])
+    L = noise_factor(K @ loop.noise.SigmaW @ K.T)
     root2nu = np.sqrt(2.0 * params.nu)
 
     def step(s, w, one):
         x, pi_s, pi_x = s[:, :6], s[:, 6 : 6 + m], s[:, 6 + m :]
         u = pi_s @ g.Fgain.T if cfg.control_enabled else np.zeros_like(x)
         drive = np.outer(one, sys.drive)
-        dw = np.sqrt(dt) * (w @ L.T)
-        dy = dt * (x @ mm.C.T) + dw @ mm.D.T
+        dv = np.sqrt(dt) * (w @ L.T)  # [dw B^T, dw D^T]
+        dy = dt * (x @ mm.C.T) + dv[:, 6:]
         innovation = dy - root2nu * dt * pi_s
-        x_next = x + dt * (x @ sys.A.T + u + drive) + dw @ sys.B.T
+        x_next = x + dt * (x @ sys.A.T + u + drive) + dv[:, :6]
         pi_s_next = (
             pi_s + dt * (-params.damping * pi_s + u @ mm.Btil.T) + innovation @ sf.Ktil.T
         )
         pi_x_next = (
             pi_x + dt * (pi_x @ sys.A.T + u + drive) + (dy - dt * (pi_x @ mm.C.T)) @ sf.K.T
         )
-        return np.hstack([x_next, pi_s_next, pi_x_next, innovation])
+        return np.hstack([innovation, x_next, pi_s_next, pi_x_next])
 
-    n = 12 + m
-    unit = np.eye(n + 13)
-    rows = step(unit[:, :n], unit[:, n : n + 12], unit[:, -1])
-    return rows[:-1], rows[-1]
+    n, p = 12 + m, len(K)  # state width; normals per step, 6 + m
+    unit = np.eye(n + p + 1)
+    return step(unit[:, :n], unit[:, n:-1], unit[:, -1])
 
 
-def _lift(M: np.ndarray, c: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Matrices (M_b, c_b) of b steps of the map [s_next, innovation] = [s, w] M + c:
+def _lift(M: np.ndarray, n: int, b: int) -> np.ndarray:
+    """Matrix M_b of b steps of the map [innovation, s_next] = [s, w, 1] M
+    on states of width n:
 
-        [s_1 .. s_b, inn_0 .. inn_{b-1}] = [s_0, w_0 .. w_{b-1}] M_b + c_b,
+        [inn_0, s_1, .., inn_{b-1}, s_b] = [s_0, w_0 .. w_{b-1}, 1] M_b,
 
-    read off by composing the one-step map b times on unit rows (the lifted
-    system of Khargonekar, Poolla & Tannenbaum, IEEE TAC 30, 1985). For
-    b = 1 the result is (M, c) exactly.
+    step by step, so one lifted row reshapes to b one-step rows. Read off by
+    composing the one-step map b times on unit rows (the lifted system of
+    Khargonekar, Poolla & Tannenbaum, IEEE TAC 30, 1985). For b = 1 the
+    result is M exactly.
     """
-    n = M.shape[0] - 12
-    unit = np.eye(n + 12 * b + 1)
-    s, one = unit[:, :n], unit[:, -1:]
-    states, innovations = [], []
+    p = M.shape[0] - n - 1
+    unit = np.eye(n + p * b + 1)
+    s, one, steps = unit[:, :n], unit[:, -1:], []
     for j in range(b):
-        out = s @ M[:n] + unit[:, n + 12 * j : n + 12 * (j + 1)] @ M[n:] + one * c
-        s = out[:, :n]
-        states.append(s)
-        innovations.append(out[:, n:])
-    rows = np.hstack(states + innovations)
-    return rows[:-1], rows[-1]
+        out = np.hstack([s, unit[:, n + p * j : n + p * (j + 1)], one]) @ M
+        s = out[:, -n:]
+        steps.append(out)
+    return np.hstack(steps)
 
 
-def _cross(M: np.ndarray, c: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Law (Phi_N, Q_N, c_N) of N steps of the map [s_next, innovation] = [s, w] M + c:
+def _cross(M: np.ndarray, n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Law (Phi_N, Q_N, c_N) of N steps of the map [innovation, s_next] = [s, w, 1] M
+    on states of width n:
 
         s_N = s_0 Phi_N + c_N + e,    e ~ N(0, Q_N),
 
-    for standard normal noise rows w. One step has Phi = M[:n, :n], noise
-    map Gamma = M[n:, :n] (so Q_1 = Gamma^T Gamma) and c_s = c[:n], the
-    row-form transposes of the module docstring's Phi and Gamma. Joining
+    for standard normal noise rows w. One step has Phi = M[:n, -n:], noise
+    map Gamma = M[n:-1, -n:] (so Q_1 = Gamma^T Gamma) and c_s = M[-1, -n:],
+    the row-form transposes of the module docstring's Phi and Gamma. Joining
     a steps after b steps gives Phi_b Phi_a, Q = Phi_a^T Q_b Phi_a + Q_a and
     c = c_b Phi_a + c_a; the law of 2^i steps comes from that of 2^(i-1) by
     Smith's doubling, and N's binary digits pick which of them to join.
     """
-    n = M.shape[0] - 12
-    Phi_a, Gamma = M[:n, :n], M[n:, :n]
-    Q_a, c_a = Gamma.T @ Gamma, c[:n]
+    Phi_a, Gamma, c_a = M[:n, -n:], M[n:-1, -n:], M[-1, -n:]
+    Q_a = Gamma.T @ Gamma
     Phi, Q, cN = np.eye(n), np.zeros((n, n)), np.zeros(n)
     while True:
         if N & 1:
@@ -253,21 +267,23 @@ def _cross(M: np.ndarray, c: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray
         )
 
 
-def _noise_buffer(batch: int) -> np.ndarray:
-    """A (batch, CHUNK, 12) float64 buffer on an anonymous memory mapping of its own.
+def _mapped(*shape: int) -> np.ndarray:
+    """A float64 array of `shape`, zero-filled, on an anonymous memory mapping of its own.
 
-    For an ensemble it is a run's one large array (4.7 MB at 200 streams).
-    From the malloc heap, it would land wherever earlier allocations left
+    It holds a run's large arrays: the noise block (3.7 MB for 200 streams
+    of s1), the stepping buffer and a trajectory's record (3.8 MB for
+    30 000 steps of s2).
+    From the malloc heap, each would land wherever earlier allocations left
     room: once a long-lived allocation splits the hole a previous run's
-    buffer left, the next buffer is placed past it and the process holds two
-    buffer-sized regions. Its own mapping is returned to the system when the
-    run ends, so a run's peak memory does not depend on the heap's history.
+    array left, the next one is placed past it and the process holds two
+    such regions. Its own mapping is returned to the system when the array
+    goes, so a run's peak memory does not depend on the heap's history.
     """
-    return np.frombuffer(mmap.mmap(-1, batch * CHUNK * 12 * 8)).reshape(batch, CHUNK, 12)
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
-def _step_map(cfg: TrajectoryConfig, loop: Loop) -> tuple[np.ndarray, np.ndarray, float]:
-    """The run's one-step map (M, c) (see _affine_step), after the step-size
+def _step_map(cfg: TrajectoryConfig, loop: Loop) -> tuple[np.ndarray, float]:
+    """The run's one-step map M (see _affine_step), after the step-size
     check, and the bound on |x| past which a run has diverged."""
     params = loop.params
     _check_dt(cfg, params)
@@ -275,8 +291,7 @@ def _step_map(cfg: TrajectoryConfig, loop: Loop) -> tuple[np.ndarray, np.ndarray
     bound = 1e9 * max(
         1.0, float(np.max(np.abs(2.0 * sys.drive / (params.nu + params.gamma))))
     )
-    M, c = _affine_step(cfg, loop, sys)
-    return M, c, bound
+    return _affine_step(cfg, loop, sys), bound
 
 
 def _check_bound(peak: float, bound: float, step: int) -> None:
@@ -286,7 +301,6 @@ def _check_bound(peak: float, bound: float, step: int) -> None:
 
 def _run_batch(
     M: np.ndarray,
-    c: np.ndarray,
     bound: float,
     rngs: list,
     start: np.ndarray,
@@ -297,42 +311,53 @@ def _run_batch(
     """Step the rows `start` (one per stream in rngs: s = (x, pi_s, pi_x)
     after step first_step - 1) through step n_steps; return the last rows.
 
-    consume(step, s, innovation) receives k consecutive steps at a time:
-    s of shape (batch, k, 12 + m) holds the rows after steps step ..
-    step + k - 1 (counting from 1) and innovation of shape (batch, k, m)
-    their innovations. Noise is drawn one CHUNK block per stream at a time,
-    from first_step on, so each stream's values do not depend on the batch;
-    divergence is checked once per block.
+    consume(step, rows) receives a sub-block of consecutive steps at a time,
+    rows of shape (k, batch, kb, m + n) for k (lifted) steps of kb steps
+    each, in which rows[i, :, j] holds [innovation, s] after step
+    step + i kb + j (counting from 1). The rows are a view of the stepping
+    buffer, valid until consume returns. Noise is drawn one CHUNK block per
+    stream at a time, from first_step on, so each stream's values do not
+    depend on the batch; divergence is checked once per block.
     """
-    n = M.shape[0] - 12
-    m = M.shape[1] - n
-    b = LIFT if len(rngs) == 1 else 1
-    Mb, cb = _lift(M, c, b)
+    batch, n = start.shape
+    width = M.shape[1]  # m + n: one step's row [innovation, s]
+    p = M.shape[0] - n - 1
+    b = LIFT if batch == 1 else 1
+    maps = {b: _lift(M, n, b), 1: M}
+    span = min(CHUNK, max(b, SUB_ROWS // batch)) // b * b  # steps per sub-block
+    noise = _mapped(batch, CHUNK, p)  # refilled in place: one noise block per run
+    # Time-major stepping buffer: the row of (lifted) step i holds kb steps'
+    # [innovation, s], then the noise and the 1 that step i + 1 reads, so
+    # [s, w, 1] is one contiguous row and a step is one product into the next.
+    # span + b one-step rows per stream hold a sub-block for either map.
+    buf = _mapped((span + b) * batch * (width + p + 1))
 
-    def advance(s, step, W, Mk, ck, k):
-        """Apply the k-step map (Mk, ck) over the (batch, steps, 12) noise W."""
-        Wk = W.reshape(len(rngs), W.shape[1] // k, 12 * k)  # a view: blocks are contiguous
-        for j in range(Wk.shape[1]):
-            out = s @ Mk[:n] + Wk[:, j] @ Mk[n:]
-            out += ck
-            rows = out[:, : k * n].reshape(-1, k, n)
-            consume(step + 1, rows, out[:, k * n :].reshape(-1, k, m))
-            step += k
-            s = rows[:, -1]
+    def advance(s, step, W, kb):
+        """Step s over the (batch, steps, p) noise W with the kb-step map."""
+        Mk, cols = maps[kb], kb * width
+        for i in range(0, W.shape[1], span):
+            k = min(span, W.shape[1] - i) // kb
+            G = buf[: (k + 1) * batch * (cols + kb * p + 1)].reshape(k + 1, batch, -1)
+            G[0, :, cols - n : cols] = s
+            G[:k, :, cols:-1] = W[:, i : i + k * kb].reshape(batch, k, -1).transpose(1, 0, 2)
+            G[:k, :, -1] = 1.0
+            for j in range(k):
+                np.matmul(G[j, :, cols - n :], Mk, out=G[j + 1, :, :cols])
+            consume(step + 1, G[1:, :, :cols].reshape(k, batch, kb, width))
+            step += k * kb
+            s = G[k, :, cols - n : cols]
         return s, step
 
-    s = start
-    step = first_step - 1
-    block = _noise_buffer(len(rngs))  # refilled in place: one noise buffer per run
+    s, step = start, first_step - 1
     while step < n_steps:
         blen = min(CHUNK, n_steps - step)
         for k, r in enumerate(rngs):
-            r.standard_normal(out=block[k, :blen])
+            r.standard_normal(out=noise[k, :blen])
         head = blen - blen % b
-        s, step = advance(s, step, block[:, :head], Mb, cb, b)
-        s, step = advance(s, step, block[:, head:blen], M, c, 1)
+        s, step = advance(s, step, noise[:, :head], b)
+        s, step = advance(s, step, noise[:, head:blen], 1)
         _check_bound(float(np.max(np.abs(s[:, :6]))), bound, step)
-    return s
+    return s.copy()
 
 
 def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0) -> Trajectory:
@@ -344,28 +369,25 @@ def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0
     mm, sf, g = loop.mm, loop.sf, loop.g
     m = mm.n_channels
     n_rec = cfg.n_steps + 1
-    states = np.empty((n_rec, 12 + m))
-    innovations = np.empty((n_rec - 1, m))
+    rows = _mapped(n_rec, m + 12 + m)  # [innovation, s] after each step; row 0 holds s_0
 
-    def record(step, s, innovation):
-        k = s.shape[1]
-        states[step : step + k] = s[0]
-        innovations[step - 1 : step - 1 + k] = innovation[0]
+    def record(step, block):
+        k, _, kb, width = block.shape
+        rows[step : step + k * kb].reshape(k, kb, width)[...] = block[:, 0]
 
-    M, c, bound = _step_map(cfg, loop)
+    M, bound = _step_map(cfg, loop)
     rng = _trajectory_rng(cfg.seed, stream_index)
-    states[0] = 0.0
-    states[0, :6] = rng.standard_normal(6) * np.sqrt(0.5)
-    _run_batch(M, c, bound, [rng], states[:1].copy(), 1, cfg.n_steps, record)
-    pi_s = states[:, 6 : 6 + m]
+    rows[0, m : m + 6] = rng.standard_normal(6) * np.sqrt(0.5)
+    _run_batch(M, bound, [rng], rows[:1, m:].copy(), 1, cfg.n_steps, record)
+    pi_s = rows[:, m + 6 : m + 6 + m]
     band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
     return Trajectory(
         times=np.arange(n_rec) * cfg.dt,
-        x=states[:, :6],
+        x=rows[:, m : m + 6],
         pi_s=pi_s,
-        pi_x=states[:, 6 + m :],
+        pi_x=rows[:, m + 6 + m :],
         u=pi_s @ g.Fgain.T if cfg.control_enabled else np.zeros((n_rec, 6)),
-        innovations=innovations,
+        innovations=rows[1:, :m],
         err_band=np.tile(band, (n_rec, 1)),
     )
 
@@ -406,9 +428,10 @@ def ensemble_moments(
     law's symmetric square root, then steps the window on that stream's
     next CHUNK blocks. So every returned
     moment has the law that step-by-step stepping from the start would give,
-    though not its realization. The window's rows [s, innovation] go into one
-    Gram matrix and one per-trajectory row sum. Memory stays bounded: only
-    these accumulators and one noise block per batch are held. A chain that
+    though not its realization. The window's rows [innovation, s] go into
+    one Gram matrix and one per-trajectory row sum, a sub-block at a time.
+    Memory stays bounded: only these accumulators, one noise block per batch
+    and the stepping buffer are held. A chain that
     diverges before the window raises SimulationUnstableError at
     window_start, before its law is factorized. Nothing reads `source` until
     the signature takes the loop (ROADMAP item 1).
@@ -422,8 +445,8 @@ def ensemble_moments(
     window_start = n_steps - max(1, int(round(WINDOW_FRACTION * n_steps)))
     n = 12 + m
 
-    M, c, bound = _step_map(cfg, loop)
-    Phi, Q, mean = _cross(M, c, window_start)
+    M, bound = _step_map(cfg, loop)
+    Phi, Q, mean = _cross(M, n, window_start)
     cov = Q + 0.5 * Phi[:6].T @ Phi[:6]  # Phi^T V_0 Phi + Q with V_0 = diag(I/2, 0)
     spread = np.abs(mean[:6]) + np.sqrt(np.abs(np.diag(cov)[:6]))  # |x|'s scale at window_start
     _check_bound(float(np.max(spread)), bound, window_start)
@@ -438,23 +461,22 @@ def ensemble_moments(
     rngs = [_trajectory_rng(cfg.seed, k) for k in range(n_traj)]
     start = np.vstack([r.standard_normal(n) for r in rngs]) @ root + mean
 
-    gram = np.zeros((n + m, n + m))  # of the window's rows [s, innovation]
-    row_sum = np.zeros((n_traj, n + m))  # the same rows summed per trajectory
+    gram = np.zeros((m + dz, m + dz))  # of the window's rows [innovation, x, pi_s]
+    row_sum = np.zeros((n_traj, m + n))  # the rows [innovation, s] summed per trajectory
 
-    def accumulate(step, s, innovation):
+    def accumulate(step, rows):
         nonlocal gram, row_sum
-        rows = np.concatenate([s, innovation], axis=2)
-        flat = rows.reshape(-1, n + m)
-        gram += flat.T @ flat
-        row_sum += rows.sum(axis=1)
+        head = rows[..., : m + dz].reshape(-1, m + dz)  # a view: one row per step and stream
+        gram += head.T @ head
+        row_sum += rows.sum(axis=(0, 2))
 
-    final = _run_batch(M, c, bound, rngs, start, window_start + 1, n_steps, accumulate)
+    final = _run_batch(M, bound, rngs, start, window_start + 1, n_steps, accumulate)
 
-    z1 = row_sum[:, :dz].sum(axis=0)
-    z2 = gram[:dz, :dz]
-    i1 = row_sum[:, n:].sum(axis=0)
-    i2 = gram[n:, n:]
-    err_sum = row_sum[:, :6] - row_sum[:, dz:n]
+    i1 = row_sum[:, :m].sum(axis=0)
+    i2 = gram[:m, :m]
+    z1 = row_sum[:, m : m + dz].sum(axis=0)
+    z2 = gram[m:, m:]
+    err_sum = row_sum[:, m : m + 6] - row_sum[:, m + dz :]
     n_pooled = n_traj * (n_steps - window_start)
     z_mean = z1 / n_pooled
     z_cov = (z2 - n_pooled * np.outer(z_mean, z_mean)) / (n_pooled - 1)

@@ -246,13 +246,15 @@ class LoopBuilder:
     A filter that knows the source (model.FILTER_MODES) sees the true noise;
     a blind one sees the source block replaced by the vacuum. The stationary
     filter depends on neither r nor, when blind, the true source, so each
-    builder solves it once per (mode, filter-view noise).
+    builder solves it once per (mode, filter-view noise); the regulator
+    gains depend on neither noise, so it builds them once per (mode, r).
     """
 
     def __init__(self, params: MemoryParams, enc: Encoding):
         self.params = params
         self.enc = enc
         self._filters: dict = {}
+        self._gains: dict = {}
 
     def __call__(self, noise: NoiseModel, mode: str, r: float) -> Loop:
         # the filter never knows the amplitude, so only covariance_known matters
@@ -264,5 +266,7 @@ class LoopBuilder:
             sf = stationary_filter(mm, self.params, self.enc, view)
             self._filters[key] = (mm, sf)
         mm, sf = self._filters[key]
-        g = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
+        if (mode, r) not in self._gains:
+            self._gains[mode, r] = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
+        g = self._gains[mode, r]
         return Loop(params=self.params, enc=self.enc, noise=noise, mm=mm, sf=sf, g=g)

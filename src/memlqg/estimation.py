@@ -106,8 +106,10 @@ def stationary_filter(
 
     The plant/sensor correlation is removed by the standard shift
     A -> A - S R^-1 C, Q -> Q - S R^-1 S^T, and `solve_care` solves the
-    resulting algebraic Riccati equation: Laub's Schur method on the
-    Hamiltonian matrix, with a Newton-Kleinman polish when needed. The
+    resulting algebraic Riccati equation for T^T Vc T, in the input-mode
+    coordinates x' = T^T x. There the channels are independent linear
+    systems whenever Lambda is diagonal, so the squeezed and anti-squeezed
+    variances, e^mu apart, are never mixed. The
     result must zero the Riccati flow to 1e-8 relative to max(1, ||B Sw B^T||),
     else ConvergenceError carries that residual.
     """
@@ -127,10 +129,11 @@ def stationary_filter(
     SRinv = times_Rinv(mm.cross_cov)  # S R^-1, 6 x m
     Ashift = sys.A - SRinv @ mm.C
     Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
-    Vc = solve_care(Ashift.T, mm.C.T, Qshift, mm.innovation_cov)
-    Vs = symmetrize(Vc)
-    K = times_Rinv(Vs @ mm.C.T + mm.cross_cov)  # K = (Vc C^T + S) R^-1
-    flow = sys.A @ Vs + Vs @ sys.A.T + Q - K @ mm.innovation_cov @ K.T
+    T = _TRITTER
+    Qin = symmetrize(T.T @ Qshift @ T)
+    Vc = symmetrize(T @ solve_care(T.T @ Ashift.T @ T, T.T @ mm.C.T, Qin, mm.innovation_cov) @ T.T)
+    K = times_Rinv(Vc @ mm.C.T + mm.cross_cov)  # K = (Vc C^T + S) R^-1
+    flow = sys.A @ Vc + Vc @ sys.A.T + Q - K @ mm.innovation_cov @ K.T
     residual = float(np.linalg.norm(flow)) / max(1.0, float(np.linalg.norm(Q)))
     if residual > 1e-8:
         raise ConvergenceError("stationary filter inconsistent: Riccati residual", residual)

@@ -1,12 +1,16 @@
 """Dense real-matrix kernels: steady Lyapunov, CARE, Newton-Kleinman.
 
-Matrices are plain float64 numpy arrays throughout. Both equation solvers
-call LAPACK's real Schur decomposition (dgees) directly: the Lyapunov
-equation by Bartels & Stewart (CACM 15, 1972), with dtrsyl on the Schur
-form, and the CARE by Laub's Schur method (IEEE TAC 24, 1979) on the
-Hamiltonian matrix. Covariance-like results are re-symmetrized after every
-update and verified against their defining equation before being returned,
-so callers can rely on the residual bounds stated in each docstring.
+Matrices are plain float64 numpy arrays throughout, and numpy is the only
+dependency. The Lyapunov equation is solved entry by entry for a diagonal
+drift, else as one linear system on the n(n+1)/2 unknowns of a symmetric
+solution (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+2002, ch. 16), whose second right-hand side certifies that the drift is
+Hurwitz. The CARE is solved by the eigenvector method (Potter, SIAM J.
+Appl. Math. 14, 1966): the stable eigenvectors of the Hamiltonian matrix
+span the graph of the solution, which Newton-Kleinman polishes when needed.
+Covariance-like results are symmetric and verified against their defining
+equation before being returned, so callers can rely on the residual bounds
+stated in each docstring.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dtrsyl
 
 
 class UnstableDriftError(ValueError):
@@ -46,53 +49,69 @@ def _check_square(M: np.ndarray, name: str) -> np.ndarray:
 
 
 def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
+    """M, once it is square and symmetric to 1e-10 of its largest entry;
+    each solver symmetrizes what it uses of M itself."""
     M = _check_square(M, name)
     scale = max(1.0, float(np.abs(M).max()))
     if np.abs(M - M.T).max() > 1e-10 * scale:
         raise ValueError(f"{name} must be symmetric")
-    return symmetrize(M)
-
-
-def _no_sort(wr: float, wi: float) -> None:
-    return None
+    return M
 
 
 @lru_cache(maxsize=None)
-def _schur_lwork(n: int) -> int:
-    """dgees' own lwork=-1 workspace query for an n x n matrix, as
-    scipy.linalg.schur makes it. The answer depends on n alone (LAPACK sizes
-    it from ilaenv block sizes and a query of dhseqr on rows 1..n), so it is
-    asked once per n."""
-    return int(dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2][0])
+def _lyapunov_operator_index(n: int) -> tuple:
+    """Index arrays of the Lyapunov operator X -> A X + X A^T on symmetric
+    n x n X, written on its N = n(n+1)/2 upper-triangle unknowns.
 
-
-def _real_schur(A: np.ndarray, solver: str, select=None) -> tuple:
-    """dgees on A: (T, U, sdim, wr, wi), with A = U T U^T and U orthogonal.
-
-    `select(wr, wi)` moves the eigenvalues it accepts to the top left of T;
-    sdim counts them. The workspace size is dgees' own query (_schur_lwork),
-    as in scipy.linalg.schur, so T and U match that function's.
-    Raises ConvergenceError("<solver> failed: ...") on any nonzero info.
+    Row e = (i, j), i <= j, of the N x N operator matrix collects A[i, k]
+    at the column of X[k, j] and A[j, k] at the column of X[i, k], for every
+    k; `np.bincount` sums the 2 N n terms into place. Returns (target, source,
+    rows, cols, rhs, unpack): target the flat N x N positions, source the
+    flat positions in A, (rows, cols) the upper triangle, rhs an N x 2
+    right-hand side whose second column is -vech(I), and unpack the flat
+    positions of [X | Y] (n x 2n) in the N x 2 solution. Asked once per n.
     """
-    lwork = _schur_lwork(A.shape[0])
-    sort_t = 0 if select is None else 1
-    T, sdim, wr, wi, U, _, info = dgees(select or _no_sort, A, lwork=lwork, sort_t=sort_t)
-    if info != 0:
-        raise ConvergenceError(f"{solver} failed: dgees info {info}")
-    return T, U, sdim, wr, wi
+    rows, cols = np.triu_indices(n)
+    N = rows.size
+    vech = np.empty((n, n), dtype=np.intp)
+    vech[rows, cols] = vech[cols, rows] = np.arange(N)
+    k = np.arange(n)
+    e = np.arange(N)[:, None] * N
+    target = np.hstack([e + vech[k, cols[:, None]], e + vech[rows[:, None], k]])
+    source = np.hstack([rows[:, None] * n + k, cols[:, None] * n + k])
+    rhs = np.zeros((N, 2))
+    rhs[rows == cols, 1] = -1.0
+    unpack = np.hstack([2 * vech, 2 * vech + 1])
+    return target.ravel(), source.ravel(), rows, cols, rhs, unpack
+
+
+def _unstable_drift(A: np.ndarray) -> UnstableDriftError | None:
+    """The error naming A's rightmost eigenvalue when its real part is >= 0."""
+    w = np.linalg.eigvals(A)
+    worst = w[np.argmax(w.real)]
+    if worst.real < 0.0:
+        return None
+    worst = complex(worst) if np.iscomplexobj(w) else float(worst)
+    return UnstableDriftError(f"unstable drift: eigenvalue {worst} has Re >= 0")
 
 
 def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     """Solve A X + X A^T + Qn = 0 for symmetric X, A strictly Hurwitz.
 
-    Bartels-Stewart: the real Schur form A = U T U^T, then dtrsyl solves
-    T Y + Y T^T = -U^T Qn U and X = U Y U^T, the same calls and order of
-    operations as scipy.linalg.solve_continuous_lyapunov. Stability is read
-    off the Schur form's eigenvalues. The result is re-symmetrized and
-    checked to satisfy the equation to 1e-10 relative to ||Qn||. Raises
-    ValueError on NaN or inf entries, UnstableDriftError unless every
-    eigenvalue of A has Re < 0, and ConvergenceError on a LAPACK failure or
-    an inaccurate solve.
+    A diagonal A is solved entry by entry, X_ij = -Qn_ij/(a_i + a_j), and is
+    Hurwitz when every a_i < 0. Any other A is solved on the n(n+1)/2
+    unknowns of a symmetric X (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 2002, ch. 16): one `np.linalg.solve` of that
+    operator takes a second right-hand side, A Y + Y A^T = -I, and a Y that
+    passes a Cholesky factorization with a residual below 1/2 proves every
+    eigenvalue of A to have Re < 0 (Lyapunov's theorem). Only when that
+    certificate fails are A's eigenvalues computed, to name the offending
+    one; a Hurwitz A whose certificate fails (non-normal, near the imaginary
+    axis) is still solved, and the residual gate decides. The result is
+    symmetric and checked to satisfy the equation to 1e-10 relative to
+    ||Qn||. Raises ValueError on NaN or inf entries, UnstableDriftError
+    unless every eigenvalue of A has Re < 0, and ConvergenceError on a
+    singular operator or an inaccurate solve.
     """
     A = _check_square(A, "A")
     Qn = _check_square(Qn, "Qn")
@@ -101,21 +120,50 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     Qn = _check_symmetric(Qn, "Qn")
     if A.shape != Qn.shape:
         raise ValueError(f"shape mismatch: A {A.shape} vs Qn {Qn.shape}")
-    T, U, _, wr, wi = _real_schur(A, "Lyapunov solve")
-    k = int(np.argmax(wr))
-    if wr[k] >= 0.0:
-        worst = complex(wr[k], wi[k]) if wi.any() else float(wr[k])  # as np.linalg.eigvals
-        raise UnstableDriftError(f"unstable drift: eigenvalue {worst} has Re >= 0")
+    a = np.diagonal(A)
+    if np.count_nonzero(A) == np.count_nonzero(a):  # diagonal drift
+        if a.max() >= 0.0:
+            raise UnstableDriftError(f"unstable drift: eigenvalue {float(a.max())} has Re >= 0")
+        X = (Qn + Qn.T) / (-2.0 * (a[:, None] + a))
+        AX = a[:, None] * X
+        return _checked_lyapunov(AX + AX.T + Qn, X, Qn)
 
+    n = A.shape[0]
+    target, source, rows, cols, rhs, unpack = _lyapunov_operator_index(n)
+    N = rows.size
+    L = np.bincount(target, A.ravel()[source], N * N).reshape(N, N)
+    rhs = rhs.copy()
+    rhs[:, 0] = -0.5 * (Qn[rows, cols] + Qn[cols, rows])
+    try:
+        XY = np.linalg.solve(L, rhs).ravel()[unpack]  # [X | Y], both symmetric
+    except np.linalg.LinAlgError:
+        singular = ConvergenceError("Lyapunov solve failed: singular operator")
+        raise _unstable_drift(A) or singular from None
+    AXY = A @ XY
+    AX, AY = AXY[:, :n], AXY[:, n:]
+    RY = AY + AY.T
+    RY.flat[:: n + 1] += 1.0
+    if not (np.linalg.norm(RY) <= 0.5 and _positive_definite(XY[:, n:])):
+        error = _unstable_drift(A)
+        if error is not None:
+            raise error
+    return _checked_lyapunov(AX + AX.T + Qn, XY[:, :n].copy(), Qn)
+
+
+def _positive_definite(M: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray) -> np.ndarray:
+    """X, once its residual A X + X A^T + Qn is below 1e-10 relative to ||Qn||."""
     qscale = float(np.linalg.norm(Qn))
     if qscale == 0.0:
         return np.zeros_like(Qn)
-    Y, scale, info = dtrsyl(T, T, U.T.dot((-Qn).dot(U)), tranb="T")
-    if info != 0:
-        raise ConvergenceError(f"Lyapunov solve failed: dtrsyl info {info}")
-    Y *= scale
-    X = symmetrize(U.dot(Y).dot(U.T))
-    residual = float(np.linalg.norm(A @ X + X @ A.T + Qn)) / qscale
+    residual = float(np.linalg.norm(residual)) / qscale
     if residual > 1e-10:
         raise ConvergenceError("Lyapunov solve inaccurate", residual)
     return X
@@ -165,18 +213,14 @@ def newton_kleinman(
     return P
 
 
-def _left_half_plane(wr: float, wi: float) -> bool:
-    return wr < 0.0
-
-
 def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Stabilizing solution of Atil^T P + P Atil + Q - P Btil R^-1 Btil^T P = 0.
 
-    R must be symmetric positive definite; Q symmetric PSD. Laub's Schur
-    method: the real Schur form of the Hamiltonian
-    H = [[Atil, -Btil R^-1 Btil^T], [-Q, -Atil^T]], sorted so that its n
-    left-half-plane eigenvalues come first, spans the stable invariant
-    subspace [U11; U21], and P = U21 U11^-1. That seed is polished by
+    R must be symmetric positive definite; Q symmetric PSD. Potter's
+    eigenvector method: the eigenvectors [U11; U21] of the Hamiltonian
+    H = [[Atil, -Btil R^-1 Btil^T], [-Q, -Atil^T]] that belong to its n
+    left-half-plane eigenvalues span its stable invariant subspace, and
+    P = U21 U11^-1. That seed is polished by
     `newton_kleinman` unless its residual is already below 1e-12; the
     returned P satisfies the equation to 1e-8 relative to ||Q||. Raises
     ValueError on NaN or inf entries, and ConvergenceError when H has no
@@ -189,8 +233,8 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     R = _check_square(R, "R")
     if not all(np.isfinite(M).all() for M in (Atil, Btil, Q, R)):
         raise ValueError("Atil, Btil, Q and R must not contain infs or NaNs")
-    Q = _check_symmetric(Q, "Q")
-    R = _check_symmetric(R, "R")
+    Q = symmetrize(_check_symmetric(Q, "Q"))
+    R = symmetrize(_check_symmetric(R, "R"))
     if Btil.ndim != 2 or Btil.shape[0] != Atil.shape[0] or Btil.shape[1] != R.shape[0]:
         raise ValueError(
             f"shape mismatch: Atil {Atil.shape}, Btil {Btil.shape}, R {R.shape}"
@@ -211,22 +255,27 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     n = Atil.shape[0]
     G = symmetrize(Btil @ np.linalg.solve(R, Btil.T))
     H = np.block([[Atil, -G], [-Q, -Atil.T]])
-    _, U, sdim, _, _ = _real_schur(H, "CARE solver", _left_half_plane)
+    w, V = np.linalg.eig(H)
+    stable = w.real < 0.0
+    sdim = int(np.count_nonzero(stable))
     if sdim != n:
         raise ConvergenceError(
             f"CARE solver failed: {sdim} of {2 * n} Hamiltonian eigenvalues "
             f"in the open left half plane, expected {n}"
         )
-    U11, U21 = U[:n, :n], U[n:, :n]
-    # U is orthogonal, so ||U11|| <= 1 and its smallest singular value is
-    # its distance to the nearest singular matrix
-    if np.linalg.svd(U11, compute_uv=False)[-1] <= n * np.finfo(float).eps:
-        raise ConvergenceError("CARE solver failed: U11 is singular")
-    P = symmetrize(np.linalg.solve(U11.T, U21.T).T)
+    U = V[:, stable]  # conjugate pairs share a real part, so P comes out real
+    try:
+        P = symmetrize(np.linalg.solve(U[:n].T, U[n:].T).T.real)
+    except np.linalg.LinAlgError:
+        raise ConvergenceError("CARE solver failed: U11 is singular") from None
     if not np.isfinite(P).all():
         raise ConvergenceError("CARE solver failed: solution is not finite")
+    # For an orthonormal basis W of the subspace, sigma_min(W11)^-2 = 1 + ||P||^2:
+    # W11 is singular to working precision once ||P|| reaches 1/(n eps)
+    if np.linalg.norm(P) * n * np.finfo(float).eps >= 1.0:
+        raise ConvergenceError("CARE solver failed: U11 is singular")
 
-    # Newton-Kleinman polish: each step squares the error of the Schur seed.
+    # Newton-Kleinman polish: each step squares the error of the eigenvector seed.
     residual = _care_residual(Atil, Btil, Q, R, P, qscale)
     if residual < 1e-12:
         return P

@@ -15,6 +15,7 @@ input-mode coordinates x' = T^T x each channel relaxes on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -60,10 +61,20 @@ class SystemMatrices:
             arr.setflags(write=False)
 
 
-def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
-    """Assemble the linear model; the drive is the encoding's -sqrt(nu)*beta."""
+@lru_cache(maxsize=64)
+def _drift_and_noise_map(params: MemoryParams) -> tuple[np.ndarray, np.ndarray]:
+    """A and B, read-only. They depend on the rates alone and every loop
+    build reads them, so they are built once per params."""
     A = -params.damping * np.eye(6)
     B = np.hstack([-np.sqrt(params.nu) * _TRITTER, -np.sqrt(params.gamma) * np.eye(6)])
+    A.setflags(write=False)
+    B.setflags(write=False)
+    return A, B
+
+
+def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
+    """Assemble the linear model; the drive is the encoding's -sqrt(nu)*beta."""
+    A, B = _drift_and_noise_map(params)
     return SystemMatrices(A=A, B=B, drive=-np.sqrt(params.nu) * enc.beta)
 
 

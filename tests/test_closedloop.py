@@ -236,15 +236,29 @@ def test_loop_builds_at_mu_floor(mode):
     assert 0.0 < loop.fidelity() < 1.0
 
 
+LOSSLESS = MemoryParams(nu=2 * np.pi * 30e3, gamma=0.0, n_occ=8.8e3)  # check 1's point
+
+
 @pytest.mark.parametrize("mu", [-10.0, -14.0, -16.0])
 def test_lossless_transfer_at_strong_squeezing(mu):
     """Check 1's lossless point under strong ancilla squeezing: with no loss
-    the open-loop and the controlled fidelity are both 1."""
-    p = MemoryParams(nu=2 * np.pi * 30e3, gamma=0.0, n_occ=8.8e3)
-    noise = standard_noise(vacuum(), mu, p)
+    the open-loop and the controlled fidelity of both filters are 1."""
+    noise = standard_noise(vacuum(), mu, LOSSLESS)
     V_in = input_covariance(noise.Lambda)
-    assert fidelity(steady_state(p, ENC, noise).cov, V_in) == pytest.approx(1.0, abs=1e-9)
-    assert LoopBuilder(p, ENC)(noise, "s1", 1e-9).fidelity() == pytest.approx(1.0, abs=1e-9)
+    assert fidelity(steady_state(LOSSLESS, ENC, noise).cov, V_in) == pytest.approx(1.0, abs=1e-9)
+    builder = LoopBuilder(LOSSLESS, ENC)
+    for mode in FILTER_MODES:
+        assert builder(noise, mode, 1e-9).fidelity() == pytest.approx(1.0, abs=1e-9), mode
+
+
+@pytest.mark.parametrize("mode", FILTER_MODES)
+@pytest.mark.parametrize("mu", [-17.0, -18.0, -19.0, MU_FLOOR])
+def test_lossless_loop_builds_down_to_mu_floor(mu, mode):
+    """Down to MU_FLOOR the lossless loop builds, and its fidelity stays 1:
+    the filter's CARE is solved in the input-mode coordinates, where the
+    squeezed and anti-squeezed channels do not mix."""
+    noise = standard_noise(vacuum(), mu, LOSSLESS)
+    assert LoopBuilder(LOSSLESS, ENC)(noise, mode, 1e-9).fidelity() == pytest.approx(1.0, abs=1e-7)
 
 
 def test_build_augmented_rejects_unstable_loop():

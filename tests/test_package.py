@@ -1,5 +1,8 @@
 import argparse
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -96,3 +99,23 @@ def test_unknown_filter_mode_is_refused_alike_everywhere(tmp_path):
     cfg.write_text("filter_mode = s3\n")
     with pytest.raises(SystemExit, match="unknown filter mode 's3'"):
         parse_config_file(str(cfg), fail)
+
+
+def test_import_loads_no_scipy():
+    """The package runs on numpy alone: importing it and its CLI in a fresh
+    interpreter leaves no scipy module loaded (scipy is a test oracle only)."""
+    src = str(Path(memlqg.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, memlqg, memlqg.cli\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"

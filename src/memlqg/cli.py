@@ -44,6 +44,7 @@ from .model import (
     thermal_occupation,
     vacuum,
 )
+from .numerics import items_renamed
 from .openloop import (
     channel_variances,
     fidelity,
@@ -56,6 +57,7 @@ from .openloop import (
     steady_state,
     syndrome_statistics,
     syndrome_variance_ideal,
+    uncontrolled_fidelities,
 )
 from .simulate import TrajectoryConfig, simulate_trajectory
 
@@ -293,21 +295,28 @@ def cmd_sweep_fidelity(args, err) -> int:
     mus = parse_range(mu_text, err, "--mu")
     log2rs = parse_range(log2r_text, err, "--log2r")
     source_mode = squeezed_vacuum(settings.mu1)
-    builder = LoopBuilder(params, enc)
+
+    def where(index) -> str:
+        """A grid point (i, j), or the row i of an error that does not depend on r."""
+        i, j = index if isinstance(index, tuple) else (index, None)
+        mu = f"at mu = {_fmt(mus[i])}"
+        return mu if j is None else f"{mu}, -log2 r = {_fmt(log2rs[j])}"
+
+    with items_renamed(where):
+        noises = [standard_noise(source_mode, float(mu), params) for mu in mus]
+        f_unc = uncontrolled_fidelities(params, noises)
+        rs = [2.0 ** (-float(lg)) for lg in log2rs]
+        f_ctl = LoopBuilder(params, enc).fidelities(noises, settings.filter_mode, rs)
     with _output(args.out) as out:
         for line in _header_lines(
             "memlqg.sweep-fidelity/1", settings, args.keys, mu=mu_text, log2r=log2r_text
         ):
             out.write(line + "\n")
         out.write("mu,log2r_neg,fidelity_controlled,fidelity_uncontrolled\n")
-        for mu in mus:
-            noise = standard_noise(source_mode, float(mu), params)
-            v_inf = steady_state(params, enc, noise).cov
-            f_unc = fidelity(v_inf, input_covariance(noise.Lambda))
-            for lg in log2rs:
-                f_ctl = builder(noise, settings.filter_mode, 2.0 ** (-float(lg))).fidelity()
+        for i, mu in enumerate(mus):
+            for j, lg in enumerate(log2rs):
                 out.write(
-                    f"{_fmt(mu)},{_fmt(lg)},{_fmt(f_ctl)},{_fmt(f_unc)}\n"
+                    f"{_fmt(mu)},{_fmt(lg)},{_fmt(f_ctl[i, j])},{_fmt(f_unc[i])}\n"
                 )
     return 0
 
@@ -323,17 +332,25 @@ def cmd_sweep_squeezed(args, err) -> int:
     mu1s = parse_range(mu1_text, err, "--mu1")
     params = settings.params
     builder = LoopBuilder(params, standard_encoding(settings.alpha_in))
+    grid = [(mu, mu1) for mu in mus for mu1 in mu1s]
+    noises = [standard_noise(squeezed_vacuum(float(mu1)), float(mu), params) for mu, mu1 in grid]
+    fs = []
+    for mode in FILTER_MODES:
+
+        def where(index: tuple, mode: str = mode) -> str:
+            mu, mu1 = grid[index[0]]
+            return f"at mu = {_fmt(mu)}, mu1 = {_fmt(mu1)}, mode {mode}"
+
+        with items_renamed(where):
+            fs.append(builder.fidelities(noises, mode, [r])[:, 0])
     with _output(args.out) as out:
         for line in _header_lines(
             "memlqg.sweep-squeezed/1", settings, args.keys, mu=mu_text, mu1=mu1_text
         ):
             out.write(line + "\n")
         out.write(",".join(["mu", "mu1"] + [f"fidelity_{m}" for m in FILTER_MODES]) + "\n")
-        for mu in mus:
-            for mu1 in mu1s:
-                noise = standard_noise(squeezed_vacuum(float(mu1)), float(mu), params)
-                fs = [builder(noise, mode, r).fidelity() for mode in FILTER_MODES]
-                out.write(",".join(_fmt(v) for v in (mu, mu1, *fs)) + "\n")
+        for i, (mu, mu1) in enumerate(grid):
+            out.write(",".join(_fmt(v) for v in (mu, mu1, *(f[i] for f in fs))) + "\n")
     return 0
 
 

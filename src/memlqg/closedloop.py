@@ -30,6 +30,7 @@ from .estimation import (
     filter_view_noise,
     measurement_model,
     stationary_filter,
+    stationary_filters,
 )
 from .model import (
     Encoding,
@@ -39,7 +40,7 @@ from .model import (
     input_covariance,
     syndrome_set,
 )
-from .numerics import solve_lyapunov_steady, symmetrize
+from .numerics import item_error, items_renamed, solve_lyapunov_steady, stack, symmetrize
 from .openloop import fidelity, system_matrices
 
 GAIN_READINGS = ("full", "projected")
@@ -92,8 +93,19 @@ def build_augmented(
 
 def closed_loop_covariance(am: AugmentedModel) -> tuple[np.ndarray, np.ndarray]:
     """Steady joint covariance Vz and the controlled memory block V'."""
-    Vz = solve_lyapunov_steady(am.Az, am.Bz @ am.Sigma @ am.Bz.T)
+    Vz = _joint_covariances([am], stacked=False)[0]
     return Vz, Vz[:6, :6].copy()
+
+
+def _joint_covariances(ams: list, stacked: bool) -> np.ndarray:
+    """Steady joint covariance of each augmented model, as one stack; on a
+    stacked solve an error names the first model that fails."""
+    Az = stack([am.Az for am in ams])
+    Bz = stack([am.Bz for am in ams])
+    Qz = Bz @ stack([am.Sigma for am in ams]) @ Bz.swapaxes(1, 2)
+    if not stacked:
+        return solve_lyapunov_steady(Az[0], Qz[0])[None]
+    return solve_lyapunov_steady(Az, Qz)
 
 
 def _invert(M: np.ndarray, name: str) -> np.ndarray:
@@ -240,8 +252,16 @@ class Loop:
         return controlled_fidelity(self.Vz[:6, :6], input_covariance(self.noise.Lambda))
 
 
+#: Loops per stacked Lyapunov solve in LoopBuilder.fidelities. A loop's
+#: dense operator is N x N, N = (6+m)(7+m)/2 = 45 for s1, so a stack of 16
+#: holds 16 x 45 x 45 doubles (259 kB); one stack of a whole 144-loop grid
+#: raised peak RSS by ~5 MB.
+LOOP_STACK = 16
+
+
 class LoopBuilder:
-    """Assembles loops for one memory and encoding: `builder(noise, mode, r)`.
+    """Assembles loops for one memory and encoding: `builder(noise, mode, r)`,
+    or the fidelities of a whole grid: `builder.fidelities(noises, mode, rs)`.
 
     A filter that knows the source (model.FILTER_MODES) sees the true noise;
     a blind one sees the source block replaced by the vacuum. The stationary
@@ -257,16 +277,65 @@ class LoopBuilder:
         self._gains: dict = {}
 
     def __call__(self, noise: NoiseModel, mode: str, r: float) -> Loop:
-        # the filter never knows the amplitude, so only covariance_known matters
-        source = SourceSpec(alpha_in=0.0, covariance_known=syndrome_set(mode).knows_source)
-        view = filter_view_noise(noise, source, self.params)
-        key = (mode, view.Lambda.tobytes())
-        if key not in self._filters:
-            mm = measurement_model(mode, self.enc, self.params, view)
-            sf = stationary_filter(mm, self.params, self.enc, view)
-            self._filters[key] = (mm, sf)
-        mm, sf = self._filters[key]
+        ((mm, sf),) = self._filters_of([noise], mode, stacked=False)
+        g = self._gains_of(mode, r)
+        return Loop(params=self.params, enc=self.enc, noise=noise, mm=mm, sf=sf, g=g)
+
+    def fidelities(self, noises: list, mode: str, rs) -> np.ndarray:
+        """F[i, j] = self(noises[i], mode, rs[j]).fidelity(), bit for bit.
+
+        The filter views of the noises that are not yet cached are solved
+        as one stacked CARE. The loops are solved one r at a time, over the
+        noises, in stacked Lyapunov solves of at most LOOP_STACK loops. An
+        error names the grid point (i, j) it fails at, as `exc.index`.
+        """
+        filters = self._filters_of(noises, mode, stacked=True)
+        V_in = input_covariance(stack([noise.Lambda for noise in noises]))
+        F = np.empty((len(noises), len(rs)))
+        for j, r in enumerate(rs):
+            try:
+                g = self._gains_of(mode, r)
+            except ValueError as exc:  # r fails at every noise
+                raise item_error(exc, (0, j), _grid_point((0, j))) from None
+            for start in range(0, len(noises), LOOP_STACK):
+                block = slice(start, min(start + LOOP_STACK, len(noises)))
+                ams = [
+                    build_augmented(self.params, self.enc, noise, mm, g, sf)
+                    for noise, (mm, sf) in zip(noises[block], filters[block])
+                ]
+                with items_renamed(_grid_point, lambda k: (start + k, j)):
+                    Vz = _joint_covariances(ams, stacked=True)
+                    F[block, j] = controlled_fidelity(Vz[:, :6, :6], V_in[block])
+        return F
+
+    def _gains_of(self, mode: str, r: float) -> Gains:
         if (mode, r) not in self._gains:
             self._gains[mode, r] = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
-        g = self._gains[mode, r]
-        return Loop(params=self.params, enc=self.enc, noise=noise, mm=mm, sf=sf, g=g)
+        return self._gains[mode, r]
+
+    def _filters_of(self, noises: list, mode: str, stacked: bool) -> list:
+        """(mm, sf) of each noise's filter view; the views not yet cached are
+        solved together, as one stack when `stacked`."""
+        # the filter never knows the amplitude, so only covariance_known matters
+        source = SourceSpec(alpha_in=0.0, covariance_known=syndrome_set(mode).knows_source)
+        views = [filter_view_noise(noise, source, self.params) for noise in noises]
+        keys = [(mode, view.Lambda.tobytes()) for view in views]
+        first = {}  # each uncached key, at the first noise that has it
+        for i, key in enumerate(keys):
+            if key not in self._filters:
+                first.setdefault(key, i)
+        if first:
+            new = [views[i] for i in first.values()]
+            mms = [measurement_model(mode, self.enc, self.params, view) for view in new]
+            if stacked:
+                points = list(first.values())
+                with items_renamed(_grid_point, lambda k: (points[k], 0)):
+                    sfs = stationary_filters(mms, self.params, self.enc, new)
+            else:
+                sfs = [stationary_filter(mms[0], self.params, self.enc, new[0])]
+            self._filters.update(zip(first, zip(mms, sfs)))
+        return [self._filters[key] for key in keys]
+
+
+def _grid_point(index: tuple) -> str:
+    return f"grid point ({index[0]}, {index[1]})"

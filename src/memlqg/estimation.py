@@ -24,7 +24,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
-from .numerics import ConvergenceError, solve_care, symmetrize
+from .numerics import (
+    ConvergenceError,
+    check_items,
+    lapack_items,
+    solve_care,
+    stack,
+    symmetrize,
+)
 from .openloop import system_matrices
 
 
@@ -111,30 +118,62 @@ def stationary_filter(
     systems whenever Lambda is diagonal, so the squeezed and anti-squeezed
     variances, e^mu apart, are never mixed. The
     result must zero the Riccati flow to 1e-8 relative to max(1, ||B Sw B^T||),
-    else ConvergenceError carries that residual.
+    else ConvergenceError carries that residual. This is
+    `stationary_filters` on a stack of one.
     """
+    return _filters([mm], params, enc, [noise], stacked=False)[0]
+
+
+def stationary_filters(
+    mms: list, params: MemoryParams, enc: Encoding, noises: list
+) -> list:
+    """`stationary_filter` of each (mm, noise) pair, the measurement models
+    of one filter mode, solved as one stacked CARE. Item i equals
+    stationary_filter(mms[i], params, enc, noises[i]) bit for bit; an error
+    names the first item that fails."""
+    return _filters(mms, params, enc, noises, stacked=True)
+
+
+def _filters(mms, params, enc, noises, stacked: bool) -> list:
     sys = system_matrices(params, enc)
-    Q = sys.B @ noise.SigmaW @ sys.B.T
-    try:  # R is factorized once per solve
-        chol = np.linalg.cholesky(mm.innovation_cov)
-    except np.linalg.LinAlgError:
-        raise ValueError(
+    items = np.arange(len(mms)) if stacked else None
+    Q = sys.B @ stack([noise.SigmaW for noise in noises]) @ sys.B.T
+    R = stack([mm.innovation_cov for mm in mms])
+    C = stack([mm.C for mm in mms])
+    S = stack([mm.cross_cov for mm in mms])  # S, 6 x m per item
+    chol = lapack_items(  # R is factorized once per solve
+        np.linalg.cholesky,
+        lambda i: ValueError(
             "singular innovation covariance; clamp the squeezing exponent "
             "at MU_FLOOR instead of taking the ideal limit"
-        ) from None
+        ),
+        items,
+        R,
+    )
 
     def times_Rinv(rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(chol.T, np.linalg.solve(chol, rhs.T)).T
+        return np.linalg.solve(
+            chol.swapaxes(1, 2), np.linalg.solve(chol, rhs.swapaxes(1, 2))
+        ).swapaxes(1, 2)
 
-    SRinv = times_Rinv(mm.cross_cov)  # S R^-1, 6 x m
-    Ashift = sys.A - SRinv @ mm.C
-    Qshift = symmetrize(Q - SRinv @ mm.cross_cov.T)
+    CT = C.swapaxes(1, 2)
+    SRinv = times_Rinv(S)  # S R^-1, 6 x m
+    Ashift = sys.A - SRinv @ C
+    Qshift = symmetrize(Q - SRinv @ S.swapaxes(1, 2))
     T = _TRITTER
     Qin = symmetrize(T.T @ Qshift @ T)
-    Vc = symmetrize(T @ solve_care(T.T @ Ashift.T @ T, T.T @ mm.C.T, Qin, mm.innovation_cov) @ T.T)
-    K = times_Rinv(Vc @ mm.C.T + mm.cross_cov)  # K = (Vc C^T + S) R^-1
-    flow = sys.A @ Vc + Vc @ sys.A.T + Q - K @ mm.innovation_cov @ K.T
-    residual = float(np.linalg.norm(flow)) / max(1.0, float(np.linalg.norm(Q)))
-    if residual > 1e-8:
-        raise ConvergenceError("stationary filter inconsistent: Riccati residual", residual)
-    return StationaryFilter(Vc=Vc, K=K, Ktil=mm.Btil @ K)
+    args = (T.T @ Ashift.swapaxes(1, 2) @ T, T.T @ CT, Qin, R)
+    P = solve_care(*(args if stacked else (M[0] for M in args)))
+    Vc = symmetrize(T @ (P if stacked else P[None]) @ T.T)
+    K = times_Rinv(Vc @ CT + S)  # K = (Vc C^T + S) R^-1
+    flow = sys.A @ Vc + Vc @ sys.A.T + Q - K @ R @ K.swapaxes(1, 2)
+    residual = np.linalg.norm(flow, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(Q, axis=(1, 2)))
+    check_items(
+        residual <= 1e-8,
+        lambda i: ConvergenceError(
+            "stationary filter inconsistent: Riccati residual", float(residual[i])
+        ),
+        items,
+    )
+    Ktil = stack([mm.Btil for mm in mms]) @ K
+    return [StationaryFilter(Vc=Vc[i], K=K[i], Ktil=Ktil[i]) for i in range(len(mms))]

@@ -11,10 +11,20 @@ span the graph of the solution, which Newton-Kleinman polishes when needed.
 Covariance-like results are symmetric and verified against their defining
 equation before being returned, so callers can rely on the residual bounds
 stated in each docstring.
+
+Both solvers take a stack of problems along a leading axis, (k, n, n), as
+well as one problem, (n, n), which they solve as the stack of one: there is
+one kernel, and each item of a stack comes out bit for bit as it would
+alone (numpy's linalg routines and matmul work item by item). A sweep's
+cost is per-call overhead, not arithmetic, so one call per stack is what
+makes it fast (the batched small-matrix pattern; Dongarra et al., Procedia
+Comput. Sci. 108, 2017). Every gate runs per item, and on a stack the
+error names the first item that fails it (`item_error`).
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from functools import lru_cache
 
 import numpy as np
@@ -32,30 +42,108 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
+def item_error(exc: Exception, index, label: str | None = None) -> Exception:
+    """`exc`, marked as the failure of item `index` of a stacked call.
+
+    Its message becomes '{label}: {detail}', label defaulting to
+    'item {index}'; `exc.index` holds the index and `exc.detail` the
+    message without a label, so a caller that maps items to points of its
+    own can label the error again."""
+    detail = getattr(exc, "detail", str(exc))
+    exc.index, exc.detail = index, detail
+    exc.args = (f"{label or f'item {index}'}: {detail}",)
+    return exc
+
+
+@contextmanager
+def items_renamed(label, point=None):
+    """Re-label an error raised inside that names item k of a stack as the
+    failure of item point(k) of the caller's own (k itself when point is
+    None), labelled label(point(k)); any other error passes unchanged."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as exc:
+        if getattr(exc, "index", None) is None:
+            raise
+        index = exc.index if point is None else point(exc.index)
+        raise item_error(exc, index, label(index)) from None
+
+
+def check_items(ok: np.ndarray, error, items: np.ndarray | None) -> None:
+    """Raise error(i) for the first i whose flag in `ok` is False.
+
+    `items` maps i to the index of the item in a stacked call, which the
+    error then names; it is None for a call on one problem."""
+    if not ok.all():
+        i = int(np.argmin(ok))
+        raise _named(error(i), items, i)
+
+
+def _named(exc: Exception, items: np.ndarray | None, i: int) -> Exception:
+    return exc if items is None else item_error(exc, int(items[i]))
+
+
+def _refuses(fn, *args) -> bool:
+    try:
+        fn(*args)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def lapack_items(fn, error, items: np.ndarray | None, *stacks: np.ndarray) -> np.ndarray:
+    """fn(*stacks) for a numpy.linalg routine, which refuses a whole stack
+    when it refuses one item; then check_items raises error(i) for the
+    first item it refuses alone."""
+    try:
+        return fn(*stacks)
+    except np.linalg.LinAlgError:
+        ok = [not _refuses(fn, *(s[i] for s in stacks)) for i in range(len(stacks[0]))]
+    check_items(np.array(ok), error, items)
+    return fn(*stacks)
+
+
+def stack(arrays: list) -> np.ndarray:
+    """np.stack(arrays), or a view of the one array as the stack of one."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    """(M + M.T)/2 — covariance hygiene after any linear-algebra step."""
-    return 0.5 * (M + M.T)
+    """(M + M^T)/2 of a matrix or of each item of a stack — covariance
+    hygiene after any linear-algebra step."""
+    return 0.5 * (M + M.swapaxes(-1, -2))
 
 
-def min_eigenvalue(M: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(symmetrize(M)).min())
+def min_eigenvalue(M: np.ndarray):
+    """Smallest eigenvalue of symmetrize(M): a float, or one per item of a stack."""
+    w = np.linalg.eigvalsh(symmetrize(M)).min(axis=-1)
+    return float(w) if w.ndim == 0 else w
 
 
-def _check_square(M: np.ndarray, name: str) -> np.ndarray:
+def _norms(M: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each item of a stack."""
+    return np.sqrt(np.square(M).sum(axis=(-2, -1)))
+
+
+def _square_stack(M, name: str) -> np.ndarray:
     M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {M.shape}")
+    if M.ndim not in (2, 3) or M.shape[-1] != M.shape[-2]:
+        raise ValueError(f"{name} must be a square matrix or a stack of them, got shape {M.shape}")
     return M
 
 
-def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
-    """M, once it is square and symmetric to 1e-10 of its largest entry;
-    each solver symmetrizes what it uses of M itself."""
-    M = _check_square(M, name)
-    scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    return M
+def _check_symmetric(M: np.ndarray, name: str, items) -> None:
+    """Refuse an item of the stack M that is not symmetric to 1e-10 of its
+    largest entry; each solver symmetrizes what it uses of M itself."""
+    scale = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+    skew = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2))
+    check_items(skew <= 1e-10 * scale, lambda i: ValueError(f"{name} must be symmetric"), items)
+
+
+@lru_cache(maxsize=None)
+def _off_diagonal(n: int) -> np.ndarray:
+    """Flat positions of the off-diagonal entries of an n x n matrix."""
+    return np.flatnonzero(~np.eye(n, dtype=bool))
 
 
 @lru_cache(maxsize=None)
@@ -64,12 +152,15 @@ def _lyapunov_operator_index(n: int) -> tuple:
     n x n X, written on its N = n(n+1)/2 upper-triangle unknowns.
 
     Row e = (i, j), i <= j, of the N x N operator matrix collects A[i, k]
-    at the column of X[k, j] and A[j, k] at the column of X[i, k], for every
-    k; `np.bincount` sums the 2 N n terms into place. Returns (target, source,
-    rows, cols, rhs, unpack): target the flat N x N positions, source the
-    flat positions in A, (rows, cols) the upper triangle, rhs an N x 2
-    right-hand side whose second column is -vech(I), and unpack the flat
-    positions of [X | Y] (n x 2n) in the N x 2 solution. Asked once per n.
+    at the column of X[k, j] (the first term group) and A[j, k] at the
+    column of X[i, k] (the second), for every k. Within a group a row's n
+    columns are distinct, so the operator is one scatter of the first group
+    and one scatter-add of the second: an entry holds at most one term of
+    each, summed in that order. Returns (targets, sources, rows, cols, rhs,
+    unpack): targets and sources the flat N x N and flat A positions of the
+    two groups, (rows, cols) the upper triangle, rhs an N x 2 right-hand
+    side whose second column is -vech(I), and unpack the flat positions of
+    [X | Y] (n x 2n) in the N x 2 solution. Asked once per n.
     """
     rows, cols = np.triu_indices(n)
     N = rows.size
@@ -77,12 +168,12 @@ def _lyapunov_operator_index(n: int) -> tuple:
     vech[rows, cols] = vech[cols, rows] = np.arange(N)
     k = np.arange(n)
     e = np.arange(N)[:, None] * N
-    target = np.hstack([e + vech[k, cols[:, None]], e + vech[rows[:, None], k]])
-    source = np.hstack([rows[:, None] * n + k, cols[:, None] * n + k])
+    targets = (e + vech[k, cols[:, None]]).ravel(), (e + vech[rows[:, None], k]).ravel()
+    sources = (rows[:, None] * n + k).ravel(), (cols[:, None] * n + k).ravel()
     rhs = np.zeros((N, 2))
     rhs[rows == cols, 1] = -1.0
     unpack = np.hstack([2 * vech, 2 * vech + 1])
-    return target.ravel(), source.ravel(), rows, cols, rhs, unpack
+    return targets, sources, rows, cols, rhs, unpack
 
 
 def _unstable_drift(A: np.ndarray) -> UnstableDriftError | None:
@@ -96,7 +187,8 @@ def _unstable_drift(A: np.ndarray) -> UnstableDriftError | None:
 
 
 def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
-    """Solve A X + X A^T + Qn = 0 for symmetric X, A strictly Hurwitz.
+    """Solve A X + X A^T + Qn = 0 for symmetric X, A strictly Hurwitz; A and
+    Qn are n x n, or k x n x n stacks solved item by item.
 
     A diagonal A is solved entry by entry, X_ij = -Qn_ij/(a_i + a_j), and is
     Hurwitz when every a_i < 0. Any other A is solved on the n(n+1)/2
@@ -111,70 +203,108 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     symmetric and checked to satisfy the equation to 1e-10 relative to
     ||Qn||. Raises ValueError on NaN or inf entries, UnstableDriftError
     unless every eigenvalue of A has Re < 0, and ConvergenceError on a
-    singular operator or an inaccurate solve.
+    singular operator or an inaccurate solve; on a stack, for the first
+    item that fails a gate, named in the message.
     """
-    A = _check_square(A, "A")
-    Qn = _check_square(Qn, "Qn")
-    if not (np.isfinite(A).all() and np.isfinite(Qn).all()):
-        raise ValueError("A and Qn must not contain infs or NaNs")
-    Qn = _check_symmetric(Qn, "Qn")
+    A = _square_stack(A, "A")
+    Qn = _square_stack(Qn, "Qn")
     if A.shape != Qn.shape:
         raise ValueError(f"shape mismatch: A {A.shape} vs Qn {Qn.shape}")
-    a = np.diagonal(A)
-    if np.count_nonzero(A) == np.count_nonzero(a):  # diagonal drift
-        if a.max() >= 0.0:
-            raise UnstableDriftError(f"unstable drift: eigenvalue {float(a.max())} has Re >= 0")
-        X = (Qn + Qn.T) / (-2.0 * (a[:, None] + a))
-        AX = a[:, None] * X
-        return _checked_lyapunov(AX + AX.T + Qn, X, Qn)
+    stacked = A.ndim == 3
+    if not stacked:  # the stack of one
+        A, Qn = A[None], Qn[None]
+    items = np.arange(len(A)) if stacked else None
+    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(Qn).all(axis=(1, 2))
+    check_items(finite, lambda i: ValueError("A and Qn must not contain infs or NaNs"), items)
+    _check_symmetric(Qn, "Qn", items)
+    a = np.diagonal(A, axis1=1, axis2=2)
+    n = A.shape[1]
+    diagonal = ~A.reshape(len(A), n * n)[:, _off_diagonal(n)].any(axis=1)
+    if diagonal.all():
+        X = _lyapunov_diagonal(a, Qn, items)
+    elif not diagonal.any():
+        X = _lyapunov_dense(A, Qn, items)
+    else:  # a mixed stack: each item takes the route it would take alone
+        X = np.empty_like(Qn)
+        X[diagonal] = _lyapunov_diagonal(a[diagonal], Qn[diagonal], items[diagonal])
+        X[~diagonal] = _lyapunov_dense(A[~diagonal], Qn[~diagonal], items[~diagonal])
+    return X if stacked else X[0]
 
-    n = A.shape[0]
-    target, source, rows, cols, rhs, unpack = _lyapunov_operator_index(n)
+
+def _lyapunov_diagonal(a: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
+    """Stacked diagonal route; a holds each item's diagonal drift."""
+    worst = a.max(axis=1)
+    check_items(
+        worst < 0.0,
+        lambda i: UnstableDriftError(f"unstable drift: eigenvalue {float(worst[i])} has Re >= 0"),
+        items,
+    )
+    X = (Qn + Qn.swapaxes(1, 2)) / (-2.0 * (a[:, :, None] + a[:, None, :]))
+    AX = a[:, :, None] * X
+    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, X, Qn, items)
+
+
+def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
+    """Stacked symmetric-unknowns route: one block of k operators, one solve."""
+    k, n = A.shape[:2]
+    (t1, t2), (s1, s2), rows, cols, rhs0, unpack = _lyapunov_operator_index(n)
     N = rows.size
-    L = np.bincount(target, A.ravel()[source], N * N).reshape(N, N)
-    rhs = rhs.copy()
-    rhs[:, 0] = -0.5 * (Qn[rows, cols] + Qn[cols, rows])
-    try:
-        XY = np.linalg.solve(L, rhs).ravel()[unpack]  # [X | Y], both symmetric
-    except np.linalg.LinAlgError:
-        singular = ConvergenceError("Lyapunov solve failed: singular operator")
-        raise _unstable_drift(A) or singular from None
+    A2 = A.reshape(k, n * n)
+    L = np.zeros((k, N * N))
+    L[:, t1] = A2[:, s1] + 0.0  # + 0.0 keeps the sign of zero a sum from 0 gives
+    L[:, t2] += A2[:, s2]
+    rhs = np.empty((k, N, 2))
+    rhs[:, :, 0] = -0.5 * (Qn[:, rows, cols] + Qn[:, cols, rows])
+    rhs[:, :, 1] = rhs0[:, 1]
+
+    def singular(i):
+        error = ConvergenceError("Lyapunov solve failed: singular operator")
+        return _unstable_drift(A[i]) or error
+
+    XY = lapack_items(np.linalg.solve, singular, items, L.reshape(k, N, N), rhs)
+    XY = XY.reshape(k, 2 * N)[:, unpack]  # [X | Y], both symmetric
     AXY = A @ XY
-    AX, AY = AXY[:, :n], AXY[:, n:]
-    RY = AY + AY.T
-    RY.flat[:: n + 1] += 1.0
-    if not (np.linalg.norm(RY) <= 0.5 and _positive_definite(XY[:, n:])):
-        error = _unstable_drift(A)
+    AX, AY = AXY[:, :, :n], AXY[:, :, n:]
+    RY = AY + AY.swapaxes(1, 2)
+    RY.reshape(k, n * n)[:, :: n + 1] += 1.0
+    certified = (_norms(RY) <= 0.5) & _positive_definite(XY[:, :, n:])
+    for i in np.flatnonzero(~certified):
+        error = _unstable_drift(A[i])
         if error is not None:
-            raise error
-    return _checked_lyapunov(AX + AX.T + Qn, XY[:, :n].copy(), Qn)
+            raise _named(error, items, i)
+    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, XY[:, :, :n].copy(), Qn, items)
 
 
-def _positive_definite(M: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+def _positive_definite(M: np.ndarray) -> np.ndarray:
+    """Whether each item of the stack M passes a Cholesky factorization."""
+    if not _refuses(np.linalg.cholesky, M):
+        return np.ones(len(M), dtype=bool)
+    return np.array([not _refuses(np.linalg.cholesky, m) for m in M])
 
 
-def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray) -> np.ndarray:
-    """X, once its residual A X + X A^T + Qn is below 1e-10 relative to ||Qn||."""
-    qscale = float(np.linalg.norm(Qn))
-    if qscale == 0.0:
-        return np.zeros_like(Qn)
-    residual = float(np.linalg.norm(residual)) / qscale
-    if residual > 1e-10:
-        raise ConvergenceError("Lyapunov solve inaccurate", residual)
+def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
+    """X, once each item's residual A X + X A^T + Qn is below 1e-10 relative
+    to its ||Qn||; an item with Qn = 0 is X = 0."""
+    qscale = _norms(Qn)
+    zero = qscale == 0.0
+    relative = _norms(residual) / np.where(zero, 1.0, qscale)
+    check_items(
+        zero | (relative <= 1e-10),
+        lambda i: ConvergenceError("Lyapunov solve inaccurate", float(relative[i])),
+        items,
+    )
+    if zero.any():
+        X[zero] = 0.0
     return X
 
 
 def _care_residual(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray, qscale: float
-) -> float:
-    """||A^T P + P A + Q - P B R^-1 B^T P|| / qscale."""
-    residual = A.T @ P + P @ A + Q - P @ B @ np.linalg.solve(R, B.T @ P)
-    return float(np.linalg.norm(residual)) / qscale
+    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray, qscale
+) -> np.ndarray:
+    """||A^T P + P A + Q - P B R^-1 B^T P|| / qscale, per item of a stack."""
+    BT = B.swapaxes(-1, -2)
+    residual = A.swapaxes(-1, -2) @ P + P @ A + Q - P @ B @ np.linalg.solve(R, BT @ P)
+    return _norms(residual) / qscale
 
 
 NEWTON_KLEINMAN_MAX_STEPS = 20
@@ -183,8 +313,8 @@ NEWTON_KLEINMAN_MAX_STEPS = 20
 def newton_kleinman(
     Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray, G: np.ndarray
 ) -> np.ndarray:
-    """Stabilizing solution of the `solve_care` equation by Newton-Kleinman
-    iteration (Kleinman, IEEE TAC 13, 1968) from the gain G.
+    """Stabilizing solution of the `solve_care` equation, one n x n problem,
+    by Newton-Kleinman iteration (Kleinman, IEEE TAC 13, 1968) from the gain G.
 
     Each step solves the closed-loop Lyapunov equation
     (Atil - Btil G)^T P + P (Atil - Btil G) + Q + G^T R G = 0 and sets
@@ -204,7 +334,7 @@ def newton_kleinman(
                 raise
             break  # keep the last stable iterate
         P = P_next
-        residual = _care_residual(Atil, Btil, Q, R, P, qscale)
+        residual = float(_care_residual(Atil, Btil, Q, R, P, qscale))
         if residual < 1e-12:
             break
         G = np.linalg.solve(R, Btil.T @ P)
@@ -214,69 +344,116 @@ def newton_kleinman(
 
 
 def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Stabilizing solution of Atil^T P + P Atil + Q - P Btil R^-1 Btil^T P = 0.
+    """Stabilizing solution of Atil^T P + P Atil + Q - P Btil R^-1 Btil^T P = 0;
+    one problem (Atil n x n, Btil n x m), or k stacked along a leading axis.
 
     R must be symmetric positive definite; Q symmetric PSD. Potter's
     eigenvector method: the eigenvectors [U11; U21] of the Hamiltonian
     H = [[Atil, -Btil R^-1 Btil^T], [-Q, -Atil^T]] that belong to its n
     left-half-plane eigenvalues span its stable invariant subspace, and
     P = U21 U11^-1. That seed is polished by
-    `newton_kleinman` unless its residual is already below 1e-12; the
-    returned P satisfies the equation to 1e-8 relative to ||Q||. Raises
-    ValueError on NaN or inf entries, and ConvergenceError when H has no
-    n-dimensional stable subspace with an invertible U11 (no stabilizing
-    solution).
+    `newton_kleinman` unless its residual is already below 1e-12, item by
+    item; the returned P satisfies the equation to 1e-8 relative to ||Q||.
+    Raises ValueError on NaN or inf entries, and ConvergenceError when H has
+    no n-dimensional stable subspace with an invertible U11 (no stabilizing
+    solution); on a stack, for the first item that fails a gate, named in
+    the message.
     """
-    Atil = _check_square(Atil, "Atil")
+    Atil = _square_stack(Atil, "Atil")
     Btil = np.asarray(Btil, dtype=float)
-    Q = _check_square(Q, "Q")
-    R = _check_square(R, "R")
-    if not all(np.isfinite(M).all() for M in (Atil, Btil, Q, R)):
-        raise ValueError("Atil, Btil, Q and R must not contain infs or NaNs")
-    Q = symmetrize(_check_symmetric(Q, "Q"))
-    R = symmetrize(_check_symmetric(R, "R"))
-    if Btil.ndim != 2 or Btil.shape[0] != Atil.shape[0] or Btil.shape[1] != R.shape[0]:
+    Q = _square_stack(Q, "Q")
+    R = _square_stack(R, "R")
+    stacked = Atil.ndim == 3
+    k = len(Atil) if stacked else 1
+    if not stacked:  # the stack of one
+        Atil, Btil, Q, R = Atil[None], Btil[None], Q[None], R[None]
+    if any(M.ndim != 3 or len(M) != k for M in (Btil, Q, R)):
+        raise ValueError("Atil, Btil, Q and R must all be one problem or stacks of equal length")
+    items = np.arange(k) if stacked else None
+    finite = np.all([np.isfinite(M).all(axis=(1, 2)) for M in (Atil, Btil, Q, R)], axis=0)
+    check_items(
+        finite, lambda i: ValueError("Atil, Btil, Q and R must not contain infs or NaNs"), items
+    )
+    _check_symmetric(Q, "Q", items)
+    _check_symmetric(R, "R", items)
+    Q, R = symmetrize(Q), symmetrize(R)
+    n = Atil.shape[1]
+    if Btil.shape[1] != n or Btil.shape[2] != R.shape[1]:
         raise ValueError(
             f"shape mismatch: Atil {Atil.shape}, Btil {Btil.shape}, R {R.shape}"
         )
     if Atil.shape != Q.shape:
         raise ValueError(f"shape mismatch: Atil {Atil.shape} vs Q {Q.shape}")
-    try:
-        np.linalg.cholesky(R)
-    except np.linalg.LinAlgError:
-        raise ValueError("R must be positive definite") from None
-    if min_eigenvalue(Q) < -1e-10 * max(1.0, float(np.abs(Q).max())):
-        raise ValueError("Q must be positive semidefinite")
+    lapack_items(np.linalg.cholesky, lambda i: ValueError("R must be positive definite"), items, R)
+    floor = -1e-10 * np.maximum(1.0, np.abs(Q).max(axis=(1, 2)))
+    check_items(
+        min_eigenvalue(Q) >= floor, lambda i: ValueError("Q must be positive semidefinite"), items
+    )
 
-    qscale = float(np.linalg.norm(Q))
-    if qscale == 0.0:
-        return np.zeros_like(Q)
-
-    n = Atil.shape[0]
-    G = symmetrize(Btil @ np.linalg.solve(R, Btil.T))
-    H = np.block([[Atil, -G], [-Q, -Atil.T]])
-    w, V = np.linalg.eig(H)
-    stable = w.real < 0.0
-    sdim = int(np.count_nonzero(stable))
-    if sdim != n:
-        raise ConvergenceError(
-            f"CARE solver failed: {sdim} of {2 * n} Hamiltonian eigenvalues "
-            f"in the open left half plane, expected {n}"
-        )
-    U = V[:, stable]  # conjugate pairs share a real part, so P comes out real
-    try:
-        P = symmetrize(np.linalg.solve(U[:n].T, U[n:].T).T.real)
-    except np.linalg.LinAlgError:
-        raise ConvergenceError("CARE solver failed: U11 is singular") from None
-    if not np.isfinite(P).all():
-        raise ConvergenceError("CARE solver failed: solution is not finite")
-    # For an orthonormal basis W of the subspace, sigma_min(W11)^-2 = 1 + ||P||^2:
-    # W11 is singular to working precision once ||P|| reaches 1/(n eps)
-    if np.linalg.norm(P) * n * np.finfo(float).eps >= 1.0:
-        raise ConvergenceError("CARE solver failed: U11 is singular")
+    qscale = _norms(Q)
+    P = np.zeros_like(Q)
+    live = np.flatnonzero(qscale != 0.0)  # Q = 0 has P = 0
+    if live.size == k:
+        P = _care_seed(Atil, Btil, Q, R, items)
+    elif live.size:
+        P[live] = _care_seed(*(M[live] for M in (Atil, Btil, Q, R)), live if stacked else None)
 
     # Newton-Kleinman polish: each step squares the error of the eigenvector seed.
-    residual = _care_residual(Atil, Btil, Q, R, P, qscale)
-    if residual < 1e-12:
-        return P
-    return newton_kleinman(Atil, Btil, Q, R, np.linalg.solve(R, Btil.T @ P))
+    residual = _care_residual(Atil, Btil, Q, R, P, np.where(qscale == 0.0, 1.0, qscale))
+    for i in np.flatnonzero(~(residual < 1e-12)):
+        G = np.linalg.solve(R[i], Btil[i].T @ P[i])
+        try:
+            P[i] = newton_kleinman(Atil[i], Btil[i], Q[i], R[i], G)
+        except (ValueError, RuntimeError) as exc:
+            raise _named(exc, items, i)
+    return P if stacked else P[0]
+
+
+def _care_seed(Atil, Btil, Q, R, items) -> np.ndarray:
+    """Potter's seed U21 U11^-1 for each item of the stacks, with the sdim,
+    singular-U11 and finiteness gates; items is as in check_items."""
+    k, n = Atil.shape[:2]
+    BT = Btil.swapaxes(1, 2)
+    G = symmetrize(Btil @ np.linalg.solve(R, BT))
+    H = np.empty((k, 2 * n, 2 * n))
+    H[:, :n, :n], H[:, :n, n:] = Atil, -G
+    H[:, n:, :n], H[:, n:, n:] = -Q, -Atil.swapaxes(1, 2)
+    w, V = np.linalg.eig(H)
+    stable = w.real < 0.0
+    sdim = np.count_nonzero(stable, axis=1)
+    check_items(
+        sdim == n,
+        lambda i: ConvergenceError(
+            f"CARE solver failed: {sdim[i]} of {2 * n} Hamiltonian eigenvalues "
+            f"in the open left half plane, expected {n}"
+        ),
+        items,
+    )
+    # the stable columns in their order, as V[:, stable] takes them alone
+    columns = np.argsort(~stable, axis=1, kind="stable")[:, None, :n]
+    U = np.take_along_axis(V, columns, axis=2)
+    singular = lambda i: ConvergenceError("CARE solver failed: U11 is singular")  # noqa: E731
+    # np.linalg.eig returns real arrays only when every item's eigenvalues
+    # are real; an item alone would get real ones whenever its own are, so
+    # such items are solved in real arithmetic here too.
+    real = ~np.iscomplex(w).any(axis=1)
+    P = np.empty((k, n, n))
+    for group in (real, ~real):
+        if group.any():
+            Ug = U if group.all() else U[group]
+            Ug = Ug.real if group is real else Ug
+            X = lapack_items(
+                np.linalg.solve, singular, None if items is None else items[group],
+                Ug[:, :n].swapaxes(1, 2), Ug[:, n:].swapaxes(1, 2),
+            )
+            P[group] = X.swapaxes(1, 2).real  # conjugate pairs share a real part
+    P = symmetrize(P)
+    check_items(
+        np.isfinite(P).all(axis=(1, 2)),
+        lambda i: ConvergenceError("CARE solver failed: solution is not finite"),
+        items,
+    )
+    # For an orthonormal basis W of the subspace, sigma_min(W11)^-2 = 1 + ||P||^2:
+    # W11 is singular to working precision once ||P|| reaches 1/(n eps)
+    check_items(_norms(P) * n * np.finfo(float).eps < 1.0, singular, items)
+    return P

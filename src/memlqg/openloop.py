@@ -19,8 +19,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .model import _TRITTER, Encoding, FieldMode, MemoryParams, NoiseModel
-from .numerics import min_eigenvalue, solve_lyapunov_steady, symmetrize
+from .model import _TRITTER, Encoding, FieldMode, MemoryParams, NoiseModel, input_covariance
+from .numerics import check_items, min_eigenvalue, solve_lyapunov_steady, stack, symmetrize
 
 #: Collective-variance rate of a classical (measure-and-prepare) write-in.
 CLASSICAL_LIMIT_RATE = 7.5
@@ -41,9 +41,7 @@ class GaussianState:
     def __post_init__(self):
         if self.mean.shape != (6,) or self.cov.shape != (6, 6):
             raise ValueError("GaussianState expects a 6-vector mean and 6x6 cov")
-        floor = -1e-10 * max(1.0, float(np.linalg.norm(self.cov)))
-        if min_eigenvalue(self.cov) < floor:
-            raise ValueError("covariance is not physical (negative eigenvalue)")
+        _check_physical(self.cov[None], None)
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
 
@@ -78,6 +76,26 @@ def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
     return SystemMatrices(A=A, B=B, drive=-np.sqrt(params.nu) * enc.beta)
 
 
+def _check_physical(cov: np.ndarray, items) -> None:
+    """Refuse a covariance of the stack with an eigenvalue below
+    -1e-10 max(1, ||cov||); items as in numerics.check_items."""
+    floor = -1e-10 * np.maximum(1.0, np.linalg.norm(cov, axis=(1, 2)))
+    check_items(
+        min_eigenvalue(cov) >= floor,
+        lambda i: ValueError("covariance is not physical (negative eigenvalue)"),
+        items,
+    )
+
+
+def _steady_covariances(params: MemoryParams, noises: list, stacked: bool) -> np.ndarray:
+    """The steady Lyapunov solve of each noise model, as one stack."""
+    A, B = _drift_and_noise_map(params)
+    Qn = B @ stack([noise.SigmaW for noise in noises]) @ B.T
+    if not stacked:
+        return solve_lyapunov_steady(A, Qn[0])[None]
+    return solve_lyapunov_steady(np.broadcast_to(A, Qn.shape), Qn)
+
+
 def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> GaussianState:
     """Stationary mean and covariance of the uncontrolled memory.
 
@@ -87,8 +105,17 @@ def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> Gaus
     """
     sys = system_matrices(params, enc)
     mean = 2.0 * sys.drive / (params.nu + params.gamma)
-    cov = solve_lyapunov_steady(sys.A, sys.B @ noise.SigmaW @ sys.B.T)
-    return GaussianState(mean=mean, cov=cov)
+    return GaussianState(mean=mean, cov=_steady_covariances(params, [noise], False)[0])
+
+
+def uncontrolled_fidelities(params: MemoryParams, noises: list) -> np.ndarray:
+    """fidelity(steady_state(params, enc, noise).cov, input_covariance(noise.Lambda))
+    for each noise model, bit for bit, from one stacked Lyapunov solve; an
+    error names the first noise that fails. The fidelity is mean-matched,
+    so no encoding is needed."""
+    cov = _steady_covariances(params, noises, True)
+    _check_physical(cov, np.arange(len(cov)))
+    return fidelity(cov, input_covariance(stack([noise.Lambda for noise in noises])))
 
 
 def channel_variances(params: MemoryParams, Lambda: np.ndarray) -> np.ndarray:
@@ -113,15 +140,21 @@ def single_mode_check(params: MemoryParams, alpha_in: float = 0.0) -> tuple[comp
     return mean, var
 
 
-def fidelity(V: np.ndarray, V_in: np.ndarray) -> float:
-    """Mean-matched Gaussian transfer fidelity 1/sqrt(det(V + V_in))."""
+def fidelity(V: np.ndarray, V_in: np.ndarray):
+    """Mean-matched Gaussian transfer fidelity 1/sqrt(det(V + V_in)): a
+    float, or one per item when V and V_in are stacks of covariances (an
+    error then names the first item whose determinant is not positive)."""
     V = np.asarray(V, dtype=float)
     V_in = np.asarray(V_in, dtype=float)
-    if V.shape != V_in.shape or V.shape[0] != V.shape[1]:
+    if V.shape != V_in.shape or V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2]:
         raise ValueError(f"shape mismatch: V {V.shape} vs V_in {V_in.shape}")
-    det = float(np.linalg.det(V + V_in))
-    if not np.isfinite(det) or det <= 0.0:
-        raise ValueError(f"det(V + V_in) = {det:.6g} is not positive")
+    det = np.linalg.det(V + V_in)
+    dets = np.atleast_1d(det)
+    check_items(
+        np.isfinite(dets) & (dets > 0.0),
+        lambda i: ValueError(f"det(V + V_in) = {dets[i]:.6g} is not positive"),
+        np.arange(len(dets)) if V.ndim == 3 else None,
+    )
     return 1.0 / np.sqrt(det)
 
 

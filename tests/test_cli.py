@@ -229,6 +229,47 @@ def test_sweeps_solve_each_filter_once(tmp_path, filter_solves, argv, solves):
     assert Counter(filter_solves) == solves
 
 
+def _fidelity_point(params, enc, noise, mode, r):
+    """Controlled and uncontrolled fidelity of one grid point, each built
+    by hand from the per-point public functions."""
+    view = memlqg.filter_view_noise(
+        noise, memlqg.SourceSpec(0.0, covariance_known=mode == "s1"), params
+    )
+    mm = memlqg.measurement_model(mode, enc, params, view)
+    sf = memlqg.stationary_filter(mm, params, enc, view)
+    g = memlqg.lqg_gains(memlqg.LqgConfig(r=r, mode=mode), params, enc)
+    _, vprime = memlqg.closed_loop_covariance(
+        memlqg.build_augmented(params, enc, noise, mm, g, sf)
+    )
+    v_in = memlqg.input_covariance(noise.Lambda)
+    f_unc = memlqg.fidelity(memlqg.steady_state(params, enc, noise).cov, v_in)
+    return memlqg.controlled_fidelity(vprime, v_in), f_unc
+
+
+def test_default_sweep_rows_equal_the_per_point_api(tmp_path):
+    """Every row of both default sweeps, solved as stacks, reads the same
+    .12g text as its point built alone through the per-point functions."""
+    params = cli.RunSettings().params
+    enc = memlqg.standard_encoding(cli.RunSettings().alpha_in)
+    fid, sq = tmp_path / "f.csv", tmp_path / "s.csv"
+    assert run(["sweep-fidelity", "--out", str(fid)]) == 0
+    assert run(["sweep-squeezed", "--out", str(sq)]) == 0
+    grid = [(mu, lg) for mu in np.linspace(-3.0, 0.5, 36) for lg in np.linspace(10.0, 40.0, 4)]
+    _, _, rows = read_csv(fid)
+    assert len(rows) == len(grid)
+    for (mu, lg), row in zip(grid, rows):
+        noise = memlqg.standard_noise(memlqg.vacuum(), float(mu), params)
+        fs = _fidelity_point(params, enc, noise, "s1", 2.0 ** (-float(lg)))
+        assert [cli._fmt(v) for v in (mu, lg, *fs)] == list(row.values())
+    grid = [(mu, mu1) for mu in np.linspace(-2.0, 0.0, 5) for mu1 in np.linspace(-1.0, 1.0, 9)]
+    _, _, rows = read_csv(sq)
+    assert len(rows) == len(grid)
+    for (mu, mu1), row in zip(grid, rows):
+        noise = memlqg.standard_noise(memlqg.squeezed_vacuum(float(mu1)), float(mu), params)
+        fs = [_fidelity_point(params, enc, noise, mode, 2.0**-40)[0] for mode in ("s1", "s2")]
+        assert [cli._fmt(v) for v in (mu, mu1, *fs)] == list(row.values())
+
+
 def test_trajectory_files_and_pairing(tmp_path):
     stem = tmp_path / "run"
     assert run(
@@ -284,20 +325,21 @@ def test_trajectory_refuses_fewer_than_one_path(tmp_path, capsys, how):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv,point",
     [
-        ["sweep-fidelity", "--mu=-0.4:-60:3", "--log2r", "10"],
-        ["sweep-squeezed", "--mu=-0.4", "--mu1=0:-60:2"],
+        (["sweep-fidelity", "--mu=-0.4:-60:3", "--log2r", "10"], "mu = -60"),
+        (["sweep-squeezed", "--mu=-0.4", "--mu1=0:-60:2"], "mu = -0.4, mu1 = -60, mode s1"),
     ],
     ids=["sweep-fidelity", "sweep-squeezed"],
 )
-def test_failed_command_leaves_no_file_at_out(tmp_path, capsys, argv):
-    """Each sweep writes a valid row and then fails on an ideal-squeezing
-    point: no partial file appears, no temporary file stays behind, and a
-    file already at --out keeps its bytes."""
+def test_failed_command_leaves_no_file_at_out(tmp_path, capsys, argv, point):
+    """Each sweep's grid holds a valid point and one that fails under
+    extreme squeezing. The error names the failing point; no partial file
+    appears, no temporary file stays behind, and a file already at --out
+    keeps its bytes."""
     out = tmp_path / "grid.csv"
     assert run(argv + ["--out", str(out)]) == 1
-    assert "memlqg: error:" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"memlqg: error: at {point}: ")
     assert list(tmp_path.iterdir()) == []
     out.write_bytes(b"earlier result\n")
     assert run(argv + ["--out", str(out)]) == 1

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,7 +16,12 @@ from memlqg.closedloop import (
     vprime_explicit,
 )
 from memlqg.control import Gains, LqgConfig, feedback_rates, lqg_gains
-from memlqg.estimation import filter_view_noise, measurement_model, stationary_filter
+from memlqg.estimation import (
+    filter_view_noise,
+    measurement_model,
+    stationary_filter,
+    stationary_filters,
+)
 from memlqg.model import (
     _TRITTER,
     FILTER_MODES,
@@ -30,8 +37,8 @@ from memlqg.model import (
     standard_noise,
     vacuum,
 )
-from memlqg.numerics import UnstableDriftError, min_eigenvalue
-from memlqg.openloop import fidelity, steady_state, system_matrices
+from memlqg.numerics import ConvergenceError, UnstableDriftError, min_eigenvalue
+from memlqg.openloop import fidelity, steady_state, system_matrices, uncontrolled_fidelities
 
 PARAMS = MemoryParams(nu=3.0, gamma=1.0, n_occ=2.0)
 ENC = standard_encoding(-230.0)
@@ -327,3 +334,55 @@ def test_loop_builds_augmented_model_once_on_first_read(monkeypatch):
     assert loop.fidelity() == loop.fidelity()
     assert loop.Vz is Vz and builds == [1] and solves == [1]
     assert np.array_equal(Vz, closed_loop_covariance(ref)[0])
+
+
+def test_grid_entry_equals_per_point_loops_bit_for_bit(monkeypatch):
+    """builder.fidelities on a mixed grid (both modes, squeezed sources,
+    r from 1e-6 to 2^-40) holds what builder(noise, mode, r).fidelity()
+    returns, bit for bit; its stacked Lyapunov solves hold one r and at
+    most LOOP_STACK loops."""
+    p = reference_params()
+    noises = [
+        standard_noise(squeezed_vacuum(mu1), mu, p)
+        for mu in np.linspace(-2.0, 0.5, 9)
+        for mu1 in (0.0, -0.7, 0.4)
+    ]
+    rs = [1e-6, 1e-9, 2.0**-30, 2.0**-40]
+    stacks = []
+    solve = closedloop.solve_lyapunov_steady
+
+    def recording(A, Qn):
+        stacks.append(A.shape)
+        return solve(A, Qn)
+
+    monkeypatch.setattr(closedloop, "solve_lyapunov_steady", recording)
+    for mode in FILTER_MODES:
+        stacks.clear()
+        grid = LoopBuilder(p, ENC).fidelities(noises, mode, rs)
+        assert [shape[0] for shape in stacks] == [16, 11] * len(rs)
+        assert closedloop.LOOP_STACK == 16
+        builder = LoopBuilder(p, ENC)
+        alone = [[builder(noise, mode, r).fidelity() for r in rs] for noise in noises]
+        assert np.array_equal(grid, alone), mode
+    assert np.array_equal(
+        uncontrolled_fidelities(p, noises),
+        [fidelity(steady_state(p, ENC, n).cov, input_covariance(n.Lambda)) for n in noises],
+    )
+
+
+def test_filter_stack_error_names_the_failing_item():
+    """A singular innovation covariance fails a stack of filters with the
+    error its filter raises alone, naming its index; the grid entry names
+    the grid point."""
+    p = reference_params()
+    mm, _, _ = loop_pieces(params=p)
+    bad = replace(mm, innovation_cov=np.zeros_like(mm.innovation_cov))
+    with pytest.raises(ValueError, match="^singular innovation covariance"):
+        stationary_filter(bad, p, ENC, NOISE)
+    with pytest.raises(ValueError, match="^item 1: singular innovation covariance") as exc:
+        stationary_filters([mm, bad, mm], p, ENC, [NOISE] * 3)
+    assert exc.value.index == 1
+    noises = [standard_noise(squeezed_vacuum(mu1), -0.4, p) for mu1 in (0.0, -60.0)]
+    with pytest.raises(ConvergenceError, match=r"^grid point \(1, 0\): CARE") as exc:
+        LoopBuilder(p, ENC).fidelities(noises, "s1", [1e-9, 1e-6])
+    assert exc.value.index == (1, 0)

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 from memlqg import estimation, numerics
 from memlqg.acceptance import reference_params
 from memlqg.estimation import measurement_model, stationary_filter
-from memlqg.model import standard_encoding, standard_noise, vacuum
+from memlqg.model import squeezed_vacuum, standard_encoding, standard_noise
 from memlqg.numerics import (
     ConvergenceError,
     UnstableDriftError,
@@ -181,9 +181,8 @@ def test_care_matches_scipy_on_random_problems(n, m):
     assert_care_matches_scipy(*random_care_problem(n, m, np.random.default_rng(200 + n)))
 
 
-@pytest.mark.parametrize("mode", ["s1", "s2"])
-def test_care_matches_scipy_on_filter_problem(mode, monkeypatch):
-    """The stationary filter's shifted CARE at the reference point."""
+def filter_care_problem(mode, mu1=0.0):
+    """The arguments of the stationary filter's one CARE at the reference point."""
     problems = []
     solve = estimation.solve_care
 
@@ -191,15 +190,23 @@ def test_care_matches_scipy_on_filter_problem(mode, monkeypatch):
         problems.append(args)
         return solve(*args)
 
-    monkeypatch.setattr(estimation, "solve_care", capture)
     params = reference_params()
     enc = standard_encoding(-230.0)
-    noise = standard_noise(vacuum(), -0.4, params)
-    stationary_filter(measurement_model(mode, enc, params, noise), params, enc, noise)
+    noise = standard_noise(squeezed_vacuum(mu1), -0.4, params)
+    mm = measurement_model(mode, enc, params, noise)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "solve_care", capture)
+        stationary_filter(mm, params, enc, noise)
     assert len(problems) == 1
+    return problems[0]
+
+
+@pytest.mark.parametrize("mode", ["s1", "s2"])
+def test_care_matches_scipy_on_filter_problem(mode):
+    """The stationary filter's shifted CARE at the reference point."""
     # on this problem, solved in the input-mode coordinates, scipy's default
     # balancing is itself off the closed form by 2e-6 (s1) and 2.4 (s2)
-    assert_care_matches_scipy(*problems[0], balanced=False)
+    assert_care_matches_scipy(*filter_care_problem(mode), balanced=False)
 
 
 @pytest.mark.parametrize("where", range(4))
@@ -215,3 +222,78 @@ def test_care_rejects_unstabilizable_problem():
     # A = 1 with no input: no gain stabilizes it, so no stabilizing P exists
     with pytest.raises(ConvergenceError, match="CARE solver failed"):
         solve_care(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+
+
+def polished_care_problem():
+    """A badly scaled CARE whose eigenvector seed misses 1e-12, so that
+    Newton-Kleinman polishes it."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((4, 4))
+    G = rng.standard_normal((4, 4))
+    A = 0.5 * (M - M.T) - 1e-3 * np.eye(4)
+    return A, rng.standard_normal((4, 2)), 1e5 * G @ G.T + 1e-3 * np.eye(4), 1e-5 * np.eye(2)
+
+
+def assert_items_solved_alone(solve, problems):
+    """solve() on the stack of the problems equals each problem solved alone,
+    bit for bit."""
+    stacked = solve(*(np.stack(args) for args in zip(*problems)))
+    assert stacked.shape[0] == len(problems)
+    for item, args in zip(stacked, problems):
+        assert np.array_equal(item, solve(*args))
+
+
+def test_lyapunov_stack_items_equal_each_item_solved_alone():
+    """Dense and diagonal drifts, alone and in one mixed stack."""
+    rng = np.random.default_rng(7)
+    problems = []
+    for k in range(5):
+        G = rng.standard_normal((6, 6))
+        A = random_stable(6, rng) if k % 2 else np.diag(-rng.uniform(0.5, 3.0, 6))
+        problems.append((A, G @ G.T))
+    assert_items_solved_alone(solve_lyapunov_steady, problems)
+    assert_items_solved_alone(solve_lyapunov_steady, problems[1::2])  # dense only
+    assert_items_solved_alone(solve_lyapunov_steady, problems[0::2])  # diagonal only
+
+
+def test_care_stack_items_equal_each_item_solved_alone(monkeypatch):
+    """The s1 and s2 filter CAREs (with and without a squeezed source) and
+    a problem that needs Newton-Kleinman polish, stacked by shape."""
+    polished = []
+    polish = numerics.newton_kleinman
+    monkeypatch.setattr(
+        numerics, "newton_kleinman", lambda *args: polished.append(1) or polish(*args)
+    )
+    s1 = [filter_care_problem("s1", mu1) for mu1 in (0.0, -1.0, 0.5)]
+    s2 = [filter_care_problem("s2", mu1) for mu1 in (0.0, -1.0)]
+    assert_items_solved_alone(solve_care, s1)
+    assert_items_solved_alone(solve_care, s2)
+    assert not polished  # the filter seeds meet 1e-12 unpolished
+    rng = np.random.default_rng(5)
+    mixed = [polished_care_problem()] + [random_care_problem(4, 2, rng) for _ in range(3)]
+    solve_care(*mixed[0])
+    assert len(polished) == 1
+    assert_items_solved_alone(solve_care, mixed[::-1])
+    assert len(polished) == 3  # once in the stack and once alone: only that item
+
+
+def test_stack_error_names_the_failing_item():
+    """One bad item fails the stack with the error type it raises alone,
+    and the message names its index."""
+    rng = np.random.default_rng(11)
+    A = np.stack([random_stable(3, rng) for _ in range(4)])
+    Q = np.stack([np.eye(3)] * 4)
+    A[2] = np.array([[0.5, 2.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
+    with pytest.raises(UnstableDriftError, match=r"eigenvalue 0\.5 has Re >= 0") as alone:
+        solve_lyapunov_steady(A[2], Q[2])
+    assert "item" not in str(alone.value)
+    with pytest.raises(UnstableDriftError, match=r"^item 2: unstable drift") as stack:
+        solve_lyapunov_steady(A, Q)
+    assert stack.value.index == 2 and stack.value.detail == str(alone.value)
+    diagonal = np.stack([-np.eye(2), np.diag([-1.0, 1e-3])])
+    with pytest.raises(UnstableDriftError, match=r"^item 1: .*eigenvalue 0\.001"):
+        solve_lyapunov_steady(diagonal, np.stack([np.eye(2)] * 2))
+    care = [(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1))] * 3
+    care[1] = (np.array([[1.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
+    with pytest.raises(ConvergenceError, match=r"^item 1: CARE solver failed"):
+        solve_care(*(np.stack(args) for args in zip(*care)))

@@ -93,18 +93,15 @@ def build_augmented(
 
 def closed_loop_covariance(am: AugmentedModel) -> tuple[np.ndarray, np.ndarray]:
     """Steady joint covariance Vz and the controlled memory block V'."""
-    Vz = _joint_covariances([am], stacked=False)[0]
+    Vz = _joint_covariances([am])[0]
     return Vz, Vz[:6, :6].copy()
 
 
-def _joint_covariances(ams: list, stacked: bool) -> np.ndarray:
-    """Steady joint covariance of each augmented model, as one stack; on a
-    stacked solve an error names the first model that fails."""
+def _joint_covariances(ams: list) -> np.ndarray:
+    """Steady joint covariance of each augmented model, as one stack."""
     Az = stack([am.Az for am in ams])
     Bz = stack([am.Bz for am in ams])
     Qz = Bz @ stack([am.Sigma for am in ams]) @ Bz.swapaxes(1, 2)
-    if not stacked:
-        return solve_lyapunov_steady(Az[0], Qz[0])[None]
     return solve_lyapunov_steady(Az, Qz)
 
 
@@ -266,7 +263,7 @@ class LoopBuilder:
     A filter that knows the source (model.FILTER_MODES) sees the true noise;
     a blind one sees the source block replaced by the vacuum. The stationary
     filter depends on neither r nor, when blind, the true source, so each
-    builder solves it once per (mode, filter-view noise); the regulator
+    builder solves it once per (mode, filter-view SigmaW); the regulator
     gains depend on neither noise, so it builds them once per (mode, r).
     """
 
@@ -277,7 +274,7 @@ class LoopBuilder:
         self._gains: dict = {}
 
     def __call__(self, noise: NoiseModel, mode: str, r: float) -> Loop:
-        ((mm, sf),) = self._filters_of([noise], mode, stacked=False)
+        ((mm, sf),) = self._filters_of([noise], mode)
         g = self._gains_of(mode, r)
         return Loop(params=self.params, enc=self.enc, noise=noise, mm=mm, sf=sf, g=g)
 
@@ -287,9 +284,11 @@ class LoopBuilder:
         The filter views of the noises that are not yet cached are solved
         as one stacked CARE. The loops are solved one r at a time, over the
         noises, in stacked Lyapunov solves of at most LOOP_STACK loops. An
-        error names the grid point (i, j) it fails at, as `exc.index`.
+        error is its point's own, labelled with the grid point (i, j) that
+        `exc.index` holds: j = 0 for a filter, i = 0 for an r's gains.
         """
-        filters = self._filters_of(noises, mode, stacked=True)
+        with items_renamed(_grid_point, lambda i: (i, 0)):
+            filters = self._filters_of(noises, mode)
         V_in = input_covariance(stack([noise.Lambda for noise in noises]))
         F = np.empty((len(noises), len(rs)))
         for j, r in enumerate(rs):
@@ -304,7 +303,7 @@ class LoopBuilder:
                     for noise, (mm, sf) in zip(noises[block], filters[block])
                 ]
                 with items_renamed(_grid_point, lambda k: (start + k, j)):
-                    Vz = _joint_covariances(ams, stacked=True)
+                    Vz = _joint_covariances(ams)
                     F[block, j] = controlled_fidelity(Vz[:, :6, :6], V_in[block])
         return F
 
@@ -313,26 +312,27 @@ class LoopBuilder:
             self._gains[mode, r] = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
         return self._gains[mode, r]
 
-    def _filters_of(self, noises: list, mode: str, stacked: bool) -> list:
+    def _filters_of(self, noises: list, mode: str) -> list:
         """(mm, sf) of each noise's filter view; the views not yet cached are
-        solved together, as one stack when `stacked`."""
+        solved together, and an error's `exc.index` is its noise's index."""
         # the filter never knows the amplitude, so only covariance_known matters
         source = SourceSpec(alpha_in=0.0, covariance_known=syndrome_set(mode).knows_source)
         views = [filter_view_noise(noise, source, self.params) for noise in noises]
-        keys = [(mode, view.Lambda.tobytes()) for view in views]
+        # the measurement model reads Lambda, the filter all of SigmaW
+        keys = [(mode, view.SigmaW.tobytes()) for view in views]
         first = {}  # each uncached key, at the first noise that has it
         for i, key in enumerate(keys):
             if key not in self._filters:
                 first.setdefault(key, i)
         if first:
-            new = [views[i] for i in first.values()]
+            points = list(first.values())
+            new = [views[i] for i in points]
             mms = [measurement_model(mode, self.enc, self.params, view) for view in new]
-            if stacked:
-                points = list(first.values())
-                with items_renamed(_grid_point, lambda k: (points[k], 0)):
+            with items_renamed(None, points.__getitem__):
+                if len(new) == 1:  # through the per-point entry, whose calls a trace counts
+                    sfs = [stationary_filter(mms[0], self.params, self.enc, new[0])]
+                else:
                     sfs = stationary_filters(mms, self.params, self.enc, new)
-            else:
-                sfs = [stationary_filter(mms[0], self.params, self.enc, new[0])]
             self._filters.update(zip(first, zip(mms, sfs)))
         return [self._filters[key] for key in keys]
 

@@ -121,7 +121,7 @@ def stationary_filter(
     else ConvergenceError carries that residual. This is
     `stationary_filters` on a stack of one.
     """
-    return _filters([mm], params, enc, [noise], stacked=False)[0]
+    return stationary_filters([mm], params, enc, [noise])[0]
 
 
 def stationary_filters(
@@ -129,14 +129,10 @@ def stationary_filters(
 ) -> list:
     """`stationary_filter` of each (mm, noise) pair, the measurement models
     of one filter mode, solved as one stacked CARE. Item i equals
-    stationary_filter(mms[i], params, enc, noises[i]) bit for bit; an error
-    names the first item that fails."""
-    return _filters(mms, params, enc, noises, stacked=True)
-
-
-def _filters(mms, params, enc, noises, stacked: bool) -> list:
+    stationary_filter(mms[i], params, enc, noises[i]) bit for bit; the first
+    item that fails raises its own error, `exc.index` its place in the list."""
     sys = system_matrices(params, enc)
-    items = np.arange(len(mms)) if stacked else None
+    items = np.arange(len(mms))
     Q = sys.B @ stack([noise.SigmaW for noise in noises]) @ sys.B.T
     R = stack([mm.innovation_cov for mm in mms])
     C = stack([mm.C for mm in mms])
@@ -162,9 +158,8 @@ def _filters(mms, params, enc, noises, stacked: bool) -> list:
     Qshift = symmetrize(Q - SRinv @ S.swapaxes(1, 2))
     T = _TRITTER
     Qin = symmetrize(T.T @ Qshift @ T)
-    args = (T.T @ Ashift.swapaxes(1, 2) @ T, T.T @ CT, Qin, R)
-    P = solve_care(*(args if stacked else (M[0] for M in args)))
-    Vc = symmetrize(T @ (P if stacked else P[None]) @ T.T)
+    P = solve_care(T.T @ Ashift.swapaxes(1, 2) @ T, T.T @ CT, Qin, R)
+    Vc = symmetrize(T @ P @ T.T)
     K = times_Rinv(Vc @ CT + S)  # K = (Vc C^T + S) R^-1
     flow = sys.A @ Vc + Vc @ sys.A.T + Q - K @ R @ K.swapaxes(1, 2)
     residual = np.linalg.norm(flow, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(Q, axis=(1, 2)))

@@ -56,7 +56,7 @@ _TRITTER.setflags(write=False)
 
 @dataclass(frozen=True)
 class MemoryParams:
-    """Rates of the three-mode memory.
+    """Rates of the three-mode memory, all finite.
 
     nu     : write/readout coupling rate (rad/s), nu > 0
     gamma  : loss rate to the thermal bath (rad/s), gamma >= 0
@@ -68,6 +68,9 @@ class MemoryParams:
     n_occ: float
 
     def __post_init__(self):
+        for name in ("nu", "gamma", "n_occ"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not (self.nu > 0.0):
             raise ValueError(f"nu must be positive, got {self.nu}")
         if self.gamma < 0.0:

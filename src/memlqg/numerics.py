@@ -18,8 +18,9 @@ one kernel, and each item of a stack comes out bit for bit as it would
 alone (numpy's linalg routines and matmul work item by item). A sweep's
 cost is per-call overhead, not arithmetic, so one call per stack is what
 makes it fast (the batched small-matrix pattern; Dongarra et al., Procedia
-Comput. Sci. 108, 2017). Every gate runs per item, and on a stack the
-error names the first item that fails it (`item_error`).
+Comput. Sci. 108, 2017). Every gate runs per item, and the first item that
+fails raises the error it raises alone; `exc.index` holds its place in the
+stack (0 for one problem), and callers label it (`items_renamed`).
 """
 
 from __future__ import annotations
@@ -42,45 +43,41 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def item_error(exc: Exception, index, label: str | None = None) -> Exception:
-    """`exc`, marked as the failure of item `index` of a stacked call.
-
-    Its message becomes '{label}: {detail}', label defaulting to
-    'item {index}'; `exc.index` holds the index and `exc.detail` the
-    message without a label, so a caller that maps items to points of its
-    own can label the error again."""
-    detail = getattr(exc, "detail", str(exc))
-    exc.index, exc.detail = index, detail
-    exc.args = (f"{label or f'item {index}'}: {detail}",)
+def item_error(exc: Exception, index, label: str | None) -> Exception:
+    """`exc`, marked as the failure of item `index` of a caller's own set of
+    problems (`exc.index`) and, unless label is None, labelled: its message
+    becomes '{label}: {detail}', and `exc.detail` keeps the message without
+    a label, so that a caller further out can label the error again."""
+    exc.index = index
+    if label is not None:
+        exc.detail = getattr(exc, "detail", str(exc))
+        exc.args = (f"{label}: {exc.detail}",)
     return exc
 
 
 @contextmanager
 def items_renamed(label, point=None):
-    """Re-label an error raised inside that names item k of a stack as the
-    failure of item point(k) of the caller's own (k itself when point is
-    None), labelled label(point(k)); any other error passes unchanged."""
+    """Mark an error raised inside that carries the index k of a failing
+    item as the failure of item point(k) of the caller's own (k itself when
+    point is None), labelled label(point(k)) unless label is None; any other
+    error passes unchanged."""
     try:
         yield
     except (ValueError, RuntimeError) as exc:
         if getattr(exc, "index", None) is None:
             raise
         index = exc.index if point is None else point(exc.index)
-        raise item_error(exc, index, label(index)) from None
+        raise item_error(exc, index, None if label is None else label(index)) from None
 
 
-def check_items(ok: np.ndarray, error, items: np.ndarray | None) -> None:
-    """Raise error(i) for the first i whose flag in `ok` is False.
-
-    `items` maps i to the index of the item in a stacked call, which the
-    error then names; it is None for a call on one problem."""
+def check_items(ok: np.ndarray, error, items: np.ndarray) -> None:
+    """Raise error(i) for the first i whose flag in `ok` is False, its
+    `index` set to items[i], the place of that item in the stacked call."""
     if not ok.all():
         i = int(np.argmin(ok))
-        raise _named(error(i), items, i)
-
-
-def _named(exc: Exception, items: np.ndarray | None, i: int) -> Exception:
-    return exc if items is None else item_error(exc, int(items[i]))
+        exc = error(i)
+        exc.index = int(items[i])
+        raise exc
 
 
 def _refuses(fn, *args) -> bool:
@@ -91,7 +88,7 @@ def _refuses(fn, *args) -> bool:
     return False
 
 
-def lapack_items(fn, error, items: np.ndarray | None, *stacks: np.ndarray) -> np.ndarray:
+def lapack_items(fn, error, items: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
     """fn(*stacks) for a numpy.linalg routine, which refuses a whole stack
     when it refuses one item; then check_items raises error(i) for the
     first item it refuses alone."""
@@ -204,7 +201,7 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     ||Qn||. Raises ValueError on NaN or inf entries, UnstableDriftError
     unless every eigenvalue of A has Re < 0, and ConvergenceError on a
     singular operator or an inaccurate solve; on a stack, for the first
-    item that fails a gate, named in the message.
+    item that fails a gate, as alone, with `exc.index` its place in it.
     """
     A = _square_stack(A, "A")
     Qn = _square_stack(Qn, "Qn")
@@ -213,7 +210,7 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     stacked = A.ndim == 3
     if not stacked:  # the stack of one
         A, Qn = A[None], Qn[None]
-    items = np.arange(len(A)) if stacked else None
+    items = np.arange(len(A))
     finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(Qn).all(axis=(1, 2))
     check_items(finite, lambda i: ValueError("A and Qn must not contain infs or NaNs"), items)
     _check_symmetric(Qn, "Qn", items)
@@ -268,10 +265,8 @@ def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
     RY = AY + AY.swapaxes(1, 2)
     RY.reshape(k, n * n)[:, :: n + 1] += 1.0
     certified = (_norms(RY) <= 0.5) & _positive_definite(XY[:, :, n:])
-    for i in np.flatnonzero(~certified):
-        error = _unstable_drift(A[i])
-        if error is not None:
-            raise _named(error, items, i)
+    unstable = [None if ok else _unstable_drift(a) for ok, a in zip(certified, A)]
+    check_items(np.array([error is None for error in unstable]), unstable.__getitem__, items)
     return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, XY[:, :, :n].copy(), Qn, items)
 
 
@@ -354,10 +349,11 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     P = U21 U11^-1. That seed is polished by
     `newton_kleinman` unless its residual is already below 1e-12, item by
     item; the returned P satisfies the equation to 1e-8 relative to ||Q||.
-    Raises ValueError on NaN or inf entries, and ConvergenceError when H has
-    no n-dimensional stable subspace with an invertible U11 (no stabilizing
-    solution); on a stack, for the first item that fails a gate, named in
-    the message.
+    Q = 0 is no special case (P = 0 only for a Hurwitz Atil); its residual
+    is absolute. Raises ValueError on NaN or inf entries, and
+    ConvergenceError when H has no n-dimensional stable subspace with an
+    invertible U11 (no stabilizing solution); on a stack, for the first item
+    that fails a gate, as alone, with `exc.index` its place in the stack.
     """
     Atil = _square_stack(Atil, "Atil")
     Btil = np.asarray(Btil, dtype=float)
@@ -369,7 +365,7 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
         Atil, Btil, Q, R = Atil[None], Btil[None], Q[None], R[None]
     if any(M.ndim != 3 or len(M) != k for M in (Btil, Q, R)):
         raise ValueError("Atil, Btil, Q and R must all be one problem or stacks of equal length")
-    items = np.arange(k) if stacked else None
+    items = np.arange(k)
     finite = np.all([np.isfinite(M).all(axis=(1, 2)) for M in (Atil, Btil, Q, R)], axis=0)
     check_items(
         finite, lambda i: ValueError("Atil, Btil, Q and R must not contain infs or NaNs"), items
@@ -390,22 +386,17 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
         min_eigenvalue(Q) >= floor, lambda i: ValueError("Q must be positive semidefinite"), items
     )
 
-    qscale = _norms(Q)
-    P = np.zeros_like(Q)
-    live = np.flatnonzero(qscale != 0.0)  # Q = 0 has P = 0
-    if live.size == k:
-        P = _care_seed(Atil, Btil, Q, R, items)
-    elif live.size:
-        P[live] = _care_seed(*(M[live] for M in (Atil, Btil, Q, R)), live if stacked else None)
-
+    P = _care_seed(Atil, Btil, Q, R, items)
     # Newton-Kleinman polish: each step squares the error of the eigenvector seed.
+    qscale = _norms(Q)
     residual = _care_residual(Atil, Btil, Q, R, P, np.where(qscale == 0.0, 1.0, qscale))
     for i in np.flatnonzero(~(residual < 1e-12)):
         G = np.linalg.solve(R[i], Btil[i].T @ P[i])
         try:
             P[i] = newton_kleinman(Atil[i], Btil[i], Q[i], R[i], G)
         except (ValueError, RuntimeError) as exc:
-            raise _named(exc, items, i)
+            exc.index = int(i)
+            raise
     return P if stacked else P[0]
 
 
@@ -443,7 +434,7 @@ def _care_seed(Atil, Btil, Q, R, items) -> np.ndarray:
             Ug = U if group.all() else U[group]
             Ug = Ug.real if group is real else Ug
             X = lapack_items(
-                np.linalg.solve, singular, None if items is None else items[group],
+                np.linalg.solve, singular, items[group],
                 Ug[:, :n].swapaxes(1, 2), Ug[:, n:].swapaxes(1, 2),
             )
             P[group] = X.swapaxes(1, 2).real  # conjugate pairs share a real part

@@ -41,7 +41,7 @@ class GaussianState:
     def __post_init__(self):
         if self.mean.shape != (6,) or self.cov.shape != (6, 6):
             raise ValueError("GaussianState expects a 6-vector mean and 6x6 cov")
-        _check_physical(self.cov[None], None)
+        _check_physical(self.cov[None])
         self.mean.setflags(write=False)
         self.cov.setflags(write=False)
 
@@ -76,23 +76,21 @@ def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
     return SystemMatrices(A=A, B=B, drive=-np.sqrt(params.nu) * enc.beta)
 
 
-def _check_physical(cov: np.ndarray, items) -> None:
+def _check_physical(cov: np.ndarray) -> None:
     """Refuse a covariance of the stack with an eigenvalue below
-    -1e-10 max(1, ||cov||); items as in numerics.check_items."""
+    -1e-10 max(1, ||cov||)."""
     floor = -1e-10 * np.maximum(1.0, np.linalg.norm(cov, axis=(1, 2)))
     check_items(
         min_eigenvalue(cov) >= floor,
         lambda i: ValueError("covariance is not physical (negative eigenvalue)"),
-        items,
+        np.arange(len(cov)),
     )
 
 
-def _steady_covariances(params: MemoryParams, noises: list, stacked: bool) -> np.ndarray:
+def _steady_covariances(params: MemoryParams, noises: list) -> np.ndarray:
     """The steady Lyapunov solve of each noise model, as one stack."""
     A, B = _drift_and_noise_map(params)
     Qn = B @ stack([noise.SigmaW for noise in noises]) @ B.T
-    if not stacked:
-        return solve_lyapunov_steady(A, Qn[0])[None]
     return solve_lyapunov_steady(np.broadcast_to(A, Qn.shape), Qn)
 
 
@@ -105,16 +103,16 @@ def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> Gaus
     """
     sys = system_matrices(params, enc)
     mean = 2.0 * sys.drive / (params.nu + params.gamma)
-    return GaussianState(mean=mean, cov=_steady_covariances(params, [noise], False)[0])
+    return GaussianState(mean=mean, cov=_steady_covariances(params, [noise])[0])
 
 
 def uncontrolled_fidelities(params: MemoryParams, noises: list) -> np.ndarray:
     """fidelity(steady_state(params, enc, noise).cov, input_covariance(noise.Lambda))
-    for each noise model, bit for bit, from one stacked Lyapunov solve; an
-    error names the first noise that fails. The fidelity is mean-matched,
-    so no encoding is needed."""
-    cov = _steady_covariances(params, noises, True)
-    _check_physical(cov, np.arange(len(cov)))
+    for each noise model, bit for bit, from one stacked Lyapunov solve; the
+    first noise that fails raises its own error, `exc.index` its place in
+    the list. The fidelity is mean-matched, so no encoding is needed."""
+    cov = _steady_covariances(params, noises)
+    _check_physical(cov)
     return fidelity(cov, input_covariance(stack([noise.Lambda for noise in noises])))
 
 
@@ -143,7 +141,7 @@ def single_mode_check(params: MemoryParams, alpha_in: float = 0.0) -> tuple[comp
 def fidelity(V: np.ndarray, V_in: np.ndarray):
     """Mean-matched Gaussian transfer fidelity 1/sqrt(det(V + V_in)): a
     float, or one per item when V and V_in are stacks of covariances (an
-    error then names the first item whose determinant is not positive)."""
+    error's `exc.index` is the first item whose determinant is not positive)."""
     V = np.asarray(V, dtype=float)
     V_in = np.asarray(V_in, dtype=float)
     if V.shape != V_in.shape or V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2]:
@@ -153,7 +151,7 @@ def fidelity(V: np.ndarray, V_in: np.ndarray):
     check_items(
         np.isfinite(dets) & (dets > 0.0),
         lambda i: ValueError(f"det(V + V_in) = {dets[i]:.6g} is not positive"),
-        np.arange(len(dets)) if V.ndim == 3 else None,
+        np.arange(len(dets)),
     )
     return 1.0 / np.sqrt(det)
 

@@ -118,6 +118,9 @@ class TrajectoryConfig:
     mode: str = "s1"
 
     def __post_init__(self):
+        for name in ("dt", "duration"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.dt > 0.0:
             raise ValueError("dt must be positive")
         if self.duration < self.dt:

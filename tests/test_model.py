@@ -53,6 +53,14 @@ def test_memory_params_validation_and_damping():
         MemoryParams(nu=1.0, gamma=1.0, n_occ=-2.0)
 
 
+@pytest.mark.parametrize("name", ["nu", "gamma", "n_occ"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_memory_params_refuse_non_finite_rates(name, bad):
+    values = dict(nu=1.0, gamma=1.0, n_occ=0.0) | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        MemoryParams(**values)
+
+
 def test_vacuum_and_squeezed_blocks():
     v = vacuum()
     assert v == FieldMode(vq=0.5, vp=0.5, c=0.0)

@@ -182,7 +182,8 @@ def test_care_matches_scipy_on_random_problems(n, m):
 
 
 def filter_care_problem(mode, mu1=0.0):
-    """The arguments of the stationary filter's one CARE at the reference point."""
+    """The arguments of the stationary filter's one CARE at the reference
+    point, as one problem: the filter solves it as a stack of one."""
     problems = []
     solve = estimation.solve_care
 
@@ -197,8 +198,8 @@ def filter_care_problem(mode, mu1=0.0):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(estimation, "solve_care", capture)
         stationary_filter(mm, params, enc, noise)
-    assert len(problems) == 1
-    return problems[0]
+    assert len(problems) == 1 and all(len(M) == 1 for M in problems[0])
+    return tuple(M[0] for M in problems[0])
 
 
 @pytest.mark.parametrize("mode", ["s1", "s2"])
@@ -277,23 +278,77 @@ def test_care_stack_items_equal_each_item_solved_alone(monkeypatch):
     assert len(polished) == 3  # once in the stack and once alone: only that item
 
 
-def test_stack_error_names_the_failing_item():
-    """One bad item fails the stack with the error type it raises alone,
-    and the message names its index."""
+def gate_failures():
+    """(gate, solve, problems, index, error, message) for every gate: the
+    problems stacked fail at item `index`, with the error type and the
+    start of the message that item raises alone."""
     rng = np.random.default_rng(11)
-    A = np.stack([random_stable(3, rng) for _ in range(4)])
-    Q = np.stack([np.eye(3)] * 4)
-    A[2] = np.array([[0.5, 2.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, -1.0]])
-    with pytest.raises(UnstableDriftError, match=r"eigenvalue 0\.5 has Re >= 0") as alone:
-        solve_lyapunov_steady(A[2], Q[2])
-    assert "item" not in str(alone.value)
-    with pytest.raises(UnstableDriftError, match=r"^item 2: unstable drift") as stack:
-        solve_lyapunov_steady(A, Q)
-    assert stack.value.index == 2 and stack.value.detail == str(alone.value)
-    diagonal = np.stack([-np.eye(2), np.diag([-1.0, 1e-3])])
-    with pytest.raises(UnstableDriftError, match=r"^item 1: .*eigenvalue 0\.001"):
-        solve_lyapunov_steady(diagonal, np.stack([np.eye(2)] * 2))
-    care = [(np.array([[-1.0]]), np.array([[1.0]]), np.eye(1), np.eye(1))] * 3
-    care[1] = (np.array([[1.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
-    with pytest.raises(ConvergenceError, match=r"^item 1: CARE solver failed"):
-        solve_care(*(np.stack(args) for args in zip(*care)))
+    lyap = [(random_stable(2, rng), np.eye(2)) for _ in range(3)]
+    care = [(-np.eye(2), np.eye(2), np.eye(2), np.eye(2))] * 3
+    skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+    rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+    def one(problems, index, **bad):
+        names = ("A", "Qn") if len(problems[0]) == 2 else ("A", "B", "Q", "R")
+        problems = list(problems)
+        problems[index] = tuple(bad.get(name, M) for name, M in zip(names, problems[index]))
+        return problems
+
+    nan = np.array([[np.nan, 0.0], [0.0, -1.0]])
+    return [
+        ("finite", solve_lyapunov_steady, one(lyap, 1, A=nan), 1, ValueError, "A and Qn must not"),
+        ("symmetric", solve_lyapunov_steady, one(lyap, 2, Qn=skew), 2, ValueError, "Qn must be"),
+        # an earlier gate fails first, at any item: finiteness before symmetry
+        ("gate order", solve_lyapunov_steady, one(one(lyap, 1, Qn=skew), 2, A=nan), 2,
+         ValueError, "A and Qn must not"),
+        ("Hurwitz, dense", solve_lyapunov_steady,
+         one(lyap, 1, A=np.array([[0.5, 2.0], [0.0, -1.0]])), 1,
+         UnstableDriftError, "unstable drift: eigenvalue 0.5 "),
+        # a mixed stack: the one diagonal drift is solved on its own route
+        ("Hurwitz, diagonal", solve_lyapunov_steady, one(lyap, 2, A=np.diag([-1.0, 1e-3])), 2,
+         UnstableDriftError, "unstable drift: eigenvalue 0.001 "),
+        ("Lyapunov residual", solve_lyapunov_steady,
+         one(lyap, 1, A=np.array([[-1e-3, 1e6], [0.0, -1e-3]])), 1,
+         ConvergenceError, "Lyapunov solve inaccurate"),
+        ("CARE finite", solve_care, one(care, 1, B=nan), 1, ValueError, "Atil, Btil, Q and R"),
+        ("Q symmetric", solve_care, one(care, 1, Q=skew), 1, ValueError, "Q must be symmetric"),
+        ("R symmetric", solve_care, one(care, 2, R=skew), 2, ValueError, "R must be symmetric"),
+        ("R > 0", solve_care, one(care, 1, R=-np.eye(2)), 1, ValueError, "R must be positive"),
+        ("Q >= 0", solve_care, one(care, 1, Q=-np.eye(2)), 1, ValueError, "Q must be positive"),
+        ("sdim", solve_care, one(care, 1, A=rotation, B=np.zeros((2, 2)), Q=np.zeros((2, 2))), 1,
+         ConvergenceError, "CARE solver failed: 0 of 4 Hamiltonian eigenvalues"),
+        ("U11", solve_care, one(care, 2, A=np.eye(2), B=np.zeros((2, 2))), 2,
+         ConvergenceError, "CARE solver failed: U11 is singular"),
+    ]
+
+
+def test_stack_error_names_the_failing_item():
+    """At every gate, a stack fails at its first failing item with the error
+    that item raises alone, the same type and message; the error's `index`
+    names the item's place in the stack (0 for one problem alone)."""
+    for gate, solve, problems, index, error, message in gate_failures():
+        with pytest.raises(error) as alone:
+            solve(*problems[index])
+        assert str(alone.value).startswith(message), gate
+        assert alone.value.index == 0, gate
+        with pytest.raises(error) as stacked:
+            solve(*(np.stack(args) for args in zip(*problems)))
+        assert type(stacked.value) is type(alone.value), gate
+        assert str(stacked.value) == str(alone.value), gate
+        assert stacked.value.index == index, gate
+
+
+@pytest.mark.parametrize("scale", [0.0, 1e-300])
+def test_care_with_zero_state_weight_returns_the_stabilizing_solution(scale):
+    """Q = 0 (or so small that its norm underflows) still has a unique
+    stabilizing solution: 2 for a = +1 (the closed loop a - p = -1), 0 for a
+    stable a, and scipy's on a 2 x 2 with one unstable mode."""
+    one = np.eye(1)
+    assert solve_care(one, one, scale * one, one)[0, 0] == pytest.approx(2.0, rel=1e-12)
+    assert np.array_equal(solve_care(-one, one, scale * one, one), np.zeros((1, 1)))
+    A = np.array([[0.5, 1.0], [0.0, -2.0]])
+    B, R = np.array([[1.0], [0.3]]), np.eye(1)
+    P = solve_care(A, B, scale * np.eye(2), R)
+    oracle = scipy.linalg.solve_continuous_are(A, B, np.zeros((2, 2)), R)
+    assert_allclose(P, oracle, rtol=1e-12, atol=1e-14)
+    assert np.linalg.eigvals(A - B @ np.linalg.solve(R, B.T @ P)).real.max() < 0

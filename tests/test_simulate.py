@@ -80,6 +80,14 @@ def test_config_validation():
     assert cfg.n_steps == 10
 
 
+@pytest.mark.parametrize("name", ["dt", "duration"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_config_refuses_non_finite_times(name, bad):
+    values = dict(dt=0.1, duration=1.0) | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        TrajectoryConfig(seed=1, **values)
+
+
 def test_repeat_run_is_bit_identical():
     loop = make_loop()
     cfg = TrajectoryConfig(dt=0.01, duration=2.0, seed=77)

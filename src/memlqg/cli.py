@@ -40,6 +40,7 @@ from .model import (
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
+    standard_noises,
     syndrome_set,
     thermal_occupation,
     vacuum,
@@ -303,7 +304,7 @@ def cmd_sweep_fidelity(args, err) -> int:
         return mu if j is None else f"{mu}, -log2 r = {_fmt(log2rs[j])}"
 
     with items_renamed(where):
-        noises = [standard_noise(source_mode, float(mu), params) for mu in mus]
+        noises = standard_noises([source_mode] * len(mus), mus, params)
         f_unc = uncontrolled_fidelities(params, noises)
         rs = [2.0 ** (-float(lg)) for lg in log2rs]
         f_ctl = LoopBuilder(params, enc).fidelities(noises, settings.filter_mode, rs)
@@ -333,7 +334,8 @@ def cmd_sweep_squeezed(args, err) -> int:
     params = settings.params
     builder = LoopBuilder(params, standard_encoding(settings.alpha_in))
     grid = [(mu, mu1) for mu in mus for mu1 in mu1s]
-    noises = [standard_noise(squeezed_vacuum(float(mu1)), float(mu), params) for mu, mu1 in grid]
+    sources = [squeezed_vacuum(float(mu1)) for _, mu1 in grid]
+    noises = standard_noises(sources, [mu for mu, _ in grid], params)
     fs = []
     for mode in FILTER_MODES:
 

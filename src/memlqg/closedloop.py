@@ -29,6 +29,7 @@ from .estimation import (
     StationaryFilter,
     filter_view_noise,
     measurement_model,
+    measurement_models,
     stationary_filter,
     stationary_filters,
 )
@@ -71,38 +72,50 @@ def build_augmented(
     """Assemble the joint drift of memory and stationary syndrome filter.
 
     Blocks: [[A, F], [Ktil C, -c I - sqrt(2 nu) Ktil + Btil F]] with noise
-    map [[B], [Ktil D]]. Stability is checked by the Lyapunov solve in
+    map [[B], [Ktil D]]; the stack of one of `_open_loops` and
+    `_add_feedback`. Stability is checked by the Lyapunov solve in
     closed_loop_covariance, which every reader of the model goes through.
     """
     if g.Fgain.shape[1] != mm.n_channels:
         raise ValueError("gains and measurement model disagree on syndrome count")
+    Az, Bz = _open_loops(params, enc, mm, sf.Ktil[None])
+    _add_feedback(Az, mm, g)
+    return AugmentedModel(Az=Az[0], Bz=Bz[0], Sigma=noise.SigmaW.copy())
+
+
+def _open_loops(params: MemoryParams, enc: Encoding, mm: MeasurementModel, Ktil: np.ndarray):
+    """(Az, Bz) of the augmented model of each filter gain of the stack Ktil
+    (k x m x m), without the regulator: Az's blocks [[A, 0], [Ktil C,
+    -c I - sqrt(2 nu) Ktil]] and Bz = [[B], [Ktil D]]. They do not depend on
+    the control weight, so a grid builds them once per noise."""
     sys = system_matrices(params, enc)
-    m = mm.n_channels
-    Az = np.zeros((6 + m, 6 + m))
-    Az[:6, :6] = sys.A
-    Az[:6, 6:] = g.Fgain
-    Az[6:, :6] = sf.Ktil @ mm.C
-    Az[6:, 6:] = (
-        -params.damping * np.eye(m)
-        - np.sqrt(2.0 * params.nu) * sf.Ktil
-        + mm.Btil @ g.Fgain
-    )
-    Bz = np.vstack([sys.B, sf.Ktil @ mm.D])
-    return AugmentedModel(Az=Az, Bz=Bz, Sigma=noise.SigmaW.copy())
+    k, m = Ktil.shape[:2]
+    Az = np.zeros((k, 6 + m, 6 + m))
+    Az[:, :6, :6] = sys.A
+    Az[:, 6:, :6] = Ktil @ mm.C
+    Az[:, 6:, 6:] = -params.damping * np.eye(m) - np.sqrt(2.0 * params.nu) * Ktil
+    Bz = np.empty((k, 6 + m, 12))
+    Bz[:, :6] = sys.B
+    Bz[:, 6:] = Ktil @ mm.D
+    return Az, Bz
+
+
+def _add_feedback(Az: np.ndarray, mm: MeasurementModel, g: Gains) -> None:
+    """Write the regulator's blocks into the stack of open-loop drifts Az:
+    F at the top right, and Btil F added to the filter block."""
+    Az[:, :6, 6:] = g.Fgain
+    Az[:, 6:, 6:] += mm.Btil @ g.Fgain
 
 
 def closed_loop_covariance(am: AugmentedModel) -> tuple[np.ndarray, np.ndarray]:
     """Steady joint covariance Vz and the controlled memory block V'."""
-    Vz = _joint_covariances([am])[0]
+    Vz = solve_lyapunov_steady(am.Az, _joint_noises(am.Bz[None], am.Sigma[None])[0])
     return Vz, Vz[:6, :6].copy()
 
 
-def _joint_covariances(ams: list) -> np.ndarray:
-    """Steady joint covariance of each augmented model, as one stack."""
-    Az = stack([am.Az for am in ams])
-    Bz = stack([am.Bz for am in ams])
-    Qz = Bz @ stack([am.Sigma for am in ams]) @ Bz.swapaxes(1, 2)
-    return solve_lyapunov_steady(Az, Qz)
+def _joint_noises(Bz: np.ndarray, SigmaW: np.ndarray) -> np.ndarray:
+    """The joint noise covariance Bz SigmaW Bz^T of each item of the stacks."""
+    return Bz @ SigmaW @ Bz.swapaxes(1, 2)
 
 
 def _invert(M: np.ndarray, name: str) -> np.ndarray:
@@ -250,10 +263,12 @@ class Loop:
 
 
 #: Loops per stacked Lyapunov solve in LoopBuilder.fidelities. A loop's
-#: dense operator is N x N, N = (6+m)(7+m)/2 = 45 for s1, so a stack of 16
-#: holds 16 x 45 x 45 doubles (259 kB); one stack of a whole 144-loop grid
-#: raised peak RSS by ~5 MB.
-LOOP_STACK = 16
+#: dense operator is N x N, N = (6+m)(7+m)/2 = 45 for s1, so a stack of 32
+#: holds 32 x 45 x 45 doubles (518 kB). Against two stacks of 16, one of 32
+#: solves the sweep's s1 loops 11 % faster and its s2 loops 15 % faster
+#: (alternating in one process), for ~0.4 MB of the sweep's peak RSS; one
+#: stack of a whole 144-loop grid raised peak RSS by ~5 MB.
+LOOP_STACK = 32
 
 
 class LoopBuilder:
@@ -282,13 +297,20 @@ class LoopBuilder:
         """F[i, j] = self(noises[i], mode, rs[j]).fidelity(), bit for bit.
 
         The filter views of the noises that are not yet cached are solved
-        as one stacked CARE. The loops are solved one r at a time, over the
-        noises, in stacked Lyapunov solves of at most LOOP_STACK loops. An
-        error is its point's own, labelled with the grid point (i, j) that
-        `exc.index` holds: j = 0 for a filter, i = 0 for an r's gains.
+        as one stacked CARE. The augmented models are assembled as stacks:
+        the parts that do not depend on r once for all noises (`_open_loops`
+        and the joint noise covariances), the drifts per r and stack. The
+        loops are solved one r at a time, over the noises, in stacked
+        Lyapunov solves of at most LOOP_STACK loops. An error is its point's
+        own, labelled with the grid point (i, j) that `exc.index` holds:
+        j = 0 for a filter, i = 0 for an r's gains.
         """
         with items_renamed(_grid_point, lambda i: (i, 0)):
             filters = self._filters_of(noises, mode)
+        mm = filters[0][0]  # C, D and Btil are the mode's alone
+        Ktil = stack([sf.Ktil for _, sf in filters])
+        Az, Bz = _open_loops(self.params, self.enc, mm, Ktil)
+        Qz = _joint_noises(Bz, stack([noise.SigmaW for noise in noises]))
         V_in = input_covariance(stack([noise.Lambda for noise in noises]))
         F = np.empty((len(noises), len(rs)))
         for j, r in enumerate(rs):
@@ -298,12 +320,10 @@ class LoopBuilder:
                 raise item_error(exc, (0, j), _grid_point((0, j))) from None
             for start in range(0, len(noises), LOOP_STACK):
                 block = slice(start, min(start + LOOP_STACK, len(noises)))
-                ams = [
-                    build_augmented(self.params, self.enc, noise, mm, g, sf)
-                    for noise, (mm, sf) in zip(noises[block], filters[block])
-                ]
+                Azj = Az[block].copy()
+                _add_feedback(Azj, mm, g)
                 with items_renamed(_grid_point, lambda k: (start + k, j)):
-                    Vz = _joint_covariances(ams)
+                    Vz = solve_lyapunov_steady(Azj, Qz[block])
                     F[block, j] = controlled_fidelity(Vz[:, :6, :6], V_in[block])
         return F
 
@@ -327,11 +347,12 @@ class LoopBuilder:
         if first:
             points = list(first.values())
             new = [views[i] for i in points]
-            mms = [measurement_model(mode, self.enc, self.params, view) for view in new]
             with items_renamed(None, points.__getitem__):
-                if len(new) == 1:  # through the per-point entry, whose calls a trace counts
+                if len(new) == 1:  # through the per-point entries, whose calls a trace counts
+                    mms = [measurement_model(mode, self.enc, self.params, new[0])]
                     sfs = [stationary_filter(mms[0], self.params, self.enc, new[0])]
                 else:
+                    mms = measurement_models(mode, self.enc, self.params, new)
                     sfs = stationary_filters(mms, self.params, self.enc, new)
             self._filters.update(zip(first, zip(mms, sfs)))
         return [self._filters[key] for key in keys]

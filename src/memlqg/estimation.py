@@ -73,21 +73,26 @@ class MeasurementModel:
 def measurement_model(
     mode: str, enc: Encoding, params: MemoryParams, noise: NoiseModel
 ) -> MeasurementModel:
-    """Build the output model for one mode of model.FILTER_MODES."""
+    """Build the output model for one mode of model.FILTER_MODES:
+    `measurement_models` of a list of one."""
+    return measurement_models(mode, enc, params, [noise])[0]
+
+
+def measurement_models(mode: str, enc: Encoding, params: MemoryParams, noises: list) -> list:
+    """measurement_model(mode, enc, params, noise) of each noise, bit for
+    bit. C, D and Btil depend on the mode alone, so the models share them;
+    the covariances are formed as one stack."""
     Z = enc.selector(mode)
     Btil = enc.syndrome_map(mode)
     C = np.sqrt(2.0 * params.nu) * Btil
     D = np.hstack([np.sqrt(2.0) * Z, np.zeros_like(Z)])
-    innovation_cov = 2.0 * Z @ noise.Lambda @ Z.T
-    cross_cov = -np.sqrt(2.0 * params.nu) * _TRITTER @ noise.Lambda @ Z.T
-    return MeasurementModel(
-        mode=mode,
-        C=C,
-        D=D,
-        Btil=Btil,
-        innovation_cov=symmetrize(innovation_cov),
-        cross_cov=cross_cov,
-    )
+    Lambda = stack([noise.Lambda for noise in noises])
+    innovation_cov = symmetrize(2.0 * Z @ Lambda @ Z.T)
+    cross_cov = -np.sqrt(2.0 * params.nu) * _TRITTER @ Lambda @ Z.T
+    return [
+        MeasurementModel(mode=mode, C=C, D=D, Btil=Btil, innovation_cov=R, cross_cov=S)
+        for R, S in zip(innovation_cov, cross_cov)
+    ]
 
 
 @dataclass(frozen=True)

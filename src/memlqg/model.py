@@ -22,6 +22,7 @@ makes the write-in amplitude invisible to the error-correction layer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,6 +53,8 @@ _TRITTER = np.array(
     ]
 )
 _TRITTER.setflags(write=False)
+_EYE6 = np.eye(6)
+_EYE6.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -242,12 +245,26 @@ class Encoding:
         self.beta.setflags(write=False)
 
     def selector(self, mode: str) -> np.ndarray:
-        """Z, the m x 6 selector of the mode's rows."""
-        return np.eye(6)[list(syndrome_set(mode).rows)]
+        """Z, the m x 6 selector of the mode's rows (read-only)."""
+        return _selector(mode)
 
     def syndrome_map(self, mode: str) -> np.ndarray:
-        """Btil = Z T^T, the m x 6 isometric syndrome map."""
-        return self.selector(mode) @ _TRITTER.T
+        """Btil = Z T^T, the m x 6 isometric syndrome map (read-only)."""
+        return _syndrome_map(mode)
+
+
+@lru_cache(maxsize=None)
+def _selector(mode: str) -> np.ndarray:
+    Z = np.eye(6)[list(syndrome_set(mode).rows)]
+    Z.setflags(write=False)
+    return Z
+
+
+@lru_cache(maxsize=None)
+def _syndrome_map(mode: str) -> np.ndarray:
+    Btil = _selector(mode) @ _TRITTER.T
+    Btil.setflags(write=False)
+    return Btil
 
 
 def standard_encoding(alpha_in: float) -> Encoding:
@@ -274,16 +291,40 @@ class NoiseModel:
 
 
 def noise_model(Lambda: np.ndarray, n_occ: float) -> NoiseModel:
-    Lambda = np.asarray(Lambda, dtype=float)
+    """The noise model of the input covariance Lambda (6 x 6) and the bath
+    occupation n_occ: `noise_models` of a stack of one."""
+    return noise_models(np.asarray(Lambda, dtype=float)[None], n_occ)[0]
+
+
+def noise_models(Lambdas, n_occ: float) -> list:
+    """noise_model(Lambda, n_occ) of each Lambda of a k x 6 x 6 stack (or a
+    list of 6 x 6 arrays), bit for bit, from one stack of SigmaW; each model
+    holds read-only views."""
     if n_occ < 0.0:
         raise ValueError(f"n_occ must be nonnegative, got {n_occ}")
-    SigmaW = np.zeros((12, 12))
-    SigmaW[:6, :6] = Lambda
-    SigmaW[6:, 6:] = (n_occ + 0.5) * np.eye(6)
-    return NoiseModel(Lambda=Lambda.copy(), SigmaW=SigmaW)
+    if len(Lambdas) == 0:
+        return []
+    Lambdas = np.array(Lambdas, dtype=float)  # a copy the models own
+    if Lambdas.ndim != 3 or Lambdas.shape[1:] != (6, 6):
+        raise ValueError("NoiseModel expects Lambda 6x6 and SigmaW 12x12")
+    SigmaW = np.zeros((len(Lambdas), 12, 12))
+    SigmaW[:, :6, :6] = Lambdas
+    SigmaW[:, 6:, 6:] = (n_occ + 0.5) * _EYE6
+    return [NoiseModel(Lambda=Lam, SigmaW=S) for Lam, S in zip(Lambdas, SigmaW)]
 
 
 def standard_noise(source_mode: FieldMode, mu: float, params: MemoryParams) -> NoiseModel:
-    """Noise model for a given payload mode and ancilla squeezing exponent."""
-    anc = squeezed_vacuum(mu)
-    return noise_model(lambda_matrix(source_mode, anc, anc), params.n_occ)
+    """Noise model for a given payload mode and ancilla squeezing exponent:
+    `standard_noises` of a stack of one."""
+    return standard_noises([source_mode], [mu], params)[0]
+
+
+def standard_noises(sources, mus, params: MemoryParams) -> list:
+    """The noise model of each pair of the sequences sources (FieldMode) and
+    mus (ancilla squeezing exponents): each Lambda from `lambda_matrix`,
+    and the models as one `noise_models` stack."""
+    if len(mus) != len(sources):
+        raise ValueError(f"{len(sources)} sources for {len(mus)} squeezing exponents")
+    ancillas = map(squeezed_vacuum, mus)
+    Lambdas = [lambda_matrix(source, anc, anc) for source, anc in zip(sources, ancillas)]
+    return noise_models(Lambdas, params.n_occ)

@@ -129,12 +129,15 @@ def _square_stack(M, name: str) -> np.ndarray:
     return M
 
 
-def _check_symmetric(M: np.ndarray, name: str, items) -> None:
-    """Refuse an item of the stack M that is not symmetric to 1e-10 of its
-    largest entry; each solver symmetrizes what it uses of M itself."""
-    scale = np.maximum(1.0, np.abs(M).max(axis=(1, 2)))
+def _check_symmetric(M: np.ndarray, name: str, items) -> np.ndarray:
+    """Refuse an item of the stack M that is not symmetric to 1e-10 of
+    max(1, its largest |entry|); return each item's largest |entry|. Each
+    solver symmetrizes what it uses of M itself."""
+    largest = np.abs(M).max(axis=(1, 2))
     skew = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2))
-    check_items(skew <= 1e-10 * scale, lambda i: ValueError(f"{name} must be symmetric"), items)
+    ok = skew <= 1e-10 * np.maximum(1.0, largest)
+    check_items(ok, lambda i: ValueError(f"{name} must be symmetric"), items)
+    return largest
 
 
 @lru_cache(maxsize=None)
@@ -198,10 +201,12 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     one; a Hurwitz A whose certificate fails (non-normal, near the imaginary
     axis) is still solved, and the residual gate decides. The result is
     symmetric and checked to satisfy the equation to 1e-10 relative to
-    ||Qn||. Raises ValueError on NaN or inf entries, UnstableDriftError
-    unless every eigenvalue of A has Re < 0, and ConvergenceError on a
-    singular operator or an inaccurate solve; on a stack, for the first
-    item that fails a gate, as alone, with `exc.index` its place in it.
+    ||Qn||, both norms taken of the matrix divided by Qn's largest entry,
+    so that the gate holds at any scale a float reaches. Raises ValueError
+    on NaN or inf entries, UnstableDriftError unless every eigenvalue of A
+    has Re < 0, and ConvergenceError on a singular operator or an
+    inaccurate solve; on a stack, for the first item that fails a gate, as
+    alone, with `exc.index` its place in it.
     """
     A = _square_stack(A, "A")
     Qn = _square_stack(Qn, "Qn")
@@ -211,24 +216,28 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     if not stacked:  # the stack of one
         A, Qn = A[None], Qn[None]
     items = np.arange(len(A))
-    finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(Qn).all(axis=(1, 2))
-    check_items(finite, lambda i: ValueError("A and Qn must not contain infs or NaNs"), items)
-    _check_symmetric(Qn, "Qn", items)
+    if not (np.isfinite(A).all() and np.isfinite(Qn).all()):
+        finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(Qn).all(axis=(1, 2))
+        check_items(finite, lambda i: ValueError("A and Qn must not contain infs or NaNs"), items)
+    qmax = _check_symmetric(Qn, "Qn", items)
     a = np.diagonal(A, axis1=1, axis2=2)
     n = A.shape[1]
     diagonal = ~A.reshape(len(A), n * n)[:, _off_diagonal(n)].any(axis=1)
     if diagonal.all():
-        X = _lyapunov_diagonal(a, Qn, items)
+        X = _lyapunov_diagonal(a, Qn, qmax, items)
     elif not diagonal.any():
-        X = _lyapunov_dense(A, Qn, items)
+        X = _lyapunov_dense(A, Qn, qmax, items)
     else:  # a mixed stack: each item takes the route it would take alone
         X = np.empty_like(Qn)
-        X[diagonal] = _lyapunov_diagonal(a[diagonal], Qn[diagonal], items[diagonal])
-        X[~diagonal] = _lyapunov_dense(A[~diagonal], Qn[~diagonal], items[~diagonal])
+        X[diagonal] = _lyapunov_diagonal(
+            a[diagonal], Qn[diagonal], qmax[diagonal], items[diagonal]
+        )
+        dense = ~diagonal
+        X[dense] = _lyapunov_dense(A[dense], Qn[dense], qmax[dense], items[dense])
     return X if stacked else X[0]
 
 
-def _lyapunov_diagonal(a: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
+def _lyapunov_diagonal(a: np.ndarray, Qn: np.ndarray, qmax, items) -> np.ndarray:
     """Stacked diagonal route; a holds each item's diagonal drift."""
     worst = a.max(axis=1)
     check_items(
@@ -238,10 +247,10 @@ def _lyapunov_diagonal(a: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
     )
     X = (Qn + Qn.swapaxes(1, 2)) / (-2.0 * (a[:, :, None] + a[:, None, :]))
     AX = a[:, :, None] * X
-    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, X, Qn, items)
+    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, X, Qn, qmax, items)
 
 
-def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
+def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, qmax, items) -> np.ndarray:
     """Stacked symmetric-unknowns route: one block of k operators, one solve."""
     k, n = A.shape[:2]
     (t1, t2), (s1, s2), rows, cols, rhs0, unpack = _lyapunov_operator_index(n)
@@ -264,10 +273,13 @@ def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
     AX, AY = AXY[:, :, :n], AXY[:, :, n:]
     RY = AY + AY.swapaxes(1, 2)
     RY.reshape(k, n * n)[:, :: n + 1] += 1.0
+    # A bound on an absolute scale: a norm whose squares overflow (or
+    # underflow) is far above (or below) it, so it still compares right.
     certified = (_norms(RY) <= 0.5) & _positive_definite(XY[:, :, n:])
-    unstable = [None if ok else _unstable_drift(a) for ok, a in zip(certified, A)]
-    check_items(np.array([error is None for error in unstable]), unstable.__getitem__, items)
-    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, XY[:, :, :n].copy(), Qn, items)
+    if not certified.all():
+        unstable = [None if ok else _unstable_drift(a) for ok, a in zip(certified, A)]
+        check_items(np.array([error is None for error in unstable]), unstable.__getitem__, items)
+    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, XY[:, :, :n].copy(), Qn, qmax, items)
 
 
 def _positive_definite(M: np.ndarray) -> np.ndarray:
@@ -277,12 +289,16 @@ def _positive_definite(M: np.ndarray) -> np.ndarray:
     return np.array([not _refuses(np.linalg.cholesky, m) for m in M])
 
 
-def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, items) -> np.ndarray:
+def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, qmax, items):
     """X, once each item's residual A X + X A^T + Qn is below 1e-10 relative
-    to its ||Qn||; an item with Qn = 0 is X = 0."""
-    qscale = _norms(Qn)
-    zero = qscale == 0.0
-    relative = _norms(residual) / np.where(zero, 1.0, qscale)
+    to its ||Qn||; an item whose Qn has no nonzero entry is X = 0. Both
+    Frobenius norms are taken of the matrix divided by qmax, Qn's largest
+    |entry|, so that no square overflows or underflows where it matters:
+    ||Qn / qmax|| >= 1, and a residual whose squares overflow is far off."""
+    zero = qmax == 0.0
+    both = np.concatenate([residual[:, None], Qn[:, None]], axis=1)
+    norms = _norms(both / (qmax + zero)[:, None, None, None])  # zero: divided by 1
+    relative = norms[:, 0] / np.maximum(norms[:, 1], 1.0)  # 1: no nonzero entry
     check_items(
         zero | (relative <= 1e-10),
         lambda i: ConvergenceError("Lyapunov solve inaccurate", float(relative[i])),

@@ -118,13 +118,24 @@ def uncontrolled_fidelities(params: MemoryParams, noises: list) -> np.ndarray:
 
 def channel_variances(params: MemoryParams, Lambda: np.ndarray) -> np.ndarray:
     """Steady variances v_j = (nu lambda_j + gamma (n_occ + 1/2)) / (nu + gamma)
-    of the six input-mode channels x' = T^T x, lambda_j = Lambda[j, j]. Only a
-    diagonal Lambda (no q-p correlation) makes the channels independent."""
-    lam = np.diag(Lambda)
-    if np.abs(Lambda - np.diag(lam)).max() > 1e-12:
-        raise ValueError("closed-form channel variances require a diagonal Lambda")
+    of the six input-mode channels x' = T^T x, lambda_j = Lambda[j, j], or
+    of each Lambda of a stack (k x 6), elementwise. Only a diagonal Lambda
+    (no q-p correlation) makes the channels independent."""
+    lam = _channel_inputs(Lambda)
     therm = params.gamma * (params.n_occ + 0.5)
     return (params.nu * lam + therm) / (params.nu + params.gamma)
+
+
+def _channel_inputs(Lambda: np.ndarray) -> np.ndarray:
+    """The diagonal of Lambda (or of each item of a stack), refusing an
+    off-diagonal entry above 1e-12."""
+    Lambda = np.asarray(Lambda, dtype=float)
+    lam = np.diagonal(Lambda, axis1=-2, axis2=-1)
+    off = Lambda.copy()
+    off[..., np.arange(6), np.arange(6)] = 0.0
+    if np.abs(off).max() > 1e-12:
+        raise ValueError("closed-form channel variances require a diagonal Lambda")
+    return lam
 
 
 def single_mode_check(params: MemoryParams, alpha_in: float = 0.0) -> tuple[complex, float]:
@@ -156,10 +167,14 @@ def fidelity(V: np.ndarray, V_in: np.ndarray):
     return 1.0 / np.sqrt(det)
 
 
-def fidelity_closed_form(params: MemoryParams, Lambda: np.ndarray) -> float:
+def fidelity_closed_form(params: MemoryParams, Lambda: np.ndarray):
     """Steady transfer fidelity of the input Lambda, prod_j (v_j + lambda_j)^-1/2
-    over the channels of `channel_variances`."""
-    return float(np.prod(channel_variances(params, Lambda) + np.diag(Lambda)) ** -0.5)
+    over the channels of `channel_variances`: a float, or one per item of a
+    stack of Lambdas, each bit for bit its own."""
+    P = np.prod(channel_variances(params, Lambda) + _channel_inputs(Lambda), axis=-1)
+    # C's pow value by value: numpy's vectorized power can differ in the last bit
+    F = [x**-0.5 for x in np.atleast_1d(P).tolist()]
+    return F[0] if P.ndim == 0 else np.array(F)
 
 
 def pfd_rate(mu: float, source: FieldMode) -> float:

@@ -479,8 +479,13 @@ def test_trajectory_builds_no_augmented_model(tmp_path, monkeypatch):
     monkeypatch.setattr(closedloop, "build_augmented", counting)
     assert run(["trajectory", "--duration", "1e-4", "--out", str(tmp_path / "lazy")]) == 0
     assert builds == []
-    # the sweeps read the model, through the same patched binding
+    # a sweep assembles its loops as stacks, with no model per loop
     assert run(["sweep-fidelity", "--mu=-0.4", "--log2r", "20", "--out", str(tmp_path / "g")]) == 0
+    assert builds == []
+    # a loop's first read of Vz goes through the same patched binding
+    params = cli.RunSettings().params
+    noise = memlqg.standard_noise(memlqg.vacuum(), -0.4, params)
+    closedloop.LoopBuilder(params, memlqg.standard_encoding(-230.0))(noise, "s1", 1e-9).Vz
     assert builds == [1]
 
 

@@ -344,7 +344,7 @@ def test_grid_entry_equals_per_point_loops_bit_for_bit(monkeypatch):
     p = reference_params()
     noises = [
         standard_noise(squeezed_vacuum(mu1), mu, p)
-        for mu in np.linspace(-2.0, 0.5, 9)
+        for mu in np.linspace(-2.0, 0.5, 12)
         for mu1 in (0.0, -0.7, 0.4)
     ]
     rs = [1e-6, 1e-9, 2.0**-30, 2.0**-40]
@@ -359,8 +359,8 @@ def test_grid_entry_equals_per_point_loops_bit_for_bit(monkeypatch):
     for mode in FILTER_MODES:
         stacks.clear()
         grid = LoopBuilder(p, ENC).fidelities(noises, mode, rs)
-        assert [shape[0] for shape in stacks] == [16, 11] * len(rs)
-        assert closedloop.LOOP_STACK == 16
+        assert [shape[0] for shape in stacks] == [32, 4] * len(rs)
+        assert closedloop.LOOP_STACK == 32
         builder = LoopBuilder(p, ENC)
         alone = [[builder(noise, mode, r).fidelity() for r in rs] for noise in noises]
         assert np.array_equal(grid, alone), mode

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from memlqg import estimation
 from memlqg.acceptance import reference_params
 from memlqg.closedloop import LoopBuilder
-from memlqg.estimation import measurement_model, stationary_filter
+from memlqg.estimation import measurement_model, measurement_models, stationary_filter
 from memlqg.model import (
     _TRITTER,
     FILTER_MODES,
@@ -177,3 +177,21 @@ def test_syndrome_filter_tracks_projected_full_filter():
     cfg = TrajectoryConfig(dt=1e-3, duration=0.5, seed=7)
     traj = simulate_trajectory(cfg, loop)
     assert_allclose(traj.pi_s, traj.pi_x @ loop.mm.Btil.T, atol=1e-12)
+
+
+@pytest.mark.parametrize("mode", FILTER_MODES)
+def test_measurement_models_equal_each_view_bit_for_bit(mode):
+    """The models of a list of views share C, D and Btil, and each equals
+    measurement_model of its view bit for bit."""
+    noises = [
+        standard_noise(squeezed_vacuum(mu1), mu, PARAMS)
+        for mu in (-2.0, 0.3)
+        for mu1 in (0.0, -1.1, 0.7)
+    ]
+    grid = measurement_models(mode, ENC, PARAMS, noises)
+    for mm, noise in zip(grid, noises):
+        alone = measurement_model(mode, ENC, PARAMS, noise)
+        for name in ("C", "D", "Btil", "innovation_cov", "cross_cov"):
+            assert np.array_equal(getattr(mm, name), getattr(alone, name)), name
+            assert not getattr(mm, name).flags.writeable
+        assert mm.C is grid[0].C and mm.mode == mode

@@ -13,9 +13,11 @@ from memlqg.model import (
     input_covariance,
     lambda_matrix,
     noise_model,
+    noise_models,
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
+    standard_noises,
     thermal_occupation,
     vacuum,
 )
@@ -222,3 +224,36 @@ def test_noise_arrays_are_frozen():
     enc = standard_encoding(1.0)
     with pytest.raises(ValueError):
         enc.beta[0] = 2.0
+
+
+def test_grid_noise_models_equal_each_point_bit_for_bit():
+    """standard_noises and noise_models hold, bit for bit, what
+    lambda_matrix, squeezed_vacuum and noise_model build point by point:
+    squeezed, tilted and anti-squeezed sources, mu from MU_FLOOR up, and a
+    bath occupation."""
+    p = MemoryParams(nu=3.0, gamma=0.7, n_occ=12.5)
+    mus = np.concatenate([np.linspace(MU_FLOOR, 5.0, 251), [-0.4, 0.0, 1e-300]])
+    sources = [
+        (vacuum(), squeezed_vacuum(1.5), FieldMode(vq=2.0, vp=1.0, c=0.5))[k % 3]
+        for k in range(len(mus))
+    ]
+    grid = standard_noises(sources, mus, p)
+    alone = [
+        noise_model(lambda_matrix(src, squeezed_vacuum(mu), squeezed_vacuum(mu)), p.n_occ)
+        for src, mu in zip(sources, mus.tolist())
+    ]
+    for a, b in zip(grid, alone):
+        assert np.array_equal(a.Lambda, b.Lambda) and np.array_equal(a.SigmaW, b.SigmaW)
+        assert not a.SigmaW.flags.writeable and not a.Lambda.flags.writeable
+    lams = np.stack([n.Lambda for n in alone])
+    for a, lam in zip(noise_models(lams, 3.0), lams):
+        b = noise_model(lam, 3.0)
+        assert np.array_equal(a.Lambda, b.Lambda) and np.array_equal(a.SigmaW, b.SigmaW)
+    with pytest.raises(ValueError) as alone_error:
+        squeezed_vacuum(float("nan"))
+    with pytest.raises(ValueError) as grid_error:
+        standard_noises([vacuum()] * 3, [0.0, float("nan"), 1.0], p)
+    assert str(grid_error.value) == str(alone_error.value)
+    assert standard_noises([], [], p) == []
+    with pytest.raises(ValueError, match="1 sources"):
+        standard_noises([vacuum()], [0.0, -0.4], p)

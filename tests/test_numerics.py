@@ -352,3 +352,35 @@ def test_care_with_zero_state_weight_returns_the_stabilizing_solution(scale):
     oracle = scipy.linalg.solve_continuous_are(A, B, np.zeros((2, 2)), R)
     assert_allclose(P, oracle, rtol=1e-12, atol=1e-14)
     assert np.linalg.eigvals(A - B @ np.linalg.solve(R, B.T @ P)).real.max() < 0
+
+
+def test_lyapunov_gates_are_scale_safe():
+    """The residual gate takes its norms of the matrices divided by Qn's
+    largest entry, so no square overflows or underflows: a dense problem
+    solves at Qn ~ 1e200 (where the residual's squares overflow), an item
+    with Qn = 1e-300 I is not taken for Qn = 0, and at 1e200 a bad residual
+    still fails the gate, with a finite relative residual."""
+    rng = np.random.default_rng(21)
+    A = random_stable(3, rng)
+    G = rng.standard_normal((3, 3))
+    Q = G @ G.T + np.eye(3)
+    X = solve_lyapunov_steady(A, 1e200 * Q)
+    assert_allclose(X, 1e200 * solve_lyapunov_steady(A, Q), rtol=1e-13)
+    X = solve_lyapunov_steady(np.diag([-1.0, -2.0]), 1e-300 * np.eye(2))
+    assert_allclose(X, np.diag([5e-301, 2.5e-301]), rtol=1e-15)
+    X = solve_lyapunov_steady(np.diag([-1.0, -2.0]), 1e200 * np.eye(2))
+    assert_allclose(X, np.diag([5e199, 2.5e199]), rtol=1e-15)
+    Qn = 1e200 * np.eye(2)[None]
+    residual = 1e191 * np.eye(2)[None]  # 1e-9 of ||Qn||
+    with pytest.raises(ConvergenceError) as exc:
+        numerics._checked_lyapunov(residual, X[None].copy(), Qn, np.array([1e200]), [0])
+    assert exc.value.residual == pytest.approx(1e-9, rel=1e-12)
+    # Condition ~1e12: unless Qn's scale is a power of two, the rounding of
+    # this problem's own residual is ~1e-5 of ||Qn||, at 1e160 as at 0.1,
+    # and the gate reports that finite relative residual.
+    B = np.array([[-1.0, 1e6], [0.0, -1.0]])
+    for scale in (0.1, 1e160):
+        with pytest.raises(ConvergenceError) as exc:
+            solve_lyapunov_steady(B, scale * np.eye(2))
+        assert 1e-6 < exc.value.residual < 1e-4
+    assert_allclose(solve_lyapunov_steady(B, 2.0**531 * np.eye(2))[1, 1], 2.0**530, rtol=0)

@@ -202,3 +202,27 @@ def test_lossless_memory_reproduces_input():
         assert fidelity(st.cov, input_covariance(lam)) == pytest.approx(
             fidelity(input_covariance(lam), input_covariance(lam))
         )
+
+
+def test_closed_form_of_a_lambda_stack_equals_each_lambda_bit_for_bit():
+    """channel_variances and fidelity_closed_form on a stack of Lambdas give
+    each item's own value bit for bit (a float alone), and refuse a stack
+    with one correlated (tilted) source."""
+    p = MemoryParams(nu=3.0, gamma=0.7, n_occ=12.5)
+    lams = np.stack(
+        [
+            standard_noise(squeezed_vacuum(mu1), mu, p).Lambda
+            for mu in np.linspace(-20.0, 3.0, 47)
+            for mu1 in (0.0, 1.5)
+        ]
+    )
+    F = fidelity_closed_form(p, lams)
+    V = channel_variances(p, lams)
+    for lam, f, v in zip(lams, F, V):
+        alone = fidelity_closed_form(p, lam)
+        assert isinstance(alone, float) and f == alone
+        assert np.array_equal(v, channel_variances(p, lam))
+    tilted = lams.copy()
+    tilted[5] = lambda_matrix(FieldMode(vq=2.0, vp=1.0, c=0.5), vacuum(), vacuum())
+    with pytest.raises(ValueError, match="diagonal Lambda"):
+        fidelity_closed_form(p, tilted)

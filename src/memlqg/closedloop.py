@@ -41,7 +41,7 @@ from .model import (
     input_covariance,
     syndrome_set,
 )
-from .numerics import item_error, items_renamed, solve_lyapunov_steady, stack, symmetrize
+from .numerics import items_renamed, solve_lyapunov_steady, stack, symmetrize
 from .openloop import fidelity, system_matrices
 
 GAIN_READINGS = ("full", "projected")
@@ -302,10 +302,10 @@ class LoopBuilder:
         and the joint noise covariances), the drifts per r and stack. The
         loops are solved one r at a time, over the noises, in stacked
         Lyapunov solves of at most LOOP_STACK loops. An error is its point's
-        own, labelled with the grid point (i, j) that `exc.index` holds:
-        j = 0 for a filter, i = 0 for an r's gains.
+        own, unlabelled, with `exc.index` the grid point (i, j): j = 0 for a
+        filter, i = 0 for an r's gains.
         """
-        with items_renamed(_grid_point, lambda i: (i, 0)):
+        with items_renamed(point=lambda i: (i, 0)):
             filters = self._filters_of(noises, mode)
         mm = filters[0][0]  # C, D and Btil are the mode's alone
         Ktil = stack([sf.Ktil for _, sf in filters])
@@ -317,12 +317,13 @@ class LoopBuilder:
             try:
                 g = self._gains_of(mode, r)
             except ValueError as exc:  # r fails at every noise
-                raise item_error(exc, (0, j), _grid_point((0, j))) from None
+                exc.index = (0, j)
+                raise
             for start in range(0, len(noises), LOOP_STACK):
                 block = slice(start, min(start + LOOP_STACK, len(noises)))
                 Azj = Az[block].copy()
                 _add_feedback(Azj, mm, g)
-                with items_renamed(_grid_point, lambda k: (start + k, j)):
+                with items_renamed(point=lambda k: (start + k, j)):
                     Vz = solve_lyapunov_steady(Azj, Qz[block])
                     F[block, j] = controlled_fidelity(Vz[:, :6, :6], V_in[block])
         return F
@@ -347,7 +348,7 @@ class LoopBuilder:
         if first:
             points = list(first.values())
             new = [views[i] for i in points]
-            with items_renamed(None, points.__getitem__):
+            with items_renamed(point=points.__getitem__):
                 if len(new) == 1:  # through the per-point entries, whose calls a trace counts
                     mms = [measurement_model(mode, self.enc, self.params, new[0])]
                     sfs = [stationary_filter(mms[0], self.params, self.enc, new[0])]
@@ -356,7 +357,3 @@ class LoopBuilder:
                     sfs = stationary_filters(mms, self.params, self.enc, new)
             self._filters.update(zip(first, zip(mms, sfs)))
         return [self._filters[key] for key in keys]
-
-
-def _grid_point(index: tuple) -> str:
-    return f"grid point ({index[0]}, {index[1]})"

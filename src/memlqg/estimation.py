@@ -137,7 +137,6 @@ def stationary_filters(
     stationary_filter(mms[i], params, enc, noises[i]) bit for bit; the first
     item that fails raises its own error, `exc.index` its place in the list."""
     sys = system_matrices(params, enc)
-    items = np.arange(len(mms))
     Q = sys.B @ stack([noise.SigmaW for noise in noises]) @ sys.B.T
     R = stack([mm.innovation_cov for mm in mms])
     C = stack([mm.C for mm in mms])
@@ -148,7 +147,6 @@ def stationary_filters(
             "singular innovation covariance; clamp the squeezing exponent "
             "at MU_FLOOR instead of taking the ideal limit"
         ),
-        items,
         R,
     )
 
@@ -173,7 +171,6 @@ def stationary_filters(
         lambda i: ConvergenceError(
             "stationary filter inconsistent: Riccati residual", float(residual[i])
         ),
-        items,
     )
     Ktil = stack([mm.Btil for mm in mms]) @ K
     return [StationaryFilter(Vc=Vc[i], K=K[i], Ktil=Ktil[i]) for i in range(len(mms))]

@@ -91,8 +91,9 @@ class MemoryParams:
 class FieldMode:
     """One input field mode as its quadrature covariance [[vq, c], [c, vp]].
 
-    Physical when vq, vp > 0 and vq vp - c^2 >= 1/4 (equality for a pure
-    state), to 1e-12 relative to vq vp, the scale of the determinant's rounding.
+    Physical when vq, vp and c are finite, vq, vp > 0 and vq vp - c^2 >= 1/4
+    (equality for a pure state), to 1e-12 relative to vq vp, the scale of the
+    determinant's rounding.
     """
 
     vq: float
@@ -100,6 +101,9 @@ class FieldMode:
     c: float = 0.0
 
     def __post_init__(self):
+        for name in ("vq", "vp", "c"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         det = self.vq * self.vp - self.c * self.c
         if not (self.vq > 0.0 and self.vp > 0.0 and det >= 0.25 - 1e-12 * self.vq * self.vp):
             raise ValueError(

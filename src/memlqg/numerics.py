@@ -1,13 +1,13 @@
 """Dense real-matrix kernels: steady Lyapunov, CARE, Newton-Kleinman.
 
 Matrices are plain float64 numpy arrays throughout, and numpy is the only
-dependency. The Lyapunov equation is solved entry by entry for a diagonal
-drift, else as one linear system on the n(n+1)/2 unknowns of a symmetric
-solution (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-2002, ch. 16), whose second right-hand side certifies that the drift is
-Hurwitz. The CARE is solved by the eigenvector method (Potter, SIAM J.
-Appl. Math. 14, 1966): the stable eigenvectors of the Hamiltonian matrix
-span the graph of the solution, which Newton-Kleinman polishes when needed.
+dependency. The Lyapunov equation is solved as one linear system on the
+n(n+1)/2 unknowns of a symmetric solution (Higham, Accuracy and Stability
+of Numerical Algorithms, 2nd ed., 2002, ch. 16), whose second right-hand
+side certifies that the drift is Hurwitz. The CARE is solved by the
+eigenvector method (Potter, SIAM J. Appl. Math. 14, 1966): the stable
+eigenvectors of the Hamiltonian matrix span the graph of the solution,
+which Newton-Kleinman polishes when needed.
 Covariance-like results are symmetric and verified against their defining
 equation before being returned, so callers can rely on the residual bounds
 stated in each docstring.
@@ -20,7 +20,8 @@ cost is per-call overhead, not arithmetic, so one call per stack is what
 makes it fast (the batched small-matrix pattern; Dongarra et al., Procedia
 Comput. Sci. 108, 2017). Every gate runs per item, and the first item that
 fails raises the error it raises alone; `exc.index` holds its place in the
-stack (0 for one problem), and callers label it (`items_renamed`).
+stack it was given (0 for one problem). A caller maps that index to its own
+items with `items_renamed`, and only the command line labels it with text.
 """
 
 from __future__ import annotations
@@ -43,40 +44,31 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
 
 
-def item_error(exc: Exception, index, label: str | None) -> Exception:
-    """`exc`, marked as the failure of item `index` of a caller's own set of
-    problems (`exc.index`) and, unless label is None, labelled: its message
-    becomes '{label}: {detail}', and `exc.detail` keeps the message without
-    a label, so that a caller further out can label the error again."""
-    exc.index = index
-    if label is not None:
-        exc.detail = getattr(exc, "detail", str(exc))
-        exc.args = (f"{label}: {exc.detail}",)
-    return exc
-
-
 @contextmanager
-def items_renamed(label, point=None):
-    """Mark an error raised inside that carries the index k of a failing
-    item as the failure of item point(k) of the caller's own (k itself when
-    point is None), labelled label(point(k)) unless label is None; any other
-    error passes unchanged."""
+def items_renamed(label=None, point=None):
+    """Pass on an error raised inside that carries the index k of a failing
+    item (`exc.index`) as the failure of item point(k) of the caller's own
+    (k itself when point is None), its message prefixed 'label(point(k)): '
+    unless label is None; any other error passes unchanged."""
     try:
         yield
     except (ValueError, RuntimeError) as exc:
         if getattr(exc, "index", None) is None:
             raise
-        index = exc.index if point is None else point(exc.index)
-        raise item_error(exc, index, None if label is None else label(index)) from None
+        if point is not None:
+            exc.index = point(exc.index)
+        if label is not None:
+            exc.args = (f"{label(exc.index)}: {exc}",)
+        raise
 
 
-def check_items(ok: np.ndarray, error, items: np.ndarray) -> None:
+def check_items(ok: np.ndarray, error) -> None:
     """Raise error(i) for the first i whose flag in `ok` is False, its
-    `index` set to items[i], the place of that item in the stacked call."""
+    `index` set to i, the item's place in the stack the flags describe."""
     if not ok.all():
         i = int(np.argmin(ok))
         exc = error(i)
-        exc.index = int(items[i])
+        exc.index = i
         raise exc
 
 
@@ -88,15 +80,15 @@ def _refuses(fn, *args) -> bool:
     return False
 
 
-def lapack_items(fn, error, items: np.ndarray, *stacks: np.ndarray) -> np.ndarray:
+def lapack_items(fn, error, *stacks: np.ndarray) -> np.ndarray:
     """fn(*stacks) for a numpy.linalg routine, which refuses a whole stack
     when it refuses one item; then check_items raises error(i) for the
-    first item it refuses alone."""
+    first item i of the stacks that it refuses alone."""
     try:
         return fn(*stacks)
     except np.linalg.LinAlgError:
         ok = [not _refuses(fn, *(s[i] for s in stacks)) for i in range(len(stacks[0]))]
-    check_items(np.array(ok), error, items)
+    check_items(np.array(ok), error)
     return fn(*stacks)
 
 
@@ -129,21 +121,15 @@ def _square_stack(M, name: str) -> np.ndarray:
     return M
 
 
-def _check_symmetric(M: np.ndarray, name: str, items) -> np.ndarray:
+def _check_symmetric(M: np.ndarray, name: str) -> np.ndarray:
     """Refuse an item of the stack M that is not symmetric to 1e-10 of
     max(1, its largest |entry|); return each item's largest |entry|. Each
     solver symmetrizes what it uses of M itself."""
     largest = np.abs(M).max(axis=(1, 2))
     skew = np.abs(M - M.swapaxes(1, 2)).max(axis=(1, 2))
     ok = skew <= 1e-10 * np.maximum(1.0, largest)
-    check_items(ok, lambda i: ValueError(f"{name} must be symmetric"), items)
+    check_items(ok, lambda i: ValueError(f"{name} must be symmetric"))
     return largest
-
-
-@lru_cache(maxsize=None)
-def _off_diagonal(n: int) -> np.ndarray:
-    """Flat positions of the off-diagonal entries of an n x n matrix."""
-    return np.flatnonzero(~np.eye(n, dtype=bool))
 
 
 @lru_cache(maxsize=None)
@@ -190,23 +176,22 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     """Solve A X + X A^T + Qn = 0 for symmetric X, A strictly Hurwitz; A and
     Qn are n x n, or k x n x n stacks solved item by item.
 
-    A diagonal A is solved entry by entry, X_ij = -Qn_ij/(a_i + a_j), and is
-    Hurwitz when every a_i < 0. Any other A is solved on the n(n+1)/2
-    unknowns of a symmetric X (Higham, Accuracy and Stability of Numerical
-    Algorithms, 2nd ed., 2002, ch. 16): one `np.linalg.solve` of that
-    operator takes a second right-hand side, A Y + Y A^T = -I, and a Y that
-    passes a Cholesky factorization with a residual below 1/2 proves every
-    eigenvalue of A to have Re < 0 (Lyapunov's theorem). Only when that
-    certificate fails are A's eigenvalues computed, to name the offending
-    one; a Hurwitz A whose certificate fails (non-normal, near the imaginary
-    axis) is still solved, and the residual gate decides. The result is
-    symmetric and checked to satisfy the equation to 1e-10 relative to
-    ||Qn||, both norms taken of the matrix divided by Qn's largest entry,
-    so that the gate holds at any scale a float reaches. Raises ValueError
-    on NaN or inf entries, UnstableDriftError unless every eigenvalue of A
-    has Re < 0, and ConvergenceError on a singular operator or an
-    inaccurate solve; on a stack, for the first item that fails a gate, as
-    alone, with `exc.index` its place in it.
+    The equation is solved on the n(n+1)/2 unknowns of a symmetric X
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002,
+    ch. 16): one `np.linalg.solve` of that operator takes a second
+    right-hand side, A Y + Y A^T = -I, and a Y that passes a Cholesky
+    factorization with a residual below 1/2 proves every eigenvalue of A to
+    have Re < 0 (Lyapunov's theorem). Only when that certificate fails are
+    A's eigenvalues computed, to name the offending one; a Hurwitz A whose
+    certificate fails (non-normal, near the imaginary axis) is still solved,
+    and the residual gate decides. The result is symmetric and checked to
+    satisfy the equation to 1e-10 relative to ||Qn||, both norms taken of
+    the matrix divided by Qn's largest entry, so that the gate holds at any
+    scale a float reaches. Raises ValueError on NaN or inf entries,
+    UnstableDriftError unless every eigenvalue of A has Re < 0, and
+    ConvergenceError on a singular operator or an inaccurate solve; on a
+    stack, for the first item that fails a gate, as alone, with `exc.index`
+    its place in it.
     """
     A = _square_stack(A, "A")
     Qn = _square_stack(Qn, "Qn")
@@ -215,42 +200,15 @@ def solve_lyapunov_steady(A: np.ndarray, Qn: np.ndarray) -> np.ndarray:
     stacked = A.ndim == 3
     if not stacked:  # the stack of one
         A, Qn = A[None], Qn[None]
-    items = np.arange(len(A))
     if not (np.isfinite(A).all() and np.isfinite(Qn).all()):
         finite = np.isfinite(A).all(axis=(1, 2)) & np.isfinite(Qn).all(axis=(1, 2))
-        check_items(finite, lambda i: ValueError("A and Qn must not contain infs or NaNs"), items)
-    qmax = _check_symmetric(Qn, "Qn", items)
-    a = np.diagonal(A, axis1=1, axis2=2)
-    n = A.shape[1]
-    diagonal = ~A.reshape(len(A), n * n)[:, _off_diagonal(n)].any(axis=1)
-    if diagonal.all():
-        X = _lyapunov_diagonal(a, Qn, qmax, items)
-    elif not diagonal.any():
-        X = _lyapunov_dense(A, Qn, qmax, items)
-    else:  # a mixed stack: each item takes the route it would take alone
-        X = np.empty_like(Qn)
-        X[diagonal] = _lyapunov_diagonal(
-            a[diagonal], Qn[diagonal], qmax[diagonal], items[diagonal]
-        )
-        dense = ~diagonal
-        X[dense] = _lyapunov_dense(A[dense], Qn[dense], qmax[dense], items[dense])
+        check_items(finite, lambda i: ValueError("A and Qn must not contain infs or NaNs"))
+    qmax = _check_symmetric(Qn, "Qn")
+    X = _lyapunov_dense(A, Qn, qmax)
     return X if stacked else X[0]
 
 
-def _lyapunov_diagonal(a: np.ndarray, Qn: np.ndarray, qmax, items) -> np.ndarray:
-    """Stacked diagonal route; a holds each item's diagonal drift."""
-    worst = a.max(axis=1)
-    check_items(
-        worst < 0.0,
-        lambda i: UnstableDriftError(f"unstable drift: eigenvalue {float(worst[i])} has Re >= 0"),
-        items,
-    )
-    X = (Qn + Qn.swapaxes(1, 2)) / (-2.0 * (a[:, :, None] + a[:, None, :]))
-    AX = a[:, :, None] * X
-    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, X, Qn, qmax, items)
-
-
-def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, qmax, items) -> np.ndarray:
+def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, qmax) -> np.ndarray:
     """Stacked symmetric-unknowns route: one block of k operators, one solve."""
     k, n = A.shape[:2]
     (t1, t2), (s1, s2), rows, cols, rhs0, unpack = _lyapunov_operator_index(n)
@@ -267,7 +225,7 @@ def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, qmax, items) -> np.ndarray:
         error = ConvergenceError("Lyapunov solve failed: singular operator")
         return _unstable_drift(A[i]) or error
 
-    XY = lapack_items(np.linalg.solve, singular, items, L.reshape(k, N, N), rhs)
+    XY = lapack_items(np.linalg.solve, singular, L.reshape(k, N, N), rhs)
     XY = XY.reshape(k, 2 * N)[:, unpack]  # [X | Y], both symmetric
     AXY = A @ XY
     AX, AY = AXY[:, :, :n], AXY[:, :, n:]
@@ -278,8 +236,8 @@ def _lyapunov_dense(A: np.ndarray, Qn: np.ndarray, qmax, items) -> np.ndarray:
     certified = (_norms(RY) <= 0.5) & _positive_definite(XY[:, :, n:])
     if not certified.all():
         unstable = [None if ok else _unstable_drift(a) for ok, a in zip(certified, A)]
-        check_items(np.array([error is None for error in unstable]), unstable.__getitem__, items)
-    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, XY[:, :, :n].copy(), Qn, qmax, items)
+        check_items(np.array([error is None for error in unstable]), unstable.__getitem__)
+    return _checked_lyapunov(AX + AX.swapaxes(1, 2) + Qn, XY[:, :, :n].copy(), Qn, qmax)
 
 
 def _positive_definite(M: np.ndarray) -> np.ndarray:
@@ -289,7 +247,7 @@ def _positive_definite(M: np.ndarray) -> np.ndarray:
     return np.array([not _refuses(np.linalg.cholesky, m) for m in M])
 
 
-def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, qmax, items):
+def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, qmax):
     """X, once each item's residual A X + X A^T + Qn is below 1e-10 relative
     to its ||Qn||; an item whose Qn has no nonzero entry is X = 0. Both
     Frobenius norms are taken of the matrix divided by qmax, Qn's largest
@@ -302,7 +260,6 @@ def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, qmax,
     check_items(
         zero | (relative <= 1e-10),
         lambda i: ConvergenceError("Lyapunov solve inaccurate", float(relative[i])),
-        items,
     )
     if zero.any():
         X[zero] = 0.0
@@ -381,13 +338,10 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
         Atil, Btil, Q, R = Atil[None], Btil[None], Q[None], R[None]
     if any(M.ndim != 3 or len(M) != k for M in (Btil, Q, R)):
         raise ValueError("Atil, Btil, Q and R must all be one problem or stacks of equal length")
-    items = np.arange(k)
     finite = np.all([np.isfinite(M).all(axis=(1, 2)) for M in (Atil, Btil, Q, R)], axis=0)
-    check_items(
-        finite, lambda i: ValueError("Atil, Btil, Q and R must not contain infs or NaNs"), items
-    )
-    _check_symmetric(Q, "Q", items)
-    _check_symmetric(R, "R", items)
+    check_items(finite, lambda i: ValueError("Atil, Btil, Q and R must not contain infs or NaNs"))
+    _check_symmetric(Q, "Q")
+    _check_symmetric(R, "R")
     Q, R = symmetrize(Q), symmetrize(R)
     n = Atil.shape[1]
     if Btil.shape[1] != n or Btil.shape[2] != R.shape[1]:
@@ -396,13 +350,12 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
         )
     if Atil.shape != Q.shape:
         raise ValueError(f"shape mismatch: Atil {Atil.shape} vs Q {Q.shape}")
-    lapack_items(np.linalg.cholesky, lambda i: ValueError("R must be positive definite"), items, R)
+    lapack_items(np.linalg.cholesky, lambda i: ValueError("R must be positive definite"), R)
     floor = -1e-10 * np.maximum(1.0, np.abs(Q).max(axis=(1, 2)))
-    check_items(
-        min_eigenvalue(Q) >= floor, lambda i: ValueError("Q must be positive semidefinite"), items
-    )
+    psd = min_eigenvalue(Q) >= floor
+    check_items(psd, lambda i: ValueError("Q must be positive semidefinite"))
 
-    P = _care_seed(Atil, Btil, Q, R, items)
+    P = _care_seed(Atil, Btil, Q, R)
     # Newton-Kleinman polish: each step squares the error of the eigenvector seed.
     qscale = _norms(Q)
     residual = _care_residual(Atil, Btil, Q, R, P, np.where(qscale == 0.0, 1.0, qscale))
@@ -416,9 +369,9 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     return P if stacked else P[0]
 
 
-def _care_seed(Atil, Btil, Q, R, items) -> np.ndarray:
+def _care_seed(Atil, Btil, Q, R) -> np.ndarray:
     """Potter's seed U21 U11^-1 for each item of the stacks, with the sdim,
-    singular-U11 and finiteness gates; items is as in check_items."""
+    singular-U11 and finiteness gates."""
     k, n = Atil.shape[:2]
     BT = Btil.swapaxes(1, 2)
     G = symmetrize(Btil @ np.linalg.solve(R, BT))
@@ -434,7 +387,6 @@ def _care_seed(Atil, Btil, Q, R, items) -> np.ndarray:
             f"CARE solver failed: {sdim[i]} of {2 * n} Hamiltonian eigenvalues "
             f"in the open left half plane, expected {n}"
         ),
-        items,
     )
     # the stable columns in their order, as V[:, stable] takes them alone
     columns = np.argsort(~stable, axis=1, kind="stable")[:, None, :n]
@@ -449,18 +401,17 @@ def _care_seed(Atil, Btil, Q, R, items) -> np.ndarray:
         if group.any():
             Ug = U if group.all() else U[group]
             Ug = Ug.real if group is real else Ug
-            X = lapack_items(
-                np.linalg.solve, singular, items[group],
-                Ug[:, :n].swapaxes(1, 2), Ug[:, n:].swapaxes(1, 2),
-            )
+            with items_renamed(point=lambda i: int(np.flatnonzero(group)[i])):
+                X = lapack_items(
+                    np.linalg.solve, singular, Ug[:, :n].swapaxes(1, 2), Ug[:, n:].swapaxes(1, 2)
+                )
             P[group] = X.swapaxes(1, 2).real  # conjugate pairs share a real part
     P = symmetrize(P)
     check_items(
         np.isfinite(P).all(axis=(1, 2)),
         lambda i: ConvergenceError("CARE solver failed: solution is not finite"),
-        items,
     )
     # For an orthonormal basis W of the subspace, sigma_min(W11)^-2 = 1 + ||P||^2:
     # W11 is singular to working precision once ||P|| reaches 1/(n eps)
-    check_items(_norms(P) * n * np.finfo(float).eps < 1.0, singular, items)
+    check_items(_norms(P) * n * np.finfo(float).eps < 1.0, singular)
     return P

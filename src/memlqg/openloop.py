@@ -9,7 +9,9 @@ second moments obey
 with Sw the twelve-channel noise covariance. The closed forms implemented
 here (per-channel steady variances, transfer fidelity, the collective-variance
 witnesses) all follow from A being a scalar multiple of the identity: in the
-input-mode coordinates x' = T^T x each channel relaxes on its own.
+input-mode coordinates x' = T^T x each channel relaxes on its own. For the
+same reason the steady covariance needs no Lyapunov solver: A = -c I turns
+A V + V A^T + Q = 0 into V = (Q + Q^T)/(4c), c = (nu+gamma)/2.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from functools import lru_cache
 import numpy as np
 
 from .model import _TRITTER, Encoding, FieldMode, MemoryParams, NoiseModel, input_covariance
-from .numerics import check_items, min_eigenvalue, solve_lyapunov_steady, stack, symmetrize
+from .numerics import check_items, min_eigenvalue, stack, symmetrize
 
 #: Collective-variance rate of a classical (measure-and-prepare) write-in.
 CLASSICAL_LIMIT_RATE = 7.5
@@ -83,23 +85,29 @@ def _check_physical(cov: np.ndarray) -> None:
     check_items(
         min_eigenvalue(cov) >= floor,
         lambda i: ValueError("covariance is not physical (negative eigenvalue)"),
-        np.arange(len(cov)),
     )
 
 
 def _steady_covariances(params: MemoryParams, noises: list) -> np.ndarray:
-    """The steady Lyapunov solve of each noise model, as one stack."""
-    A, B = _drift_and_noise_map(params)
+    """The steady covariance V = (Qn + Qn^T)/(4c) of each noise model, as
+    one stack: the solution of A V + V A^T + Qn = 0 for A = -c I, Qn =
+    B SigmaW B^T. A noise whose Qn overflows is refused, `exc.index` its
+    place in the list."""
+    _, B = _drift_and_noise_map(params)
     Qn = B @ stack([noise.SigmaW for noise in noises]) @ B.T
-    return solve_lyapunov_steady(np.broadcast_to(A, Qn.shape), Qn)
+    check_items(
+        np.isfinite(Qn).all(axis=(1, 2)),
+        lambda i: ValueError("A and Qn must not contain infs or NaNs"),
+    )
+    return (Qn + Qn.swapaxes(1, 2)) / (4.0 * params.damping)
 
 
 def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> GaussianState:
     """Stationary mean and covariance of the uncontrolled memory.
 
     The mean is -A^-1 drive = 2*drive/(nu+gamma); the covariance solves the
-    steady Lyapunov equation. Requires gamma > 0 or any damping at all, which
-    A = -(nu+gamma)/2 I guarantees for physical parameters.
+    steady Lyapunov equation, in closed form since A = -(nu+gamma)/2 I is
+    Hurwitz for every nu > 0.
     """
     sys = system_matrices(params, enc)
     mean = 2.0 * sys.drive / (params.nu + params.gamma)
@@ -108,7 +116,7 @@ def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> Gaus
 
 def uncontrolled_fidelities(params: MemoryParams, noises: list) -> np.ndarray:
     """fidelity(steady_state(params, enc, noise).cov, input_covariance(noise.Lambda))
-    for each noise model, bit for bit, from one stacked Lyapunov solve; the
+    for each noise model, bit for bit, from one stack of covariances; the
     first noise that fails raises its own error, `exc.index` its place in
     the list. The fidelity is mean-matched, so no encoding is needed."""
     cov = _steady_covariances(params, noises)
@@ -162,7 +170,6 @@ def fidelity(V: np.ndarray, V_in: np.ndarray):
     check_items(
         np.isfinite(dets) & (dets > 0.0),
         lambda i: ValueError(f"det(V + V_in) = {dets[i]:.6g} is not positive"),
-        np.arange(len(dets)),
     )
     return 1.0 / np.sqrt(det)
 

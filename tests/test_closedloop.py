@@ -373,7 +373,7 @@ def test_grid_entry_equals_per_point_loops_bit_for_bit(monkeypatch):
 def test_filter_stack_error_names_the_failing_item():
     """A singular innovation covariance fails a stack of filters with the
     error its filter raises alone, its index in `exc.index`; the grid entry
-    labels the error with the grid point."""
+    raises the failing point's own error, its grid point in `exc.index`."""
     p = reference_params()
     mm, _, _ = loop_pieces(params=p)
     bad = replace(mm, innovation_cov=np.zeros_like(mm.innovation_cov))
@@ -383,9 +383,11 @@ def test_filter_stack_error_names_the_failing_item():
         stationary_filters([mm, bad, mm], p, ENC, [NOISE] * 3)
     assert str(exc.value) == str(alone.value) and exc.value.index == 1
     noises = [standard_noise(squeezed_vacuum(mu1), -0.4, p) for mu1 in (0.0, -60.0)]
-    with pytest.raises(ConvergenceError, match=r"^grid point \(1, 0\): CARE") as exc:
+    with pytest.raises(ConvergenceError, match="^CARE solver failed") as alone:
+        LoopBuilder(p, ENC)(noises[1], "s1", 1e-9)
+    with pytest.raises(ConvergenceError) as exc:
         LoopBuilder(p, ENC).fidelities(noises, "s1", [1e-9, 1e-6])
-    assert exc.value.index == (1, 0)
+    assert str(exc.value) == str(alone.value) and exc.value.index == (1, 0)
 
 
 @pytest.mark.parametrize("mode", FILTER_MODES)

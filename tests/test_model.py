@@ -87,6 +87,15 @@ def test_field_mode_rejects_unphysical_correlation():
             FieldMode(vq=vq, vp=vp, c=c)  # det < 1/4, or a variance not positive
 
 
+@pytest.mark.parametrize("name", ["vq", "vp", "c"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_field_mode_refuses_non_finite_entries(name, bad):
+    """An infinite variance passes det >= 1/4, so finiteness is its own gate."""
+    values = dict(vq=0.5, vp=0.5, c=0.0) | {name: bad}
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        FieldMode(**values)
+
+
 def test_field_mode_accepts_boundary_at_large_scale():
     # the uncertainty bound must be checked relative to vq vp: a pure mode
     # squeezed along a tilted axis has vq vp ~ c^2 ~ 1e16 at s = 20, and the

@@ -63,7 +63,8 @@ def test_lyapunov_matches_scipy(n):
             assert np.linalg.norm(X - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-def test_lyapunov_solves_diagonal_drift_entrywise():
+def test_lyapunov_matches_the_closed_form_on_a_diagonal_drift():
+    """A diagonal drift decouples the entries: X_ij = -Q_ij/(a_i + a_j)."""
     a = np.array([-0.5, -2.0, -3.0])
     G = RNG.standard_normal((3, 3))
     Q = G @ G.T
@@ -245,7 +246,7 @@ def assert_items_solved_alone(solve, problems):
 
 
 def test_lyapunov_stack_items_equal_each_item_solved_alone():
-    """Dense and diagonal drifts, alone and in one mixed stack."""
+    """Dense and diagonal drifts, alone and in one stack."""
     rng = np.random.default_rng(7)
     problems = []
     for k in range(5):
@@ -304,7 +305,8 @@ def gate_failures():
         ("Hurwitz, dense", solve_lyapunov_steady,
          one(lyap, 1, A=np.array([[0.5, 2.0], [0.0, -1.0]])), 1,
          UnstableDriftError, "unstable drift: eigenvalue 0.5 "),
-        # a mixed stack: the one diagonal drift is solved on its own route
+        # a diagonal drift takes the same route: its certificate fails, and
+        # its eigenvalues name the offending one
         ("Hurwitz, diagonal", solve_lyapunov_steady, one(lyap, 2, A=np.diag([-1.0, 1e-3])), 2,
          UnstableDriftError, "unstable drift: eigenvalue 0.001 "),
         ("Lyapunov residual", solve_lyapunov_steady,
@@ -318,6 +320,12 @@ def gate_failures():
         ("sdim", solve_care, one(care, 1, A=rotation, B=np.zeros((2, 2)), Q=np.zeros((2, 2))), 1,
          ConvergenceError, "CARE solver failed: 0 of 4 Hamiltonian eigenvalues"),
         ("U11", solve_care, one(care, 2, A=np.eye(2), B=np.zeros((2, 2))), 2,
+         ConvergenceError, "CARE solver failed: U11 is singular"),
+        # the other items' Hamiltonians have complex eigenvalues, so the
+        # failing item is alone in the group solved in real arithmetic
+        ("U11, real group", solve_care,
+         one([(rotation, np.eye(2), np.eye(2), np.eye(2))] * 3, 2, A=np.eye(2),
+             B=np.zeros((2, 2))), 2,
          ConvergenceError, "CARE solver failed: U11 is singular"),
     ]
 
@@ -373,7 +381,7 @@ def test_lyapunov_gates_are_scale_safe():
     Qn = 1e200 * np.eye(2)[None]
     residual = 1e191 * np.eye(2)[None]  # 1e-9 of ||Qn||
     with pytest.raises(ConvergenceError) as exc:
-        numerics._checked_lyapunov(residual, X[None].copy(), Qn, np.array([1e200]), [0])
+        numerics._checked_lyapunov(residual, X[None].copy(), Qn, np.array([1e200]))
     assert exc.value.residual == pytest.approx(1e-9, rel=1e-12)
     # Condition ~1e12: unless Qn's scale is a power of two, the rounding of
     # this problem's own residual is ~1e-5 of ||Qn||, at 1e160 as at 0.1,

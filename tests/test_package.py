@@ -20,12 +20,12 @@ def _modules():
 
 
 def _read_names() -> set:
-    """Every name the package's code reads (not in a string, an import or
-    its own def/class line), outside __init__.py."""
+    """Every name the package's code reads (not in a string, an import,
+    its own def/class line or an assignment to it), outside __init__.py."""
     used = set()
     for _, tree in _modules():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
@@ -47,6 +47,23 @@ def _public_definitions():
                         yield f"{node.name}.{item.name}", item.name
 
 
+def _private_definitions():
+    """Private module-level functions, classes and constants, as
+    'module.name'."""
+    for module, tree in _modules():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    yield f"{module}.{name}", name
+
+
 def test_exports_resolve_sorted_and_unique():
     names = memlqg.__all__
     assert [n for n in names if getattr(memlqg, n, None) is None] == []
@@ -63,6 +80,14 @@ def test_every_public_definition_has_a_caller_in_the_package():
     test-only API: it goes, or it gets a caller."""
     used = _read_names()
     unread = {label for label, name in _public_definitions() if name not in used}
+    assert sorted(unread) == []
+
+
+def test_every_private_definition_has_a_reader_in_the_package():
+    """A private function, class or constant that nothing in the package
+    reads is dead code, whatever tests still reach it."""
+    used = _read_names()
+    unread = {label for label, name in _private_definitions() if name not in used}
     assert sorted(unread) == []
 
 

@@ -20,6 +20,7 @@ from .control import LqgConfig, lqg_gains
 # this binding, so it stays until that test names closedloop's instead.
 from .estimation import stationary_filter  # noqa: F401
 from .model import (
+    FILTER_MODES,
     MemoryParams,
     SourceSpec,
     input_covariance,
@@ -28,10 +29,13 @@ from .model import (
     standard_encoding,
     standard_noise,
     standard_noises,
+    syndrome_set,
     vacuum,
 )
 from .numerics import solve_care
 from .openloop import (
+    CLASSICAL_LIMIT_RATE,
+    ENTANGLEMENT_BOUND,
     fidelity,
     fidelity_closed_form,
     occupation_threshold,
@@ -46,6 +50,7 @@ from .openloop import (
 from .simulate import TrajectoryConfig, ensemble_moments
 
 TWO_PI = 2.0 * np.pi
+ENC = standard_encoding(alpha_in=-230.0)  # immutable, so the checks share it
 
 
 def reference_params(gamma_hz: float = 1.0, n_occ: float = 8.8e3) -> MemoryParams:
@@ -68,11 +73,10 @@ class CheckResult:
 
 def check_lossless_transfer() -> tuple[bool, str]:
     """Zero mechanical loss: transfer is perfect with or without feedback."""
-    params = MemoryParams(nu=TWO_PI * 30e3, gamma=0.0, n_occ=8.8e3)
-    enc = standard_encoding(alpha_in=-230.0)
+    params = reference_params(gamma_hz=0.0)
     noises = standard_noises([vacuum()] * 3, [0.0, -0.4, -2.0], params)
     f_unc = uncontrolled_fidelities(params, noises)
-    f_ctl = LoopBuilder(params, enc).fidelities(noises, "s1", [1e-9])
+    f_ctl = LoopBuilder(params, ENC).fidelities(noises, "s1", [1e-9])
     worst = float(max(np.abs(f_unc - 1.0).max(), np.abs(f_ctl - 1.0).max()))
     return worst <= 1e-9, f"max |F - 1| = {worst:.2e} (tol 1e-9)"
 
@@ -85,7 +89,8 @@ def check_fidelity_closed_form() -> tuple[bool, str]:
     noises = standard_noises([vacuum()] * len(mus), mus, reference_params())
     Lambdas = np.stack([noise.Lambda for noise in noises])  # the same for every n
     # The drift and the noise map do not depend on n_occ, so five values of n
-    # share one stacked solve; all 400 points in one raise peak RSS ~1.3 MB.
+    # share one stack of closed-form covariances; one stack of all 400 points
+    # raised the sweep workload's peak RSS by ~0.25 MB (5 alternating runs).
     for start in range(0, len(ns), 5):
         grid = [reference_params(n_occ=float(n)) for n in ns[start : start + 5]]
         rows = [noise_models(Lambdas, params.n_occ) for params in grid]
@@ -99,13 +104,12 @@ def check_witness_anchors() -> tuple[bool, str]:
     """Distillable-entanglement witness anchors at the classical and ideal points."""
     coherent = vacuum()  # a coherent source has the vacuum's fluctuations
     errs = []
-    errs.append(abs(pfd_rate(0.0, coherent) - 7.5))
+    errs.append(abs(pfd_rate(0.0, coherent) - CLASSICAL_LIMIT_RATE))
     errs.append(abs(pfd_rate(-20.0, coherent) - (4.5 + 3.0 * np.exp(-20.0))))
-    params0 = MemoryParams(nu=TWO_PI * 30e3, gamma=0.0, n_occ=8.8e3)
+    params0 = reference_params(gamma_hz=0.0)
     errs.append(abs(psys_closed_form(-20.0, params0) - 4.5))
-    enc = standard_encoding(alpha_in=-230.0)
     noise = standard_noise(vacuum(), -20.0, params0)
-    v_inf = steady_state(params0, enc, noise).cov
+    v_inf = steady_state(params0, ENC, noise).cov
     errs.append(abs(psys(v_inf) - 4.5))
     worst = max(errs)
     return worst <= 1e-6, f"max anchor error = {worst:.2e} (tol 1e-6)"
@@ -114,14 +118,13 @@ def check_witness_anchors() -> tuple[bool, str]:
 def check_syndrome_variance() -> tuple[bool, str]:
     """Residual pairwise-difference variance matches gamma(2n+1)/(nu+gamma)."""
     rng = np.random.default_rng(20260819)
-    enc = standard_encoding(alpha_in=-230.0)
     worst = 0.0
     for _ in range(10):
         gamma = TWO_PI * rng.uniform(0.5, 2.0)
         nu = gamma * 10.0 ** rng.uniform(0.0, 2.0)
         params = MemoryParams(nu=nu, gamma=gamma, n_occ=float(rng.uniform(0.0, 10.0)))
         noise = standard_noise(vacuum(), -20.0, params)
-        v_inf = steady_state(params, enc, noise).cov
+        v_inf = steady_state(params, ENC, noise).cov
         ideal = syndrome_variance_ideal(params)
         rel = np.abs(syndrome_statistics(v_inf) - ideal) / ideal
         worst = max(worst, float(rel.max()))
@@ -130,7 +133,6 @@ def check_syndrome_variance() -> tuple[bool, str]:
 
 def check_entanglement_threshold() -> tuple[bool, str]:
     """Witness crosses its bound exactly at n = 0.1 nu/gamma - 0.1."""
-    enc = standard_encoding(alpha_in=-230.0)
     ok = True
     lines = []
     for ratio in (1e3, 3e4):
@@ -141,8 +143,8 @@ def check_entanglement_threshold() -> tuple[bool, str]:
             params = MemoryParams(nu=gamma * ratio, gamma=gamma, n_occ=n_star * shift)
             p_cf = psys_closed_form(-20.0, params)
             noise = standard_noise(vacuum(), -20.0, params)
-            p_qf = psys(steady_state(params, enc, noise).cov)
-            below = p_cf < 6.0 and p_qf < 6.0
+            p_qf = psys(steady_state(params, ENC, noise).cov)
+            below = p_cf < ENTANGLEMENT_BOUND and p_qf < ENTANGLEMENT_BOUND
             if below != expect_below:
                 ok = False
             lines.append(f"ratio {ratio:g} n/n*={shift}: P={p_cf:.4f}")
@@ -150,23 +152,21 @@ def check_entanglement_threshold() -> tuple[bool, str]:
 
 
 def check_regulator_closed_form() -> tuple[bool, str]:
-    """Dense Riccati solve equals r*diag(f); feedback has the stated pattern."""
+    """Dense Riccati solve equals the regulator's closed form; feedback has the stated pattern."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     c = params.damping
     worst = 0.0
-    for mode, weights in (("s1", (9.0, 3.0, 3.0)), ("s2", (3.0, 3.0))):
-        btil = enc.syndrome_map(mode)
+    for mode in FILTER_MODES:
+        weights = syndrome_set(mode).weights
         m = len(weights)
         for r in (1e-6, 1e-9, 1e-12):
-            f = -c + np.sqrt(c * c + np.asarray(weights) / r)
-            p_closed = r * np.diag(f)
+            p_closed = lqg_gains(LqgConfig(r=r, mode=mode), params, ENC).P
             p_dense = solve_care(
-                -c * np.eye(m), btil, np.diag(weights), r * np.eye(6)
+                -c * np.eye(m), ENC.syndrome_map(mode), np.diag(weights), r * np.eye(6)
             )
             rel = np.linalg.norm(p_dense - p_closed) / np.linalg.norm(p_closed)
             worst = max(worst, float(rel))
-    g = lqg_gains(LqgConfig(r=1e-9, mode="s1"), params, enc)
+    g = lqg_gains(LqgConfig(r=1e-9, mode="s1"), params, ENC)
     u = g.Fgain @ np.array([0.0, np.sqrt(6.0), 0.0])
     pattern = g.f2 * np.array([2.0, 0.0, -1.0, 0.0, -1.0, 0.0])
     u_rel = float(np.linalg.norm(u - pattern) / np.linalg.norm(pattern))
@@ -181,9 +181,8 @@ def check_regulator_closed_form() -> tuple[bool, str]:
 def check_explicit_covariance_formula() -> tuple[bool, str]:
     """Closed-form steady covariance vs the augmented Lyapunov solve."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     noise = standard_noise(vacuum(), -0.4, params)
-    loop = LoopBuilder(params, enc)(noise, "s1", 1e-9)
+    loop = LoopBuilder(params, ENC)(noise, "s1", 1e-9)
     report = explicit_formula_report(loop, tol=1e-6)
     return report.matches, "; ".join(report.lines())
 
@@ -191,9 +190,8 @@ def check_explicit_covariance_formula() -> tuple[bool, str]:
 def check_cheap_control_limit() -> tuple[bool, str]:
     """Controlled covariance descends to the conditional one as sqrt(r) -> 0."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     noise = standard_noise(vacuum(), -0.4, params)
-    builder = LoopBuilder(params, enc)
+    builder = LoopBuilder(params, ENC)
     gaps = []
     for r in (1e-6, 1e-9, 1e-12, 1e-15):
         loop = builder(noise, "s1", r)
@@ -210,9 +208,8 @@ def check_cheap_control_limit() -> tuple[bool, str]:
 def check_monte_carlo_moments() -> tuple[bool, str]:
     """2000-trajectory ensemble reproduces the moment-equation steady state."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     noise = standard_noise(vacuum(), -0.4, params)
-    loop = LoopBuilder(params, enc)(noise, "s1", 1e-9)
+    loop = LoopBuilder(params, ENC)(noise, "s1", 1e-9)
     vz = loop.Vz
 
     rate = params.nu + params.gamma
@@ -221,7 +218,7 @@ def check_monte_carlo_moments() -> tuple[bool, str]:
     )
     source = SourceSpec(alpha_in=-230.0)
     mom = ensemble_moments(
-        cfg, params, enc, noise, loop.mm, loop.g, source, n_traj=2000, sf=loop.sf
+        cfg, params, ENC, noise, loop.mm, loop.g, source, n_traj=2000, sf=loop.sf
     )
 
     cov_rel = float(np.linalg.norm(mom.z_cov - vz) / np.linalg.norm(vz))
@@ -241,14 +238,13 @@ def check_monte_carlo_moments() -> tuple[bool, str]:
 def check_fidelity_surface_optimum() -> tuple[bool, str]:
     """Controlled-fidelity surface peaks near mu = -0.4 with a ~0.05 gain."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     mus = np.round(np.linspace(-3.0, 0.5, 36), 10)
     log2rs = (10.0, 20.0, 30.0, 40.0)
     noises = standard_noises([vacuum()] * len(mus), mus, params)
-    F = LoopBuilder(params, enc).fidelities(noises, "s1", [2.0 ** (-lg) for lg in log2rs])
+    F = LoopBuilder(params, ENC).fidelities(noises, "s1", [2.0 ** (-lg) for lg in log2rs])
     i, j = np.unravel_index(np.argmax(F), F.shape)  # the first maximum in (mu, r) order
     noise0 = standard_noise(vacuum(), 0.0, params)
-    v0 = steady_state(params, enc, noise0).cov
+    v0 = steady_state(params, ENC, noise0).cov
     baseline = fidelity(v0, input_covariance(noise0.Lambda))
     f_star, mu_star, lg_star = F[i, j], float(mus[i]), log2rs[j]
     improvement = f_star - baseline
@@ -262,12 +258,11 @@ def check_fidelity_surface_optimum() -> tuple[bool, str]:
 def check_source_squeezing_effects() -> tuple[bool, str]:
     """Blind filter: source squeezing never helps; informed filter: it can."""
     params = reference_params()
-    enc = standard_encoding(alpha_in=-230.0)
     r = 2.0**-40  # strong feedback; the informed-filter effect needs it
     mu1s = (-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0)
     i_zero = mu1s.index(0.0)
 
-    builder = LoopBuilder(params, enc)
+    builder = LoopBuilder(params, ENC)
 
     def fids(mus, mu1s, mode: str) -> np.ndarray:
         """Fidelity table over (mu, mu1), from the builder's grid entry."""

@@ -47,6 +47,8 @@ from .model import (
 )
 from .numerics import items_renamed
 from .openloop import (
+    CLASSICAL_LIMIT_RATE,
+    ENTANGLEMENT_BOUND,
     channel_variances,
     fidelity,
     fidelity_closed_form,
@@ -263,8 +265,8 @@ def cmd_steady(args, err) -> int:
         "mode_variances": {"plus": v[0::2], "minus": v[1::2]},
         "witnesses": {
             "pfd_rate": pfd_rate(settings.mu, src_mode),
-            "classical_rate": 7.5,
-            "entanglement_bound": 6.0,
+            "classical_rate": CLASSICAL_LIMIT_RATE,
+            "entanglement_bound": ENTANGLEMENT_BOUND,
             "psys_quadratic": psys(state.cov),
             "psys_closed_form_coherent": psys_closed_form(settings.mu, params),
             "occupation_threshold": occupation_threshold(params),
@@ -298,10 +300,11 @@ def cmd_sweep_fidelity(args, err) -> int:
     source_mode = squeezed_vacuum(settings.mu1)
 
     def where(index) -> str:
-        """A grid point (i, j), or the row i of an error that does not depend on r."""
+        """A grid point (i, j), None for a free coordinate, or a row i alone."""
         i, j = index if isinstance(index, tuple) else (index, None)
-        mu = f"at mu = {_fmt(mus[i])}"
-        return mu if j is None else f"{mu}, -log2 r = {_fmt(log2rs[j])}"
+        at = [] if i is None else [f"mu = {_fmt(mus[i])}"]
+        at += [] if j is None else [f"-log2 r = {_fmt(log2rs[j])}"]
+        return "at " + ", ".join(at)
 
     with items_renamed(where):
         noises = standard_noises([source_mode] * len(mus), mus, params)
@@ -340,6 +343,9 @@ def cmd_sweep_squeezed(args, err) -> int:
     for mode in FILTER_MODES:
 
         def where(index: tuple, mode: str = mode) -> str:
+            """A grid point (i, 0), or (None, 0) for an error of r alone."""
+            if index[0] is None:
+                return f"mode {mode}"
             mu, mu1 = grid[index[0]]
             return f"at mu = {_fmt(mu)}, mu1 = {_fmt(mu1)}, mode {mode}"
 

@@ -232,11 +232,11 @@ class Loop:
     """One assembled feedback loop.
 
     `noise` is the true plant noise; `mm` and `sf` are built from the noise
-    the filter is allowed to assume and `g` holds the regulator gains. `am`,
-    the augmented (x, pi_s) model driven by the true noise, and `Vz`, its
-    steady joint covariance, are built on first read, so a loop that is only
-    simulated never assembles either. The first read of `Vz` checks that the
-    loop is stable (numerics.UnstableDriftError).
+    the filter is allowed to assume and `g` holds the regulator gains. `Vz`,
+    the steady joint covariance of the augmented (x, pi_s) model driven by
+    the true noise, is assembled and solved on first read, so a loop that is
+    only simulated assembles nothing. That read checks that the loop is
+    stable (numerics.UnstableDriftError).
     """
 
     params: MemoryParams
@@ -247,13 +247,10 @@ class Loop:
     g: Gains
 
     @cached_property
-    def am(self) -> AugmentedModel:
-        return build_augmented(self.params, self.enc, self.noise, self.mm, self.g, self.sf)
-
-    @cached_property
     def Vz(self) -> np.ndarray:
         """Steady covariance of (x, pi_s); V' is its leading 6x6 block."""
-        Vz = closed_loop_covariance(self.am)[0]
+        am = build_augmented(self.params, self.enc, self.noise, self.mm, self.g, self.sf)
+        Vz = closed_loop_covariance(am)[0]
         Vz.setflags(write=False)
         return Vz
 
@@ -278,19 +275,18 @@ class LoopBuilder:
     A filter that knows the source (model.FILTER_MODES) sees the true noise;
     a blind one sees the source block replaced by the vacuum. The stationary
     filter depends on neither r nor, when blind, the true source, so each
-    builder solves it once per (mode, filter-view SigmaW); the regulator
-    gains depend on neither noise, so it builds them once per (mode, r).
+    builder solves it once per (mode, filter-view SigmaW). The regulator
+    gains are a closed form of (mode, r) and are not cached.
     """
 
     def __init__(self, params: MemoryParams, enc: Encoding):
         self.params = params
         self.enc = enc
         self._filters: dict = {}
-        self._gains: dict = {}
 
     def __call__(self, noise: NoiseModel, mode: str, r: float) -> Loop:
         ((mm, sf),) = self._filters_of([noise], mode)
-        g = self._gains_of(mode, r)
+        g = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
         return Loop(params=self.params, enc=self.enc, noise=noise, mm=mm, sf=sf, g=g)
 
     def fidelities(self, noises: list, mode: str, rs) -> np.ndarray:
@@ -302,10 +298,10 @@ class LoopBuilder:
         and the joint noise covariances), the drifts per r and stack. The
         loops are solved one r at a time, over the noises, in stacked
         Lyapunov solves of at most LOOP_STACK loops. An error is its point's
-        own, unlabelled, with `exc.index` the grid point (i, j): j = 0 for a
-        filter, i = 0 for an r's gains.
+        own, unlabelled, with `exc.index` the grid point (i, j) and None for
+        a free coordinate: j for a filter, i for an r's gains.
         """
-        with items_renamed(point=lambda i: (i, 0)):
+        with items_renamed(point=lambda i: (i, None)):
             filters = self._filters_of(noises, mode)
         mm = filters[0][0]  # C, D and Btil are the mode's alone
         Ktil = stack([sf.Ktil for _, sf in filters])
@@ -315,9 +311,9 @@ class LoopBuilder:
         F = np.empty((len(noises), len(rs)))
         for j, r in enumerate(rs):
             try:
-                g = self._gains_of(mode, r)
+                g = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
             except ValueError as exc:  # r fails at every noise
-                exc.index = (0, j)
+                exc.index = (None, j)
                 raise
             for start in range(0, len(noises), LOOP_STACK):
                 block = slice(start, min(start + LOOP_STACK, len(noises)))
@@ -327,11 +323,6 @@ class LoopBuilder:
                     Vz = solve_lyapunov_steady(Azj, Qz[block])
                     F[block, j] = controlled_fidelity(Vz[:, :6, :6], V_in[block])
         return F
-
-    def _gains_of(self, mode: str, r: float) -> Gains:
-        if (mode, r) not in self._gains:
-            self._gains[mode, r] = lqg_gains(LqgConfig(r=r, mode=mode), self.params, self.enc)
-        return self._gains[mode, r]
 
     def _filters_of(self, noises: list, mode: str) -> list:
         """(mm, sf) of each noise's filter view; the views not yet cached are

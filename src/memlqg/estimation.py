@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model
+from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model, vacuum
 from .numerics import (
     ConvergenceError,
     check_items,
@@ -46,7 +46,7 @@ def filter_view_noise(
     if source.covariance_known:
         return noise
     Lam = noise.Lambda.copy()
-    Lam[0:2, 0:2] = source.filter_view().block()
+    Lam[0:2, 0:2] = vacuum().block()
     return noise_model(Lam, params.n_occ)
 
 

@@ -30,8 +30,9 @@ import numpy as np
 HBAR = 1.054571817e-34  # J s
 K_B = 1.380649e-23  # J / K
 
-#: Squeezing exponents below this are treated as the "infinite squeezing"
-#: ideal; pushing further only degrades conditioning of measured covariances.
+#: The floor the loop is tested at and the singular-innovation error
+#: recommends. Nothing clamps to it: further below, the measured covariances
+#: lose conditioning until a determinant or a CARE fails.
 MU_FLOOR = -20.0
 
 _S13 = np.sqrt(1.0 / 3.0)
@@ -192,10 +193,6 @@ class SourceSpec:
     alpha_in: float
     mode: FieldMode = field(default_factory=vacuum)
     covariance_known: bool = True
-
-    def filter_view(self) -> FieldMode:
-        """Source statistics as seen by the estimation layer."""
-        return self.mode if self.covariance_known else vacuum()
 
 
 @dataclass(frozen=True)

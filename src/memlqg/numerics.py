@@ -39,8 +39,8 @@ class UnstableDriftError(ValueError):
 class ConvergenceError(RuntimeError):
     """An iterative or factorization-based solve missed its tolerance."""
 
-    def __init__(self, message: str, residual: float = float("nan")):
-        super().__init__(f"{message} (residual {residual:.3e})")
+    def __init__(self, message: str, residual: float | None = None):
+        super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
         self.residual = residual
 
 

@@ -92,12 +92,13 @@ def _steady_covariances(params: MemoryParams, noises: list) -> np.ndarray:
     """The steady covariance V = (Qn + Qn^T)/(4c) of each noise model, as
     one stack: the solution of A V + V A^T + Qn = 0 for A = -c I, Qn =
     B SigmaW B^T. A noise whose Qn overflows is refused, `exc.index` its
-    place in the list."""
+    place in the list, with no floating-point warning before it."""
     _, B = _drift_and_noise_map(params)
-    Qn = B @ stack([noise.SigmaW for noise in noises]) @ B.T
+    with np.errstate(over="ignore", invalid="ignore"):  # refused just below
+        Qn = B @ stack([noise.SigmaW for noise in noises]) @ B.T
     check_items(
         np.isfinite(Qn).all(axis=(1, 2)),
-        lambda i: ValueError("A and Qn must not contain infs or NaNs"),
+        lambda i: ValueError("noise covariance overflowed: |mu|, |mu1| or n_occ is too large"),
     )
     return (Qn + Qn.swapaxes(1, 2)) / (4.0 * params.damping)
 

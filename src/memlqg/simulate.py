@@ -15,8 +15,8 @@ controller itself reads only pi_s, so blind runs stay blind (see
 filter_view_noise).
 
 The engine steps a closedloop.Loop: true noise for plant and record, mm, sf
-and g for filter and controller. It never reads the loop's augmented model
-or Vz, so sampled moments are checked against build_augmented, not built on it.
+and g for filter and controller. It never reads the loop's Vz, so sampled
+moments are checked against build_augmented, not built on it.
 
 The step is written out once, on the rows s = (x, pi_s, pi_x) of a batch
 (see _affine_step). dw reaches the plant and the record only through
@@ -475,23 +475,17 @@ def ensemble_moments(
 
     final = _run_batch(M, bound, rngs, start, window_start + 1, n_steps, accumulate)
 
-    i1 = row_sum[:, :m].sum(axis=0)
-    i2 = gram[:m, :m]
-    z1 = row_sum[:, m : m + dz].sum(axis=0)
-    z2 = gram[m:, m:]
-    err_sum = row_sum[:, m : m + 6] - row_sum[:, m + dz :]
     n_pooled = n_traj * (n_steps - window_start)
-    z_mean = z1 / n_pooled
-    z_cov = (z2 - n_pooled * np.outer(z_mean, z_mean)) / (n_pooled - 1)
-    inn_mean = i1 / n_pooled
-    inn_cov = (i2 - n_pooled * np.outer(inn_mean, inn_mean)) / (n_pooled - 1)
+    mean = row_sum[:, : m + dz].sum(axis=0) / n_pooled  # of [innovation, x, pi_s]
+    cov = symmetrize((gram - n_pooled * np.outer(mean, mean)) / (n_pooled - 1))
+    err_sum = row_sum[:, m : m + 6] - row_sum[:, m + dz :]
     err_traj = err_sum / (n_steps - window_start)  # per-trajectory window averages
     err_mean = err_traj.mean(axis=0)
     err_sem = err_traj.std(axis=0, ddof=1) / np.sqrt(n_traj)
     return EnsembleMoments(
-        z_mean=z_mean,
-        z_cov=0.5 * (z_cov + z_cov.T),
-        innovation_cov_rate=0.5 * (inn_cov + inn_cov.T) / cfg.dt,
+        z_mean=mean[m:],
+        z_cov=cov[m:, m:],
+        innovation_cov_rate=cov[:m, :m] / cfg.dt,
         err_mean=err_mean,
         err_sem=err_sem,
         final_states=final,

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import memlqg.closedloop
+import memlqg.control
 from memlqg import acceptance
 from memlqg.acceptance import ALL_CHECKS, run_check
 
@@ -21,6 +22,17 @@ def test_acceptance(index, name):
     result = run_check(index)
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_regulator_check_fails_when_the_closed_form_drifts(monkeypatch):
+    """Check 6 reads the library's regulator: rates 1e-6 off its closed form
+    make it fail, because the dense Riccati solve does not move with them."""
+    real = memlqg.control.feedback_rates
+    monkeypatch.setattr(
+        memlqg.control, "feedback_rates", lambda config, params: real(config, params) * (1 + 1e-6)
+    )
+    result = run_check(6)
+    assert not result.passed, result.detail
 
 
 def test_source_blindness_solves_each_filter_independently(filter_solves):

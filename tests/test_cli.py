@@ -347,6 +347,31 @@ def test_failed_command_leaves_no_file_at_out(tmp_path, capsys, argv, point):
     assert out.read_bytes() == b"earlier result\n"
 
 
+OVERFLOW = "noise covariance overflowed: |mu|, |mu1| or n_occ is too large"
+
+
+@pytest.mark.parametrize(
+    "argv,line",
+    [
+        (["sweep-fidelity", "--mu=-0.4:-60:3"],
+         "at mu = -60: det(V + V_in) = 0 is not positive"),
+        (["sweep-squeezed", "--mu1=0:-60:2"],
+         "at mu = -2, mu1 = -60, mode s1: CARE solver failed: U11 is singular"),
+        (["sweep-fidelity", "--mu=-0.4", "--log2r", "1100"],
+         "at -log2 r = 1100: control penalty r must be positive"),
+        (["sweep-fidelity", "--mu1=700", "--mu=-0.4", "--log2r", "30"], f"at mu = -0.4: {OVERFLOW}"),
+        (["steady", "--mu1=700"], OVERFLOW),
+    ],
+    ids=["singular-det", "singular-U11", "bad-r", "sweep-overflow", "steady-overflow"],
+)
+def test_failure_lines(tmp_path, capsys, argv, line):
+    """Each failing command exits with status 1, names only the coordinates
+    its error depends on in its last stderr line, and leaves no file."""
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err.splitlines()[-1] == f"memlqg: error: {line}"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_output_into_missing_directory_is_an_error(tmp_path, capsys):
     """An --out in a directory that does not exist ends as one error line and
     exit status 1, not a traceback, and leaves no file anywhere."""

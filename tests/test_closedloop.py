@@ -309,8 +309,9 @@ def test_blind_loop_ignores_true_source():
 
 
 def test_loop_builds_augmented_model_once_on_first_read(monkeypatch):
-    """`am` and `Vz` are each built once, on first read; reading `Vz` and
-    calling `fidelity()` twice make one Lyapunov solve."""
+    """Building a loop assembles and solves nothing; the first read of `Vz`
+    assembles the augmented model once and solves it once, and later reads
+    and `fidelity()` calls do neither."""
     builds, solves = [], []
 
     def counting(*args, **kwargs):
@@ -325,14 +326,11 @@ def test_loop_builds_augmented_model_once_on_first_read(monkeypatch):
     monkeypatch.setattr(closedloop, "closed_loop_covariance", counting_solve)
     loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-2)
     assert builds == [] and solves == []
-    am = loop.am
-    assert loop.am is am and builds == [1] and solves == []
-    ref = build_augmented(PARAMS, ENC, NOISE, loop.mm, loop.g, loop.sf)
-    for name in ("Az", "Bz", "Sigma"):
-        assert np.array_equal(getattr(am, name), getattr(ref, name))
     Vz = loop.Vz
+    assert builds == [1] and solves == [1]
     assert loop.fidelity() == loop.fidelity()
     assert loop.Vz is Vz and builds == [1] and solves == [1]
+    ref = build_augmented(PARAMS, ENC, NOISE, loop.mm, loop.g, loop.sf)
     assert np.array_equal(Vz, closed_loop_covariance(ref)[0])
 
 
@@ -373,7 +371,8 @@ def test_grid_entry_equals_per_point_loops_bit_for_bit(monkeypatch):
 def test_filter_stack_error_names_the_failing_item():
     """A singular innovation covariance fails a stack of filters with the
     error its filter raises alone, its index in `exc.index`; the grid entry
-    raises the failing point's own error, its grid point in `exc.index`."""
+    raises the failing point's own error, its grid point in `exc.index`
+    with None for r, on which a filter does not depend."""
     p = reference_params()
     mm, _, _ = loop_pieces(params=p)
     bad = replace(mm, innovation_cov=np.zeros_like(mm.innovation_cov))
@@ -387,7 +386,16 @@ def test_filter_stack_error_names_the_failing_item():
         LoopBuilder(p, ENC)(noises[1], "s1", 1e-9)
     with pytest.raises(ConvergenceError) as exc:
         LoopBuilder(p, ENC).fidelities(noises, "s1", [1e-9, 1e-6])
-    assert str(exc.value) == str(alone.value) and exc.value.index == (1, 0)
+    assert str(exc.value) == str(alone.value) and exc.value.index == (1, None)
+
+
+def test_gains_error_names_only_its_r():
+    """An r whose gains fail raises at every noise, so the grid entry names
+    its column alone: `exc.index` is (None, j)."""
+    noises = [standard_noise(vacuum(), mu, PARAMS) for mu in (-0.4, -0.8)]
+    with pytest.raises(ValueError, match="^control penalty r must be positive$") as exc:
+        LoopBuilder(PARAMS, ENC).fidelities(noises, "s1", [1e-2, -1.0])
+    assert exc.value.index == (None, 1)
 
 
 @pytest.mark.parametrize("mode", FILTER_MODES)

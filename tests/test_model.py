@@ -8,7 +8,6 @@ from memlqg.model import (
     Encoding,
     FieldMode,
     MemoryParams,
-    SourceSpec,
     drive_vector,
     input_covariance,
     lambda_matrix,
@@ -197,13 +196,6 @@ def test_encoding_rejects_drive_along_p1():
     # the p1 direction is invisible to the s2 rows, but s1 reads it
     with pytest.raises(ValueError, match="syndrome map of 's1'"):
         Encoding(beta=np.eye(6)[1])
-
-
-def test_source_spec_filter_view():
-    informed = SourceSpec(alpha_in=-230.0, mode=squeezed_vacuum(-1.0))
-    blind = SourceSpec(alpha_in=-230.0, mode=squeezed_vacuum(-1.0), covariance_known=False)
-    assert informed.filter_view() == squeezed_vacuum(-1.0)
-    assert blind.filter_view() == vacuum()  # vacuum stand-in
 
 
 def test_noise_model_layout():

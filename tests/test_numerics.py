@@ -346,6 +346,27 @@ def test_stack_error_names_the_failing_item():
         assert stacked.value.index == index, gate
 
 
+def test_convergence_error_states_only_a_measured_residual():
+    """A ConvergenceError's message ends with its residual only when one was
+    measured: the factorization gates (sdim, singular U11) state none and
+    carry residual None, the Lyapunov residual gate states its own."""
+    assert str(ConvergenceError("singular operator")) == "singular operator"
+    assert ConvergenceError("singular operator").residual is None
+    measured = ConvergenceError("inaccurate", 2.5e-9)
+    assert str(measured) == "inaccurate (residual 2.500e-09)" and measured.residual == 2.5e-9
+    for gate, solve, problems, index, error, message in gate_failures():
+        if error is not ConvergenceError:
+            continue
+        with pytest.raises(ConvergenceError) as exc:
+            solve(*problems[index])
+        if gate == "Lyapunov residual":
+            assert exc.value.residual > 1e-10
+            assert str(exc.value).endswith(f" (residual {exc.value.residual:.3e})"), gate
+        else:
+            assert exc.value.residual is None, gate
+            assert "residual" not in str(exc.value), gate
+
+
 @pytest.mark.parametrize("scale", [0.0, 1e-300])
 def test_care_with_zero_state_weight_returns_the_stabilizing_solution(scale):
     """Q = 0 (or so small that its norm underflows) still has a unique

@@ -266,3 +266,15 @@ def test_closed_form_covariance_matches_the_lyapunov_solver_over_the_box(monkeyp
             scale = np.abs(X).max(axis=(1, 2), keepdims=True)
             assert (np.abs(V - X) <= 1e-15 * scale).all()
         uncontrolled_fidelities(p, noises)
+
+
+def test_overflowing_noise_covariance_names_its_inputs():
+    """A stack whose item 1 has a noise covariance past the float range is
+    refused at that item, with a message that names the settings feeding
+    it rather than a drift the open loop never forms."""
+    p = MemoryParams(nu=1e6, gamma=1.0, n_occ=2.0)  # nu e^700 / 2 overflows
+    noises = [standard_noise(squeezed_vacuum(mu1), -0.4, p) for mu1 in (0.0, 700.0, 1.0)]
+    with pytest.raises(ValueError) as exc:
+        _steady_covariances(p, noises)
+    assert str(exc.value) == "noise covariance overflowed: |mu|, |mu1| or n_occ is too large"
+    assert exc.value.index == 1

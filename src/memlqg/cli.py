@@ -309,7 +309,14 @@ def cmd_sweep_fidelity(args, err) -> int:
     with items_renamed(where):
         noises = standard_noises([source_mode] * len(mus), mus, params)
         f_unc = uncontrolled_fidelities(params, noises)
-        rs = [2.0 ** (-float(lg)) for lg in log2rs]
+        rs = []
+        for j, lg in enumerate(log2rs):
+            try:
+                rs.append(2.0 ** (-float(lg)))
+            except OverflowError:
+                exc = ValueError("control penalty r overflows")
+                exc.index = (None, j)
+                raise exc from None
         f_ctl = LoopBuilder(params, enc).fidelities(noises, settings.filter_mode, rs)
     with _output(args.out) as out:
         for line in _header_lines(

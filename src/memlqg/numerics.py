@@ -1,4 +1,4 @@
-"""Dense real-matrix kernels: steady Lyapunov, CARE, Newton-Kleinman.
+"""Dense real-matrix kernels: the steady Lyapunov equation and the CARE.
 
 Matrices are plain float64 numpy arrays throughout, and numpy is the only
 dependency. The Lyapunov equation is solved as one linear system on the
@@ -6,8 +6,7 @@ n(n+1)/2 unknowns of a symmetric solution (Higham, Accuracy and Stability
 of Numerical Algorithms, 2nd ed., 2002, ch. 16), whose second right-hand
 side certifies that the drift is Hurwitz. The CARE is solved by the
 eigenvector method (Potter, SIAM J. Appl. Math. 14, 1966): the stable
-eigenvectors of the Hamiltonian matrix span the graph of the solution,
-which Newton-Kleinman polishes when needed.
+eigenvectors of the Hamiltonian matrix span the graph of the solution.
 Covariance-like results are symmetric and verified against their defining
 equation before being returned, so callers can rely on the residual bounds
 stated in each docstring.
@@ -37,7 +36,7 @@ class UnstableDriftError(ValueError):
 
 
 class ConvergenceError(RuntimeError):
-    """An iterative or factorization-based solve missed its tolerance."""
+    """A factorization failed or a solution missed its residual bound."""
 
     def __init__(self, message: str, residual: float | None = None):
         super().__init__(message if residual is None else f"{message} (residual {residual:.3e})")
@@ -266,49 +265,13 @@ def _checked_lyapunov(residual: np.ndarray, X: np.ndarray, Qn: np.ndarray, qmax)
     return X
 
 
-def _care_residual(
-    A: np.ndarray, B: np.ndarray, Q: np.ndarray, R: np.ndarray, P: np.ndarray, qscale
-) -> np.ndarray:
-    """||A^T P + P A + Q - P B R^-1 B^T P|| / qscale, per item of a stack."""
+def _care_residual(A, B, Q, R, P) -> np.ndarray:
+    """||A^T P + P A + Q - P B R^-1 B^T P|| relative to ||Q|| (absolute where
+    Q = 0), per item of a stack."""
     BT = B.swapaxes(-1, -2)
     residual = A.swapaxes(-1, -2) @ P + P @ A + Q - P @ B @ np.linalg.solve(R, BT @ P)
-    return _norms(residual) / qscale
-
-
-NEWTON_KLEINMAN_MAX_STEPS = 20
-
-
-def newton_kleinman(
-    Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray, G: np.ndarray
-) -> np.ndarray:
-    """Stabilizing solution of the `solve_care` equation, one n x n problem,
-    by Newton-Kleinman iteration (Kleinman, IEEE TAC 13, 1968) from the gain G.
-
-    Each step solves the closed-loop Lyapunov equation
-    (Atil - Btil G)^T P + P (Atil - Btil G) + Q + G^T R G = 0 and sets
-    G = R^-1 Btil^T P. The loop stops when the residual falls below 1e-12
-    relative to ||Q|| (absolute when Q = 0), when the next closed loop is not stable, or after
-    NEWTON_KLEINMAN_MAX_STEPS steps. Raises UnstableDriftError when the given
-    G does not stabilize Atil - Btil G, and ConvergenceError unless the last P
-    satisfies the equation to 1e-8 relative to ||Q||.
-    """
-    qscale = float(np.linalg.norm(Q)) or 1.0
-    P = None
-    for _ in range(NEWTON_KLEINMAN_MAX_STEPS):
-        try:
-            P_next = solve_lyapunov_steady((Atil - Btil @ G).T, Q + G.T @ R @ G)
-        except UnstableDriftError:
-            if P is None:  # the given gain does not stabilize
-                raise
-            break  # keep the last stable iterate
-        P = P_next
-        residual = float(_care_residual(Atil, Btil, Q, R, P, qscale))
-        if residual < 1e-12:
-            break
-        G = np.linalg.solve(R, Btil.T @ P)
-    if residual > 1e-8:
-        raise ConvergenceError("CARE residual above tolerance", residual)
-    return P
+    qscale = _norms(Q)
+    return _norms(residual) / np.where(qscale == 0.0, 1.0, qscale)
 
 
 def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -319,14 +282,13 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     eigenvector method: the eigenvectors [U11; U21] of the Hamiltonian
     H = [[Atil, -Btil R^-1 Btil^T], [-Q, -Atil^T]] that belong to its n
     left-half-plane eigenvalues span its stable invariant subspace, and
-    P = U21 U11^-1. That seed is polished by
-    `newton_kleinman` unless its residual is already below 1e-12, item by
-    item; the returned P satisfies the equation to 1e-8 relative to ||Q||.
-    Q = 0 is no special case (P = 0 only for a Hurwitz Atil); its residual
-    is absolute. Raises ValueError on NaN or inf entries, and
-    ConvergenceError when H has no n-dimensional stable subspace with an
-    invertible U11 (no stabilizing solution); on a stack, for the first item
-    that fails a gate, as alone, with `exc.index` its place in the stack.
+    P = U21 U11^-1 is returned once it satisfies the equation to 1e-8
+    relative to ||Q||, item by item. Q = 0 is no special case (P = 0 only
+    for a Hurwitz Atil); its residual is absolute. Raises ValueError on NaN
+    or inf entries, and ConvergenceError when H has no n-dimensional stable
+    subspace with an invertible U11 (no stabilizing solution), or with the
+    residual when P misses its bound; on a stack, for the first item that
+    fails a gate, as alone, with `exc.index` its place in the stack.
     """
     Atil = _square_stack(Atil, "Atil")
     Btil = np.asarray(Btil, dtype=float)
@@ -355,22 +317,17 @@ def solve_care(Atil: np.ndarray, Btil: np.ndarray, Q: np.ndarray, R: np.ndarray)
     psd = min_eigenvalue(Q) >= floor
     check_items(psd, lambda i: ValueError("Q must be positive semidefinite"))
 
-    P = _care_seed(Atil, Btil, Q, R)
-    # Newton-Kleinman polish: each step squares the error of the eigenvector seed.
-    qscale = _norms(Q)
-    residual = _care_residual(Atil, Btil, Q, R, P, np.where(qscale == 0.0, 1.0, qscale))
-    for i in np.flatnonzero(~(residual < 1e-12)):
-        G = np.linalg.solve(R[i], Btil[i].T @ P[i])
-        try:
-            P[i] = newton_kleinman(Atil[i], Btil[i], Q[i], R[i], G)
-        except (ValueError, RuntimeError) as exc:
-            exc.index = int(i)
-            raise
+    P = _potter(Atil, Btil, Q, R)
+    residual = _care_residual(Atil, Btil, Q, R, P)
+    check_items(
+        residual <= 1e-8,
+        lambda i: ConvergenceError("CARE residual above tolerance", float(residual[i])),
+    )
     return P if stacked else P[0]
 
 
-def _care_seed(Atil, Btil, Q, R) -> np.ndarray:
-    """Potter's seed U21 U11^-1 for each item of the stacks, with the sdim,
+def _potter(Atil, Btil, Q, R) -> np.ndarray:
+    """Potter's solution U21 U11^-1 for each item of the stacks, with the sdim,
     singular-U11 and finiteness gates."""
     k, n = Atil.shape[:2]
     BT = Btil.swapaxes(1, 2)

@@ -359,10 +359,13 @@ OVERFLOW = "noise covariance overflowed: |mu|, |mu1| or n_occ is too large"
          "at mu = -2, mu1 = -60, mode s1: CARE solver failed: U11 is singular"),
         (["sweep-fidelity", "--mu=-0.4", "--log2r", "1100"],
          "at -log2 r = 1100: control penalty r must be positive"),
+        (["sweep-fidelity", "--mu=-0.4", "--log2r=-1100"],
+         "at -log2 r = -1100: control penalty r overflows"),
         (["sweep-fidelity", "--mu1=700", "--mu=-0.4", "--log2r", "30"], f"at mu = -0.4: {OVERFLOW}"),
         (["steady", "--mu1=700"], OVERFLOW),
     ],
-    ids=["singular-det", "singular-U11", "bad-r", "sweep-overflow", "steady-overflow"],
+    ids=["singular-det", "singular-U11", "bad-r", "r-overflow", "sweep-overflow",
+         "steady-overflow"],
 )
 def test_failure_lines(tmp_path, capsys, argv, line):
     """Each failing command exits with status 1, names only the coordinates
@@ -536,5 +539,5 @@ def test_subcommands_reject_flags_they_do_not_read(argv, capsys):
 
 def test_unknown_subcommand_errors():
     with pytest.raises(SystemExit) as exc:
-        run(["polish"])
+        run(["bogus"])
     assert exc.value.code == 2

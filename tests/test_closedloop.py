@@ -35,6 +35,7 @@ from memlqg.model import (
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
+    standard_noises,
     vacuum,
 )
 from memlqg.numerics import ConvergenceError, UnstableDriftError, min_eigenvalue
@@ -410,3 +411,41 @@ def test_filter_cache_tells_apart_noises_that_share_lambda(mode):
     shared = LoopBuilder(p, ENC)
     assert [shared(noise, mode, 1e-9).fidelity() for noise in noises] == fresh
     assert LoopBuilder(p, ENC).fidelities(noises, mode, [1e-9])[:, 0].tolist() == fresh
+
+
+def box_point(rng):
+    """One point of the parameter box: nu/2pi from 1e2 to 1e6 Hz, gamma/nu
+    in {0} and [1e-6, 1], n_occ in {0} and [1e-2, 1e6], four ancilla
+    exponents in [-20, 2] of which one is MU_FLOOR, mu1 in [-2, 2] and r in
+    [1e-15, 1e-3], the ranges log-uniform."""
+    nu = 2 * np.pi * 10.0 ** rng.uniform(2.0, 6.0)
+    gamma = nu * (0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-6.0, 0.0))
+    n_occ = 0.0 if rng.random() < 0.2 else 10.0 ** rng.uniform(-2.0, 6.0)
+    mus = [MU_FLOOR, *rng.uniform(-20.0, 2.0, 3)]
+    return nu, gamma, n_occ, mus, rng.uniform(-2.0, 2.0), 10.0 ** rng.uniform(-15.0, -3.0)
+
+
+def box_fidelities(nu, gamma, n_occ, mus, mu1, r):
+    """The open-loop fidelities of the four noises, then per mode their
+    controlled fidelities from the grid entry and from per-point loops."""
+    p = MemoryParams(nu=nu, gamma=gamma, n_occ=n_occ)
+    noises = standard_noises([squeezed_vacuum(mu1)] * len(mus), mus, p)
+    readings = [uncontrolled_fidelities(p, noises)]
+    for mode in FILTER_MODES:
+        readings.append(LoopBuilder(p, ENC).fidelities(noises, mode, [r])[:, 0])
+        readings.append([LoopBuilder(p, ENC)(noise, mode, r).fidelity() for noise in noises])
+    return np.array(readings)
+
+
+def test_time_rescaling_leaves_every_fidelity_bit_identical():
+    """nu, gamma -> s nu, s gamma with r -> r / s^2 scales every rate of the
+    loop by s and leaves each fidelity unchanged. For s a power of two every
+    factor is exact, so the open loop, the grid entry and a per-point loop
+    read the same bits at s = 4 and s = 1/16, at 12 seeded box points."""
+    rng = np.random.default_rng(9)
+    for _ in range(12):
+        nu, gamma, n_occ, mus, mu1, r = box_point(rng)
+        F = box_fidelities(nu, gamma, n_occ, mus, mu1, r)
+        for s in (4.0, 1 / 16):
+            rescaled = box_fidelities(s * nu, s * gamma, n_occ, mus, mu1, r / s**2)
+            assert np.array_equal(rescaled, F), (nu, gamma, n_occ, mus, mu1, r, s)

@@ -11,7 +11,6 @@ from memlqg.numerics import (
     ConvergenceError,
     UnstableDriftError,
     min_eigenvalue,
-    newton_kleinman,
     solve_care,
     solve_lyapunov_steady,
     symmetrize,
@@ -56,7 +55,7 @@ def test_lyapunov_matches_scipy(n):
         A -= max(0.0, np.linalg.eigvals(A).real.max() + 0.1) * np.eye(n)
         G = rng.standard_normal((n, n))
         Q = G @ G.T
-        for drift in (A, A.T):  # the Newton-Kleinman steps pass a transposed view
+        for drift in (A, A.T):  # a transposed view as well as the array
             X = solve_lyapunov_steady(drift, Q)
             oracle = scipy.linalg.solve_continuous_lyapunov(drift, -Q)
             assert np.array_equal(X, X.T)
@@ -150,20 +149,6 @@ def test_care_solution_satisfies_residual(n, m):
     assert np.linalg.eigvals(A - B @ K).real.max() < 0
 
 
-@pytest.mark.parametrize("n,m", [(2, 1), (4, 2), (6, 3)])
-def test_newton_kleinman_from_zero_gain_matches_care(n, m):
-    A, B, Q, R = random_care_problem(n, m, RNG)
-    P = newton_kleinman(A, B, Q, R, np.zeros((m, n)))
-    assert_allclose(P, solve_care(A, B, Q, R), rtol=0, atol=1e-10 * np.linalg.norm(P))
-
-
-def test_newton_kleinman_rejects_destabilizing_gain():
-    A = random_stable(3, RNG)
-    shift = 1.0 + np.abs(A).sum()  # A + shift I has every eigenvalue in the right half plane
-    with pytest.raises(UnstableDriftError):
-        newton_kleinman(A, np.eye(3), np.eye(3), np.eye(3), -shift * np.eye(3))
-
-
 def test_care_scalar_oracle():
     # a=0, b=1, q=1, r=1: p solves p^2 = q r -> p = 1, but with a=-1:
     # -2p - p^2 + 1 = 0 -> p = sqrt(2) - 1
@@ -226,9 +211,9 @@ def test_care_rejects_unstabilizable_problem():
         solve_care(np.array([[1.0]]), np.array([[0.0]]), np.eye(1), np.eye(1))
 
 
-def polished_care_problem():
-    """A badly scaled CARE whose eigenvector seed misses 1e-12, so that
-    Newton-Kleinman polishes it."""
+def inaccurate_care_problem():
+    """A badly scaled 4 x 4 CARE whose eigenvector solution misses the 1e-8
+    residual bound (its residual is ~3e-6)."""
     rng = np.random.default_rng(3)
     M = rng.standard_normal((4, 4))
     G = rng.standard_normal((4, 4))
@@ -258,25 +243,19 @@ def test_lyapunov_stack_items_equal_each_item_solved_alone():
     assert_items_solved_alone(solve_lyapunov_steady, problems[0::2])  # diagonal only
 
 
-def test_care_stack_items_equal_each_item_solved_alone(monkeypatch):
+def test_care_stack_items_equal_each_item_solved_alone():
     """The s1 and s2 filter CAREs (with and without a squeezed source) and
-    a problem that needs Newton-Kleinman polish, stacked by shape."""
-    polished = []
-    polish = numerics.newton_kleinman
-    monkeypatch.setattr(
-        numerics, "newton_kleinman", lambda *args: polished.append(1) or polish(*args)
-    )
+    random problems, stacked by shape. The filter CAREs meet the equation
+    to 1e-12, far inside solve_care's 1e-8 bound."""
     s1 = [filter_care_problem("s1", mu1) for mu1 in (0.0, -1.0, 0.5)]
     s2 = [filter_care_problem("s2", mu1) for mu1 in (0.0, -1.0)]
     assert_items_solved_alone(solve_care, s1)
     assert_items_solved_alone(solve_care, s2)
-    assert not polished  # the filter seeds meet 1e-12 unpolished
+    for A, B, Q, R in s1 + s2:
+        P = solve_care(A, B, Q, R)
+        assert numerics._care_residual(A, B, Q, R, P) <= 1e-12
     rng = np.random.default_rng(5)
-    mixed = [polished_care_problem()] + [random_care_problem(4, 2, rng) for _ in range(3)]
-    solve_care(*mixed[0])
-    assert len(polished) == 1
-    assert_items_solved_alone(solve_care, mixed[::-1])
-    assert len(polished) == 3  # once in the stack and once alone: only that item
+    assert_items_solved_alone(solve_care, [random_care_problem(4, 2, rng) for _ in range(4)])
 
 
 def gate_failures():
@@ -286,6 +265,7 @@ def gate_failures():
     rng = np.random.default_rng(11)
     lyap = [(random_stable(2, rng), np.eye(2)) for _ in range(3)]
     care = [(-np.eye(2), np.eye(2), np.eye(2), np.eye(2))] * 3
+    care4 = [random_care_problem(4, 2, rng) for _ in range(3)]
     skew = np.array([[1.0, 1.0], [0.0, 1.0]])
     rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -327,6 +307,8 @@ def gate_failures():
          one([(rotation, np.eye(2), np.eye(2), np.eye(2))] * 3, 2, A=np.eye(2),
              B=np.zeros((2, 2))), 2,
          ConvergenceError, "CARE solver failed: U11 is singular"),
+        ("CARE residual", solve_care, care4[:2] + [inaccurate_care_problem()] + care4[2:], 2,
+         ConvergenceError, "CARE residual above tolerance"),
     ]
 
 
@@ -349,18 +331,20 @@ def test_stack_error_names_the_failing_item():
 def test_convergence_error_states_only_a_measured_residual():
     """A ConvergenceError's message ends with its residual only when one was
     measured: the factorization gates (sdim, singular U11) state none and
-    carry residual None, the Lyapunov residual gate states its own."""
+    carry residual None, the Lyapunov and CARE residual gates state their
+    own, above their bounds."""
     assert str(ConvergenceError("singular operator")) == "singular operator"
     assert ConvergenceError("singular operator").residual is None
     measured = ConvergenceError("inaccurate", 2.5e-9)
     assert str(measured) == "inaccurate (residual 2.500e-09)" and measured.residual == 2.5e-9
+    bounds = {"Lyapunov residual": 1e-10, "CARE residual": 1e-8}
     for gate, solve, problems, index, error, message in gate_failures():
         if error is not ConvergenceError:
             continue
         with pytest.raises(ConvergenceError) as exc:
             solve(*problems[index])
-        if gate == "Lyapunov residual":
-            assert exc.value.residual > 1e-10
+        if gate in bounds:
+            assert exc.value.residual > bounds[gate], gate
             assert str(exc.value).endswith(f" (residual {exc.value.residual:.3e})"), gate
         else:
             assert exc.value.residual is None, gate

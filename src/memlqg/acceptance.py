@@ -168,10 +168,10 @@ def check_regulator_closed_form() -> tuple[bool, str]:
             worst = max(worst, float(rel))
     g = lqg_gains(LqgConfig(r=1e-9, mode="s1"), params, ENC)
     u = g.Fgain @ np.array([0.0, np.sqrt(6.0), 0.0])
-    pattern = g.f2 * np.array([2.0, 0.0, -1.0, 0.0, -1.0, 0.0])
+    pattern = g.f[-1] * np.array([2.0, 0.0, -1.0, 0.0, -1.0, 0.0])
     u_rel = float(np.linalg.norm(u - pattern) / np.linalg.norm(pattern))
     worst = max(worst, u_rel)
-    lam = g.f2 / 3.0
+    lam = g.f[-1] / 3.0
     return (
         worst <= 1e-8,
         f"max relative error = {worst:.2e} (tol 1e-8); per-mode rate lambda = f2/3 = {lam:.6g}",

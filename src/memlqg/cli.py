@@ -27,6 +27,7 @@ import os
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
+from functools import cache
 
 import numpy as np
 
@@ -440,6 +441,7 @@ def cmd_validate(args, err) -> int:
     return 1 if failed else 0
 
 
+@cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="memlqg",

@@ -1,15 +1,18 @@
 """Steady-state analysis of the estimator-feedback loop.
 
-The joint state z = (x, pi_s) of memory and syndrome filter is linear and
-Gaussian, so its covariance obeys an augmented Lyapunov equation whose
-steady solution gives the controlled memory covariance V' as the leading
-6x6 block. An explicit closed form for V' exists as well; it is exact
-whenever the filter gain stays inside the measured syndrome subspace
-(always the case for the two-channel filter, and for amplitude/phase-
-aligned squeezing, where every mode's quadrature block is diagonal). Both
-readings of its gain symbol — the full 6 x m gain and its projection onto
-the syndrome subspace — are evaluated and compared against the Lyapunov
-solve, which is authoritative.
+The joint state of memory and syndrome filter is linear and Gaussian, so
+its covariance obeys an augmented Lyapunov equation whose steady solution
+gives the controlled memory covariance V' as the leading 6x6 block. It is
+built and solved in the input-mode coordinates x' = T^T x, where each loop
+map is a row selection by Z (C' = sqrt(2 nu) Z, F' = -Z^T diag(f)) and T
+takes no part, so the squeezed and anti-squeezed channels, e^mu apart,
+never mix. The fidelity det(V' + Lambda)^-1/2 is read from that one solve,
+and the covariance of z = (x, pi_s) is its rotation by diag(T, I). A closed
+form for V' in x is exact whenever the filter gain stays inside the
+measured syndrome subspace (always for the two-channel filter, and for
+amplitude/phase-aligned squeezing); it is evaluated under two readings of
+its gain, the full 6 x m gain and its projection onto the syndrome
+subspace, against the authoritative Lyapunov solve.
 
 The feedback never disturbs the stored word: the syndrome maps annihilate
 the drive direction, so the closed-loop steady mean equals the open-loop
@@ -33,14 +36,7 @@ from .estimation import (
     stationary_filter,
     stationary_filters,
 )
-from .model import (
-    Encoding,
-    MemoryParams,
-    NoiseModel,
-    SourceSpec,
-    input_covariance,
-    syndrome_set,
-)
+from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, syndrome_set
 from .numerics import items_renamed, solve_lyapunov_steady, stack, symmetrize
 from .openloop import fidelity, system_matrices
 
@@ -50,7 +46,7 @@ _MODE_BLOCKS = ("m1", "m2", "m3")
 
 @dataclass(frozen=True)
 class AugmentedModel:
-    """Joint drift/noise model for z = (x, pi_s), m syndrome channels."""
+    """Joint drift/noise model for z' = (x', pi_s), m syndrome channels."""
 
     Az: np.ndarray  # (6+m) x (6+m)
     Bz: np.ndarray  # (6+m) x 12
@@ -59,6 +55,13 @@ class AugmentedModel:
     def __post_init__(self):
         for arr in (self.Az, self.Bz, self.Sigma):
             arr.setflags(write=False)
+
+    @cached_property
+    def Vz_inmode(self) -> np.ndarray:
+        """Steady covariance of z'; its solve checks that the loop is stable."""
+        Vz = solve_lyapunov_steady(self.Az, _joint_noises(self.Bz[None], self.Sigma[None])[0])
+        Vz.setflags(write=False)
+        return Vz
 
 
 def build_augmented(
@@ -69,47 +72,49 @@ def build_augmented(
     g: Gains,
     sf: StationaryFilter,
 ) -> AugmentedModel:
-    """Assemble the joint drift of memory and stationary syndrome filter.
-
-    Blocks: [[A, F], [Ktil C, -c I - sqrt(2 nu) Ktil + Btil F]] with noise
-    map [[B], [Ktil D]]; the stack of one of `_open_loops` and
-    `_add_feedback`. Stability is checked by the Lyapunov solve in
-    closed_loop_covariance, which every reader of the model goes through.
-    """
-    if g.Fgain.shape[1] != mm.n_channels:
+    """Assemble the joint drift of memory and stationary syndrome filter in
+    x'. Blocks: [[-c I, F'], [Ktil C', -c I - sqrt(2 nu) Ktil - diag(f)]]
+    with noise map [[B'], [Ktil D]]; the stack of one of `_open_loops` and
+    `_add_feedback`."""
+    if len(g.f) != mm.n_channels:
         raise ValueError("gains and measurement model disagree on syndrome count")
     Az, Bz = _open_loops(params, enc, mm, sf.Ktil[None])
-    _add_feedback(Az, mm, g)
+    _add_feedback(Az, g)
     return AugmentedModel(Az=Az[0], Bz=Bz[0], Sigma=noise.SigmaW.copy())
 
 
 def _open_loops(params: MemoryParams, enc: Encoding, mm: MeasurementModel, Ktil: np.ndarray):
-    """(Az, Bz) of the augmented model of each filter gain of the stack Ktil
-    (k x m x m), without the regulator: Az's blocks [[A, 0], [Ktil C,
-    -c I - sqrt(2 nu) Ktil]] and Bz = [[B], [Ktil D]]. They do not depend on
-    the control weight, so a grid builds them once per noise."""
-    sys = system_matrices(params, enc)
+    """(Az, Bz) in x' of the augmented model of each filter gain of the
+    stack Ktil (k x m x m), without the regulator's rates: Az's blocks
+    [[-c I, -Z^T], [Ktil C', -c I - sqrt(2 nu) Ktil]] and Bz = [[B'],
+    [Ktil D]], B' = (-sqrt(nu) I, -sqrt(gamma) I) as the bath's noise is
+    isotropic. They do not depend on the control weight, so a grid builds
+    them once per noise."""
     k, m = Ktil.shape[:2]
+    Z, rate = enc.selector(mm.mode), np.sqrt(2.0 * params.nu)
     Az = np.zeros((k, 6 + m, 6 + m))
-    Az[:, :6, :6] = sys.A
-    Az[:, 6:, :6] = Ktil @ mm.C
-    Az[:, 6:, 6:] = -params.damping * np.eye(m) - np.sqrt(2.0 * params.nu) * Ktil
+    Az[:, :6, :6] = -params.damping * np.eye(6)
+    Az[:, :6, 6:] = -Z.T
+    Az[:, 6:, :6] = Ktil @ (rate * Z)
+    Az[:, 6:, 6:] = -params.damping * np.eye(m) - rate * Ktil
     Bz = np.empty((k, 6 + m, 12))
-    Bz[:, :6] = sys.B
+    Bz[:, :6] = np.hstack([-np.sqrt(params.nu) * np.eye(6), -np.sqrt(params.gamma) * np.eye(6)])
     Bz[:, 6:] = Ktil @ mm.D
     return Az, Bz
 
 
-def _add_feedback(Az: np.ndarray, mm: MeasurementModel, g: Gains) -> None:
-    """Write the regulator's blocks into the stack of open-loop drifts Az:
-    F at the top right, and Btil F added to the filter block."""
-    Az[:, :6, 6:] = g.Fgain
-    Az[:, 6:, 6:] += mm.Btil @ g.Fgain
+def _add_feedback(Az: np.ndarray, g: Gains) -> None:
+    """Scale the stack of open-loop drifts Az's top right block to
+    F' = -Z^T diag(f), and add Btil F = -diag(f) to the filter block."""
+    Az[:, :6, 6:] *= g.f
+    Az[:, 6:, 6:] -= np.diag(g.f)
 
 
 def closed_loop_covariance(am: AugmentedModel) -> tuple[np.ndarray, np.ndarray]:
-    """Steady joint covariance Vz and the controlled memory block V'."""
-    Vz = solve_lyapunov_steady(am.Az, _joint_noises(am.Bz[None], am.Sigma[None])[0])
+    """Steady covariance Vz of (x, pi_s) and V': rotations of the solve in x'."""
+    rot = np.eye(len(am.Az))
+    rot[:6, :6] = _TRITTER
+    Vz = symmetrize(rot @ am.Vz_inmode @ rot.T)
     return Vz, Vz[:6, :6].copy()
 
 
@@ -223,7 +228,8 @@ def explicit_formula_report(loop: Loop, tol: float = 1e-6) -> ExplicitFormulaRep
 
 
 def controlled_fidelity(Vprime: np.ndarray, V_in: np.ndarray) -> float:
-    """Transfer fidelity of the controlled steady state against the input word."""
+    """Transfer fidelity of the controlled steady state against the input
+    word, both in x or both in x' (where the input's covariance is Lambda)."""
     return fidelity(symmetrize(np.asarray(Vprime, dtype=float)), V_in)
 
 
@@ -232,11 +238,10 @@ class Loop:
     """One assembled feedback loop.
 
     `noise` is the true plant noise; `mm` and `sf` are built from the noise
-    the filter is allowed to assume and `g` holds the regulator gains. `Vz`,
-    the steady joint covariance of the augmented (x, pi_s) model driven by
-    the true noise, is assembled and solved on first read, so a loop that is
-    only simulated assembles nothing. That read checks that the loop is
-    stable (numerics.UnstableDriftError).
+    the filter is allowed to assume and `g` holds the regulator gains. The
+    augmented model driven by the true noise is assembled and solved on the
+    first read of `Vz` or `fidelity()`, both read from that one solve, so a
+    loop that is only simulated assembles nothing.
     """
 
     params: MemoryParams
@@ -247,16 +252,19 @@ class Loop:
     g: Gains
 
     @cached_property
+    def _augmented(self) -> AugmentedModel:
+        return build_augmented(self.params, self.enc, self.noise, self.mm, self.g, self.sf)
+
+    @cached_property
     def Vz(self) -> np.ndarray:
         """Steady covariance of (x, pi_s); V' is its leading 6x6 block."""
-        am = build_augmented(self.params, self.enc, self.noise, self.mm, self.g, self.sf)
-        Vz = closed_loop_covariance(am)[0]
+        Vz = closed_loop_covariance(self._augmented)[0]
         Vz.setflags(write=False)
         return Vz
 
     def fidelity(self) -> float:
         """Controlled steady-state fidelity against the written input."""
-        return controlled_fidelity(self.Vz[:6, :6], input_covariance(self.noise.Lambda))
+        return controlled_fidelity(self._augmented.Vz_inmode[:6, :6], self.noise.Lambda)
 
 
 #: Loops per stacked Lyapunov solve in LoopBuilder.fidelities. A loop's
@@ -306,8 +314,8 @@ class LoopBuilder:
         mm = filters[0][0]  # C, D and Btil are the mode's alone
         Ktil = stack([sf.Ktil for _, sf in filters])
         Az, Bz = _open_loops(self.params, self.enc, mm, Ktil)
-        Qz = _joint_noises(Bz, stack([noise.SigmaW for noise in noises]))
-        V_in = input_covariance(stack([noise.Lambda for noise in noises]))
+        SigmaW = stack([noise.SigmaW for noise in noises])
+        Qz = _joint_noises(Bz, SigmaW)
         F = np.empty((len(noises), len(rs)))
         for j, r in enumerate(rs):
             try:
@@ -318,10 +326,10 @@ class LoopBuilder:
             for start in range(0, len(noises), LOOP_STACK):
                 block = slice(start, min(start + LOOP_STACK, len(noises)))
                 Azj = Az[block].copy()
-                _add_feedback(Azj, mm, g)
+                _add_feedback(Azj, g)
                 with items_renamed(point=lambda k: (start + k, j)):
                     Vz = solve_lyapunov_steady(Azj, Qz[block])
-                    F[block, j] = controlled_fidelity(Vz[:, :6, :6], V_in[block])
+                    F[block, j] = controlled_fidelity(Vz[:, :6, :6], SigmaW[block, :6, :6])
         return F
 
     def _filters_of(self, noises: list, mode: str) -> list:

@@ -40,26 +40,29 @@ class LqgConfig:
 class Gains:
     """Riccati solution and the feedback map it induces.
 
-    f1 is the rate on the first syndrome coordinate (the collective momentum
-    for mode 's1'); f2 is the rate shared by the remaining coordinates. For
-    mode 's2' both weights are equal, so f1 == f2.
+    f[i] is the rate on syndrome coordinate i: f[0] on the collective
+    momentum for mode 's1', f[-1] the rate shared by the position
+    differences. Fgain = T (-Z^T diag(f)) is the memory-frame feedback map.
     """
 
     P: np.ndarray  # m x m Riccati solution
     Fgain: np.ndarray  # 6 x m feedback map, u = Fgain @ pi_s
-    f1: float
-    f2: float
+    f: np.ndarray  # m rates
 
     def __post_init__(self):
-        self.P.setflags(write=False)
-        self.Fgain.setflags(write=False)
+        for arr in (self.P, self.Fgain, self.f):
+            arr.setflags(write=False)
 
 
 def feedback_rates(config: LqgConfig, params: MemoryParams) -> np.ndarray:
-    """Per-coordinate closed-form rates f_i = -c + sqrt(c^2 + q_i/r)."""
+    """Per-coordinate closed-form rates f_i = -c + sqrt(c^2 + q_i/r), refusing an overflow."""
     c = params.damping
     q = np.asarray(syndrome_set(config.mode).weights)
-    return -c + np.sqrt(c * c + q / config.r)
+    with np.errstate(over="ignore"):  # refused just below
+        f = -c + np.sqrt(c * c + q / config.r)
+    if not np.isfinite(f).all():
+        raise ValueError("control penalty r is too small: the feedback rate overflows")
+    return f
 
 
 def lqg_gains(config: LqgConfig, params: MemoryParams, enc: Encoding) -> Gains:
@@ -68,4 +71,4 @@ def lqg_gains(config: LqgConfig, params: MemoryParams, enc: Encoding) -> Gains:
     P = config.r * np.diag(f)
     Btil = enc.syndrome_map(config.mode)
     Fgain = -Btil.T @ np.diag(f)
-    return Gains(P=P, Fgain=Fgain, f1=float(f[0]), f2=float(f[-1]))
+    return Gains(P=P, Fgain=Fgain, f=f)

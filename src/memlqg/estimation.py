@@ -3,12 +3,12 @@
 The homodyne record is dy = C x dt + D dW with C = sqrt(2 nu) Btil and
 D = sqrt(2) (Z, 0): the same input-field noise that drives the memory also
 enters the record, so the filter gain carries a correlation correction,
-
-    K = (Vc C^T + S) R^-1,   S = B Sw D^T = -sqrt(2 nu) T Lambda Z^T,
-    R = D Sw D^T = 2 Z Lambda Z^T,
-
-and the conditional covariance obeys the Riccati flow
-dVc/dt = A Vc + Vc A^T + B Sw B^T - K R K^T.
+K = (Vc C^T + S) R^-1 with S = B Sw D^T and R = D Sw D^T = 2 Z Lambda Z^T.
+The filter is solved in the input-mode coordinates x' = T^T x, where each
+map is a row selection (C' = sqrt(2 nu) Z, S' = -sqrt(2 nu) Lambda Z^T) and
+the memory's noise is nu Lambda + gamma (n_occ + 1/2) I, so for diagonal
+Lambda the squeezed and anti-squeezed channels, e^mu apart, never mix.
+Vc = T P T^T and K = T K' are rotations of that solve, and Btil K = Z K'.
 
 Because the syndrome maps annihilate the drive, the filter can equivalently
 be run directly on the m syndrome coordinates (pi_s = Btil pi_x), which
@@ -32,7 +32,6 @@ from .numerics import (
     stack,
     symmetrize,
 )
-from .openloop import system_matrices
 
 
 def filter_view_noise(
@@ -52,17 +51,16 @@ def filter_view_noise(
 
 @dataclass(frozen=True)
 class MeasurementModel:
-    """Output map and precomputed noise covariances for one syndrome set."""
+    """Output map and innovation covariance for one syndrome set."""
 
     mode: str
     C: np.ndarray  # m x 6
     D: np.ndarray  # m x 12, sqrt(2) (Z, 0) for the selector Z
     Btil: np.ndarray  # m x 6 syndrome map
     innovation_cov: np.ndarray  # m x m, D Sw D^T = 2 Z Lambda Z^T
-    cross_cov: np.ndarray  # 6 x m, B Sw D^T = -sqrt(2 nu) T Lambda Z^T
 
     def __post_init__(self):
-        for arr in (self.C, self.D, self.Btil, self.innovation_cov, self.cross_cov):
+        for arr in (self.C, self.D, self.Btil, self.innovation_cov):
             arr.setflags(write=False)
 
     @property
@@ -81,27 +79,23 @@ def measurement_model(
 def measurement_models(mode: str, enc: Encoding, params: MemoryParams, noises: list) -> list:
     """measurement_model(mode, enc, params, noise) of each noise, bit for
     bit. C, D and Btil depend on the mode alone, so the models share them;
-    the covariances are formed as one stack."""
+    the innovation covariances are formed as one stack."""
     Z = enc.selector(mode)
     Btil = enc.syndrome_map(mode)
     C = np.sqrt(2.0 * params.nu) * Btil
     D = np.hstack([np.sqrt(2.0) * Z, np.zeros_like(Z)])
     Lambda = stack([noise.Lambda for noise in noises])
     innovation_cov = symmetrize(2.0 * Z @ Lambda @ Z.T)
-    cross_cov = -np.sqrt(2.0 * params.nu) * _TRITTER @ Lambda @ Z.T
-    return [
-        MeasurementModel(mode=mode, C=C, D=D, Btil=Btil, innovation_cov=R, cross_cov=S)
-        for R, S in zip(innovation_cov, cross_cov)
-    ]
+    return [MeasurementModel(mode, C, D, Btil, R) for R in innovation_cov]
 
 
 @dataclass(frozen=True)
 class StationaryFilter:
     """Steady conditional covariance with its frozen gains."""
 
-    Vc: np.ndarray  # 6 x 6
-    K: np.ndarray  # 6 x m
-    Ktil: np.ndarray  # m x m projected gain Btil K
+    Vc: np.ndarray  # 6 x 6, T P T^T
+    K: np.ndarray  # 6 x m, T K'
+    Ktil: np.ndarray  # m x m projected gain Btil K = Z K'
 
     def __post_init__(self):
         for arr in (self.Vc, self.K, self.Ktil):
@@ -109,38 +103,32 @@ class StationaryFilter:
 
 
 def stationary_filter(
-    mm: MeasurementModel,
-    params: MemoryParams,
-    enc: Encoding,
-    noise: NoiseModel,
+    mm: MeasurementModel, params: MemoryParams, enc: Encoding, noise: NoiseModel
 ) -> StationaryFilter:
     """Solve the steady Riccati equation and freeze the gains.
 
     The plant/sensor correlation is removed by the standard shift
-    A -> A - S R^-1 C, Q -> Q - S R^-1 S^T, and `solve_care` solves the
-    resulting algebraic Riccati equation for T^T Vc T, in the input-mode
-    coordinates x' = T^T x. There the channels are independent linear
-    systems whenever Lambda is diagonal, so the squeezed and anti-squeezed
-    variances, e^mu apart, are never mixed. The
-    result must zero the Riccati flow to 1e-8 relative to max(1, ||B Sw B^T||),
+    A' -> A' - S' R^-1 C', Q' -> Q' - S' R^-1 S'^T, and `solve_care` solves
+    the resulting algebraic Riccati equation for P = T^T Vc T. P must zero
+    the flow -2c P + Q' - K' R K'^T to 1e-8 relative to max(1, ||Q'||),
     else ConvergenceError carries that residual. This is
     `stationary_filters` on a stack of one.
     """
     return stationary_filters([mm], params, enc, [noise])[0]
 
 
-def stationary_filters(
-    mms: list, params: MemoryParams, enc: Encoding, noises: list
-) -> list:
+def stationary_filters(mms: list, params: MemoryParams, enc: Encoding, noises: list) -> list:
     """`stationary_filter` of each (mm, noise) pair, the measurement models
     of one filter mode, solved as one stacked CARE. Item i equals
     stationary_filter(mms[i], params, enc, noises[i]) bit for bit; the first
     item that fails raises its own error, `exc.index` its place in the list."""
-    sys = system_matrices(params, enc)
-    Q = sys.B @ stack([noise.SigmaW for noise in noises]) @ sys.B.T
+    SigmaW = stack([noise.SigmaW for noise in noises])
+    Lambda = SigmaW[:, :6, :6]
+    Q = params.nu * Lambda + params.gamma * SigmaW[:, 6:, 6:]  # Q' = B' Sw B'^T
     R = stack([mm.innovation_cov for mm in mms])
-    C = stack([mm.C for mm in mms])
-    S = stack([mm.cross_cov for mm in mms])  # S, 6 x m per item
+    Z = stack([enc.selector(mm.mode) for mm in mms])
+    C = np.sqrt(2.0 * params.nu) * Z  # C'
+    S = -np.sqrt(2.0 * params.nu) * Lambda @ Z.swapaxes(1, 2)  # S' = B' Sw D^T, 6 x m
     chol = lapack_items(  # R is factorized once per solve
         np.linalg.cholesky,
         lambda i: ValueError(
@@ -156,15 +144,12 @@ def stationary_filters(
         ).swapaxes(1, 2)
 
     CT = C.swapaxes(1, 2)
-    SRinv = times_Rinv(S)  # S R^-1, 6 x m
-    Ashift = sys.A - SRinv @ C
+    SRinv = times_Rinv(S)  # S' R^-1, 6 x m
+    Ashift = -params.damping * np.eye(6) - SRinv @ C
     Qshift = symmetrize(Q - SRinv @ S.swapaxes(1, 2))
-    T = _TRITTER
-    Qin = symmetrize(T.T @ Qshift @ T)
-    P = solve_care(T.T @ Ashift.swapaxes(1, 2) @ T, T.T @ CT, Qin, R)
-    Vc = symmetrize(T @ P @ T.T)
-    K = times_Rinv(Vc @ CT + S)  # K = (Vc C^T + S) R^-1
-    flow = sys.A @ Vc + Vc @ sys.A.T + Q - K @ R @ K.swapaxes(1, 2)
+    P = solve_care(Ashift.swapaxes(1, 2), CT, Qshift, R)
+    K = times_Rinv(P @ CT + S)  # K' = (P C'^T + S') R^-1
+    flow = Q - 2.0 * params.damping * P - K @ R @ K.swapaxes(1, 2)
     residual = np.linalg.norm(flow, axis=(1, 2)) / np.maximum(1.0, np.linalg.norm(Q, axis=(1, 2)))
     check_items(
         residual <= 1e-8,
@@ -172,5 +157,7 @@ def stationary_filters(
             "stationary filter inconsistent: Riccati residual", float(residual[i])
         ),
     )
-    Ktil = stack([mm.Btil for mm in mms]) @ K
+    Ktil = Z @ K
+    Vc = symmetrize(_TRITTER @ P @ _TRITTER.T)
+    K = _TRITTER @ K
     return [StationaryFilter(Vc=Vc[i], K=K[i], Ktil=Ktil[i]) for i in range(len(mms))]

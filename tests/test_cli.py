@@ -348,6 +348,7 @@ def test_failed_command_leaves_no_file_at_out(tmp_path, capsys, argv, point):
 
 
 OVERFLOW = "noise covariance overflowed: |mu|, |mu1| or n_occ is too large"
+RATE_OVERFLOW = "control penalty r is too small: the feedback rate overflows"
 
 
 @pytest.mark.parametrize(
@@ -361,11 +362,14 @@ OVERFLOW = "noise covariance overflowed: |mu|, |mu1| or n_occ is too large"
          "at -log2 r = 1100: control penalty r must be positive"),
         (["sweep-fidelity", "--mu=-0.4", "--log2r=-1100"],
          "at -log2 r = -1100: control penalty r overflows"),
+        (["sweep-fidelity", "--mu=-0.4", "--log2r=1030"],
+         f"at -log2 r = 1030: {RATE_OVERFLOW}"),
+        (["trajectory", "--r", "1e-320"], RATE_OVERFLOW),
         (["sweep-fidelity", "--mu1=700", "--mu=-0.4", "--log2r", "30"], f"at mu = -0.4: {OVERFLOW}"),
         (["steady", "--mu1=700"], OVERFLOW),
     ],
-    ids=["singular-det", "singular-U11", "bad-r", "r-overflow", "sweep-overflow",
-         "steady-overflow"],
+    ids=["singular-det", "singular-U11", "bad-r", "r-overflow", "rate-overflow",
+         "trajectory-rate-overflow", "sweep-overflow", "steady-overflow"],
 )
 def test_failure_lines(tmp_path, capsys, argv, line):
     """Each failing command exits with status 1, names only the coordinates

@@ -27,6 +27,15 @@ def test_feedback_rates_scalar_oracle():
     assert f[1] == f[2]
 
 
+def test_overflowing_rate_is_refused():
+    """An r so small that q/r overflows is refused by the gains, before any
+    infinite rate reaches a feedback map (tier-1 turns a warning into an
+    error, so none is raised on the way)."""
+    message = "^control penalty r is too small: the feedback rate overflows$"
+    with pytest.raises(ValueError, match=message):
+        lqg_gains(LqgConfig(r=2.0**-1030, mode="s1"), PARAMS, ENC)
+
+
 def test_riccati_identity_per_coordinate():
     # -2 c p - p^2 / r + q = 0 for each diagonal entry
     cfg = LqgConfig(r=1e-4, mode="s1")
@@ -52,7 +61,7 @@ def test_closed_form_matches_dense_care(mode, r):
 
 def test_s2_rates_are_uniform():
     g = lqg_gains(LqgConfig(r=1e-6, mode="s2"), PARAMS, ENC)
-    assert g.f1 == g.f2
+    assert g.f.shape == (2,) and g.f[0] == g.f[1]
 
 
 def test_cheap_control_rate_scaling():
@@ -66,7 +75,7 @@ def test_control_input_direction():
     modes 2 and 3 in the 2:-1:-1 pattern, scaled by the shared rate."""
     g = lqg_gains(LqgConfig(r=1e-9, mode="s1"), PARAMS, ENC)
     u = g.Fgain @ np.array([0.0, np.sqrt(6.0), 0.0])
-    assert_allclose(u, g.f2 * np.array([2.0, 0.0, -1.0, 0.0, -1.0, 0.0]), rtol=1e-12)
+    assert_allclose(u, g.f[-1] * np.array([2.0, 0.0, -1.0, 0.0, -1.0, 0.0]), rtol=1e-12)
 
 
 def test_control_input_acts_only_in_syndrome_span():

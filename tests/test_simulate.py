@@ -448,7 +448,7 @@ def test_coarse_step_is_rejected():
 def test_unstable_loop_is_detected():
     loop = make_loop()
     g0 = loop.g
-    runaway = Gains(P=g0.P.copy(), Fgain=-80.0 * g0.Fgain, f1=g0.f1, f2=g0.f2)
+    runaway = Gains(P=g0.P.copy(), Fgain=-80.0 * g0.Fgain, f=-80.0 * g0.f)
     cfg = TrajectoryConfig(dt=0.01, duration=10.0, seed=5)
     with np.errstate(all="ignore"), pytest.raises(SimulationUnstableError):
         simulate_trajectory(cfg, replace(loop, g=runaway))
@@ -468,7 +468,7 @@ def test_unstable_ensemble_is_detected(monkeypatch):
     monkeypatch.setattr(simulate, "noise_factor", spy)
     loop = make_loop()
     g0 = loop.g
-    runaway = Gains(P=g0.P.copy(), Fgain=-0.1 * g0.Fgain, f1=g0.f1, f2=g0.f2)
+    runaway = Gains(P=g0.P.copy(), Fgain=-0.1 * g0.Fgain, f=-0.1 * g0.f)
     hot = MemoryParams(nu=4.0, gamma=1.0, n_occ=1e6)
     coarse = make_loop(params=hot, noise=standard_noise(vacuum(), -1.0, hot))
     cfg = TrajectoryConfig(dt=0.01, duration=20.0, seed=5)  # window from step 1600
@@ -604,7 +604,7 @@ def test_plant_and_record_share_noise():
     x, u = traj.x, traj.u
     dx_noise = x[1:] - x[:-1] - dt * (x[:-1] @ sysm.A.T + u[:-1] + sysm.drive)
     S_emp = dx_noise.T @ traj.innovations / (len(traj.innovations) * dt)
-    S = loop.mm.cross_cov
+    S = sysm.B @ loop.noise.SigmaW @ loop.mm.D.T  # B Sw D^T
     assert np.linalg.norm(S_emp - S) / np.linalg.norm(S) < 0.10
 
 

@@ -37,7 +37,6 @@ from .closedloop import LoopBuilder
 from .model import (
     FILTER_MODES,
     MemoryParams,
-    input_covariance,
     squeezed_vacuum,
     standard_encoding,
     standard_noise,
@@ -51,7 +50,6 @@ from .openloop import (
     CLASSICAL_LIMIT_RATE,
     ENTANGLEMENT_BOUND,
     channel_variances,
-    fidelity,
     fidelity_closed_form,
     occupation_threshold,
     pfd_rate,
@@ -277,7 +275,7 @@ def cmd_steady(args, err) -> int:
             "ideal": syndrome_variance_ideal(params),
         },
         "fidelity": {
-            "determinant_form": fidelity(state.cov, input_covariance(noise.Lambda)),
+            "determinant_form": uncontrolled_fidelities(params, [noise])[0],
             "closed_form_coherent": fidelity_closed_form(
                 params, standard_noise(vacuum(), settings.mu, params).Lambda
             ),

@@ -173,7 +173,8 @@ def lambda_matrix(m1: FieldMode, m2: FieldMode, m3: FieldMode) -> np.ndarray:
 
 def input_covariance(Lambda: np.ndarray) -> np.ndarray:
     """Memory-frame covariance T Lambda T^T of the encoded input state, or
-    of each item of a stack of Lambdas."""
+    of each item of a stack of Lambdas: the rotation of any covariance from
+    x' = T^T x to x."""
     Lambda = np.asarray(Lambda, dtype=float)
     if Lambda.ndim not in (2, 3) or Lambda.shape[-2:] != (6, 6):
         raise ValueError(f"Lambda must be 6x6 or a stack of them, got {Lambda.shape}")

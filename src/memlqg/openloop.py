@@ -1,28 +1,29 @@
 """Uncontrolled memory dynamics and figure-of-merit evaluation.
 
-Every quadrature decays at the common rate (nu+gamma)/2, so the first and
-second moments obey
+Every quadrature decays at the common rate c = (nu+gamma)/2. In the
+memory's coordinates x the moments obey
 
-    d<x>/dt = A <x> + drive,          A = -(nu+gamma)/2 * I6
+    d<x>/dt = A <x> + drive,          A = -c I6
     dV/dt   = A V + V A^T + B Sw B^T, B = (-sqrt(nu) T, -sqrt(gamma) I6)
 
-with Sw the twelve-channel noise covariance. The closed forms implemented
-here (per-channel steady variances, transfer fidelity, the collective-variance
-witnesses) all follow from A being a scalar multiple of the identity: in the
-input-mode coordinates x' = T^T x each channel relaxes on its own. For the
-same reason the steady covariance needs no Lyapunov solver: A = -c I turns
-A V + V A^T + Q = 0 into V = (Q + Q^T)/(4c), c = (nu+gamma)/2.
+with Sw = diag{Lambda, (n_occ + 1/2) I6} the twelve-channel noise
+covariance. In the input-mode coordinates x' = T^T x the noise map is
+(-sqrt(nu) I6, -sqrt(gamma) I6), so each channel relaxes on its own and the
+steady covariance needs no solver: V' = (nu Lambda + gamma (n_occ + 1/2) I6)/(2c).
+The squeezed and anti-squeezed variances, e^mu apart, never mix there, so
+the fidelity det(V' + Lambda)^-1/2 is exact at the lossless point. T enters
+the open loop only where an output is in x: the steady state's covariance
+T V' T^T. `system_matrices` is the x-frame model that the Monte Carlo steps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .model import _TRITTER, Encoding, FieldMode, MemoryParams, NoiseModel, input_covariance
-from .numerics import check_items, min_eigenvalue, stack, symmetrize
+from .numerics import check_items, stack, symmetrize
 
 #: Collective-variance rate of a classical (measure-and-prepare) write-in.
 CLASSICAL_LIMIT_RATE = 7.5
@@ -61,68 +62,65 @@ class SystemMatrices:
             arr.setflags(write=False)
 
 
-@lru_cache(maxsize=64)
-def _drift_and_noise_map(params: MemoryParams) -> tuple[np.ndarray, np.ndarray]:
-    """A and B, read-only. They depend on the rates alone and every loop
-    build reads them, so they are built once per params."""
+def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
+    """The linear model in x: the drift A = -c I, the noise map B = (-sqrt(nu) T,
+    -sqrt(gamma) I) and the drive -sqrt(nu) beta of the encoding."""
     A = -params.damping * np.eye(6)
     B = np.hstack([-np.sqrt(params.nu) * _TRITTER, -np.sqrt(params.gamma) * np.eye(6)])
-    A.setflags(write=False)
-    B.setflags(write=False)
-    return A, B
-
-
-def system_matrices(params: MemoryParams, enc: Encoding) -> SystemMatrices:
-    """Assemble the linear model; the drive is the encoding's -sqrt(nu)*beta."""
-    A, B = _drift_and_noise_map(params)
     return SystemMatrices(A=A, B=B, drive=-np.sqrt(params.nu) * enc.beta)
 
 
+# The symplectic form in the (q1, p1, q2, p2, q3, p3) layout.
+_OMEGA = np.kron(np.eye(3), [[0.0, 1.0], [-1.0, 0.0]])
+
+
 def _check_physical(cov: np.ndarray) -> None:
-    """Refuse a covariance of the stack with an eigenvalue below
-    -1e-10 max(1, ||cov||)."""
-    floor = -1e-10 * np.maximum(1.0, np.linalg.norm(cov, axis=(1, 2)))
+    """Refuse a covariance of the stack that breaks the uncertainty relation
+    V + i Omega/2 >= 0 (Simon, Mukunda and Dutta, PRA 49, 1567, 1994) by more
+    than 1e-10 max(1, its largest |entry|). T is passive (T^T Omega T =
+    Omega), so the one gate serves a covariance in x and in x'."""
+    floor = -1e-10 * np.maximum(1.0, np.abs(cov).max(axis=(1, 2)))
     check_items(
-        min_eigenvalue(cov) >= floor,
-        lambda i: ValueError("covariance is not physical (negative eigenvalue)"),
+        np.linalg.eigvalsh(symmetrize(cov) + 0.5j * _OMEGA).min(axis=-1) >= floor,
+        lambda i: ValueError("covariance is not physical (breaks the uncertainty relation)"),
     )
 
 
 def _steady_covariances(params: MemoryParams, noises: list) -> np.ndarray:
-    """The steady covariance V = (Qn + Qn^T)/(4c) of each noise model, as
-    one stack: the solution of A V + V A^T + Qn = 0 for A = -c I, Qn =
-    B SigmaW B^T. A noise whose Qn overflows is refused, `exc.index` its
-    place in the list, with no floating-point warning before it."""
-    _, B = _drift_and_noise_map(params)
+    """The steady covariance V' = (nu Lambda + gamma (n_occ + 1/2) I)/(2c) in
+    x' of each noise model, as one stack, from SigmaW's two diagonal blocks.
+    A noise whose covariance overflows is refused, `exc.index` its place in
+    the list, with no floating-point warning before it."""
+    SigmaW = stack([noise.SigmaW for noise in noises])
     with np.errstate(over="ignore", invalid="ignore"):  # refused just below
-        Qn = B @ stack([noise.SigmaW for noise in noises]) @ B.T
+        Q = params.nu * SigmaW[:, :6, :6] + params.gamma * SigmaW[:, 6:, 6:]
     check_items(
-        np.isfinite(Qn).all(axis=(1, 2)),
+        np.isfinite(Q).all(axis=(1, 2)),
         lambda i: ValueError("noise covariance overflowed: |mu|, |mu1| or n_occ is too large"),
     )
-    return (Qn + Qn.swapaxes(1, 2)) / (4.0 * params.damping)
+    return Q / (2.0 * params.damping)
 
 
 def steady_state(params: MemoryParams, enc: Encoding, noise: NoiseModel) -> GaussianState:
-    """Stationary mean and covariance of the uncontrolled memory.
+    """Stationary mean and covariance in x of the uncontrolled memory.
 
-    The mean is -A^-1 drive = 2*drive/(nu+gamma); the covariance solves the
-    steady Lyapunov equation, in closed form since A = -(nu+gamma)/2 I is
-    Hurwitz for every nu > 0.
+    The mean is -A^-1 drive = 2*drive/(nu+gamma); the covariance is the
+    rotation T V' T^T of the closed-form steady covariance in x'.
     """
     sys = system_matrices(params, enc)
     mean = 2.0 * sys.drive / (params.nu + params.gamma)
-    return GaussianState(mean=mean, cov=_steady_covariances(params, [noise])[0])
+    cov = input_covariance(_steady_covariances(params, [noise])[0])  # T V' T^T
+    return GaussianState(mean=mean, cov=symmetrize(cov))
 
 
 def uncontrolled_fidelities(params: MemoryParams, noises: list) -> np.ndarray:
-    """fidelity(steady_state(params, enc, noise).cov, input_covariance(noise.Lambda))
-    for each noise model, bit for bit, from one stack of covariances; the
-    first noise that fails raises its own error, `exc.index` its place in
-    the list. The fidelity is mean-matched, so no encoding is needed."""
+    """The steady fidelity det(V' + Lambda)^-1/2 of each noise model, read
+    in x' from one stack of covariances; the first noise that fails raises
+    its own error, `exc.index` its place in the list. The fidelity is
+    mean-matched, so no encoding is needed."""
     cov = _steady_covariances(params, noises)
     _check_physical(cov)
-    return fidelity(cov, input_covariance(stack([noise.Lambda for noise in noises])))
+    return fidelity(cov, stack([noise.Lambda for noise in noises]))
 
 
 def channel_variances(params: MemoryParams, Lambda: np.ndarray) -> np.ndarray:
@@ -166,7 +164,8 @@ def fidelity(V: np.ndarray, V_in: np.ndarray):
     V_in = np.asarray(V_in, dtype=float)
     if V.shape != V_in.shape or V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2]:
         raise ValueError(f"shape mismatch: V {V.shape} vs V_in {V_in.shape}")
-    det = np.linalg.det(V + V_in)
+    with np.errstate(over="ignore"):  # refused just below
+        det = np.linalg.det(V + V_in)
     dets = np.atleast_1d(det)
     check_items(
         np.isfinite(dets) & (dets > 0.0),

@@ -82,6 +82,18 @@ def test_steady_json_report(capsys):
     assert len(report["steady_mean"]) == 6
 
 
+def test_steady_determinant_form_is_exact_at_strong_squeezing(capsys):
+    """At mu = -20 with a squeezed payload the JSON's determinant-form
+    fidelity, read in x', is the per-channel closed form of its Lambda to
+    rounding (50 digits give 4.4744556720463612e-9)."""
+    assert run(["steady", "--mu=-20", "--mu1=1.5"]) == 0
+    F = json.loads(capsys.readouterr().out)["fidelity"]["determinant_form"]
+    params = cli.RunSettings().params
+    Lambda = memlqg.standard_noise(memlqg.squeezed_vacuum(1.5), -20.0, params).Lambda
+    closed = memlqg.fidelity_closed_form(params, Lambda)
+    assert abs(F - closed) <= 1e-15 * closed
+
+
 def test_steady_mean_follows_alpha_in(capsys):
     """The one drive is -sqrt(nu) beta of alpha_in, so each q quadrature of
     the three-mode mean is sqrt(2/3) of the single directly-driven mode's."""
@@ -354,8 +366,8 @@ RATE_OVERFLOW = "control penalty r is too small: the feedback rate overflows"
 @pytest.mark.parametrize(
     "argv,line",
     [
-        (["sweep-fidelity", "--mu=-0.4:-60:3"],
-         "at mu = -60: det(V + V_in) = 0 is not positive"),
+        (["sweep-fidelity", "--mu=-0.4:-400:3"],
+         "at mu = -400: det(V + V_in) = inf is not positive"),
         (["sweep-squeezed", "--mu1=0:-60:2"],
          "at mu = -2, mu1 = -60, mode s1: CARE solver failed: U11 is singular"),
         (["sweep-fidelity", "--mu=-0.4", "--log2r", "1100"],
@@ -368,7 +380,7 @@ RATE_OVERFLOW = "control penalty r is too small: the feedback rate overflows"
         (["sweep-fidelity", "--mu1=700", "--mu=-0.4", "--log2r", "30"], f"at mu = -0.4: {OVERFLOW}"),
         (["steady", "--mu1=700"], OVERFLOW),
     ],
-    ids=["singular-det", "singular-U11", "bad-r", "r-overflow", "rate-overflow",
+    ids=["det-not-positive", "singular-U11", "bad-r", "r-overflow", "rate-overflow",
          "trajectory-rate-overflow", "sweep-overflow", "steady-overflow"],
 )
 def test_failure_lines(tmp_path, capsys, argv, line):

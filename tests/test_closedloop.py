@@ -39,7 +39,13 @@ from memlqg.model import (
     vacuum,
 )
 from memlqg.numerics import ConvergenceError, UnstableDriftError, min_eigenvalue
-from memlqg.openloop import fidelity, steady_state, system_matrices, uncontrolled_fidelities
+from memlqg.openloop import (
+    fidelity,
+    fidelity_closed_form,
+    steady_state,
+    system_matrices,
+    uncontrolled_fidelities,
+)
 
 PARAMS = MemoryParams(nu=3.0, gamma=1.0, n_occ=2.0)
 ENC = standard_encoding(-230.0)
@@ -265,13 +271,15 @@ EPS = np.finfo(float).eps
 
 
 def assert_lossless_loops_transfer(mu, modes):
-    """With no loss every controlled fidelity is 1, for each payload of
-    LOSSLESS_SOURCES and each r of LOSSLESS_RS: the loop is solved in the
-    input-mode coordinates, where the squeezed and anti-squeezed channels
-    do not mix, so no reading rises above 1 and none falls by more than a
-    few rounding units."""
+    """With no loss the open-loop fidelity and every controlled fidelity are
+    1, for each payload of LOSSLESS_SOURCES and each r of LOSSLESS_RS: both
+    are solved in the input-mode coordinates, where the squeezed and
+    anti-squeezed channels do not mix, so no reading rises above 1 and none
+    falls by more than a few rounding units."""
     for mu1 in LOSSLESS_SOURCES:
         noise = standard_noise(squeezed_vacuum(mu1), mu, LOSSLESS)
+        F = uncontrolled_fidelities(LOSSLESS, [noise])[0]
+        assert 1.0 - 4 * EPS <= F <= 1.0, (mu1, F)
         for mode in modes:
             builder = LoopBuilder(LOSSLESS, ENC)
             for r in LOSSLESS_RS:
@@ -283,16 +291,14 @@ def assert_lossless_loops_transfer(mu, modes):
 def test_lossless_transfer_at_strong_squeezing(mu):
     """Check 1's lossless point under strong ancilla squeezing: with no loss
     the open-loop and the controlled fidelity of both filters are 1."""
-    noise = standard_noise(vacuum(), mu, LOSSLESS)
-    V_in = input_covariance(noise.Lambda)
-    assert fidelity(steady_state(LOSSLESS, ENC, noise).cov, V_in) == pytest.approx(1.0, abs=1e-9)
     assert_lossless_loops_transfer(mu, FILTER_MODES)
 
 
 @pytest.mark.parametrize("mode", FILTER_MODES)
 @pytest.mark.parametrize("mu", [-17.0, -18.0, -19.0, MU_FLOOR])
 def test_lossless_loop_builds_down_to_mu_floor(mu, mode):
-    """Down to MU_FLOOR the lossless loop builds, and its fidelity stays 1."""
+    """Down to MU_FLOOR the lossless loop builds, and its fidelity and the
+    open loop's stay 1."""
     assert_lossless_loops_transfer(mu, [mode])
 
 
@@ -392,8 +398,7 @@ def test_grid_entry_equals_per_point_loops_bit_for_bit(monkeypatch):
         alone = [[builder(noise, mode, r).fidelity() for r in rs] for noise in noises]
         assert np.array_equal(grid, alone), mode
     assert np.array_equal(
-        uncontrolled_fidelities(p, noises),
-        [fidelity(steady_state(p, ENC, n).cov, input_covariance(n.Lambda)) for n in noises],
+        uncontrolled_fidelities(p, noises), [uncontrolled_fidelities(p, [n])[0] for n in noises]
     )
 
 
@@ -463,6 +468,24 @@ def box_fidelities(nu, gamma, n_occ, mus, mu1, r):
         readings.append(LoopBuilder(p, ENC).fidelities(noises, mode, [r])[:, 0])
         readings.append([LoopBuilder(p, ENC)(noise, mode, r).fidelity() for noise in noises])
     return np.array(readings)
+
+
+def test_open_loop_matches_the_closed_form_over_the_box():
+    """Over 300 seeded box points, four ancilla exponents each (1200
+    readings), the open-loop fidelity det(V' + Lambda)^-1/2 matches the
+    per-channel product of fidelity_closed_form, and no reading rises above
+    1 by more than two rounding units. The gates sit above the largest
+    errors measured here (6.9e-15 relative, F - 1 at most 2.2e-16)."""
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        nu, gamma, n_occ, mus, mu1, _ = box_point(rng)
+        p = MemoryParams(nu=nu, gamma=gamma, n_occ=n_occ)
+        noises = standard_noises([squeezed_vacuum(mu1)] * len(mus), mus, p)
+        F = uncontrolled_fidelities(p, noises)
+        closed = fidelity_closed_form(p, np.stack([noise.Lambda for noise in noises]))
+        point = (nu, gamma, n_occ, mus, mu1)
+        assert np.all(np.abs(F - closed) <= 1e-14 * closed), point
+        assert np.all(F <= 1.0 + 2 * EPS), point
 
 
 def test_time_rescaling_leaves_every_fidelity_bit_identical():

@@ -21,7 +21,6 @@ from memlqg.openloop import (
     CLASSICAL_LIMIT_RATE,
     ENTANGLEMENT_BOUND,
     GaussianState,
-    _drift_and_noise_map,
     _steady_covariances,
     channel_variances,
     fidelity,
@@ -92,6 +91,12 @@ def test_gaussian_state_validates_physicality():
         GaussianState(mean=np.zeros(6), cov=-np.eye(6))
     with pytest.raises(ValueError):
         GaussianState(mean=np.zeros(3), cov=np.eye(6))
+    # 0.9 x a pure state's covariance is positive definite but breaks the
+    # uncertainty relation
+    lossless = MemoryParams(nu=2.0, gamma=0.0, n_occ=0.0)
+    pure = steady_state(lossless, ENC, standard_noise(vacuum(), -1.0, lossless)).cov
+    with pytest.raises(ValueError, match="uncertainty relation"):
+        GaussianState(mean=np.zeros(6), cov=0.9 * pure)
 
 
 def test_single_mode_check_values():
@@ -236,11 +241,14 @@ def test_closed_form_of_a_lambda_stack_equals_each_lambda_bit_for_bit():
 
 
 def test_closed_form_covariance_matches_the_lyapunov_solver_over_the_box(monkeypatch):
-    """V = (Qn + Qn^T)/(4c) against the general Lyapunov solver, one point
-    and stacked, over seeded points of the parameter box: nu/2pi in
-    [1e2, 1e6] Hz, gamma/nu in {0} u [1e-6, 1], n in {0} u [1e-2, 1e6],
-    mu in [MU_FLOOR, 2] (MU_FLOOR at every point) and mu1 in [-2, 2]. The
-    largest entrywise difference measured is 2.2e-16 of max|X|."""
+    """V' = (nu Lambda + gamma (n + 1/2) I)/(2c) against the general Lyapunov
+    solver in x' (drift -cI, noise B' SigmaW B'^T with B' = (-sqrt(nu) I,
+    -sqrt(gamma) I)), and the steady state's T V' T^T against it in x (A
+    and B from system_matrices), one point and stacked, over seeded points
+    of the parameter box: nu/2pi in [1e2, 1e6] Hz, gamma/nu in {0} u
+    [1e-6, 1], n in {0} u [1e-2, 1e6], mu in [MU_FLOOR, 2] (MU_FLOOR at
+    every point) and mu1 in [-2, 2]. The largest entrywise differences
+    measured are 3.9e-16 (x') and 5.2e-16 (x) of max|X|."""
     rng = np.random.default_rng(23)
     points = []
     for k in range(40):
@@ -250,9 +258,13 @@ def test_closed_form_covariance_matches_the_lyapunov_solver_over_the_box(monkeyp
         p = MemoryParams(nu=nu, gamma=gamma, n_occ=n_occ)
         mus = [MU_FLOOR, *rng.uniform(MU_FLOOR, 2.0, 3)]
         noises = [standard_noise(squeezed_vacuum(rng.uniform(-2.0, 2.0)), mu, p) for mu in mus]
-        A, B = _drift_and_noise_map(p)
-        Qn = np.stack([B @ noise.SigmaW @ B.T for noise in noises])
-        points.append((p, noises, solve_lyapunov_steady(np.broadcast_to(A, Qn.shape), Qn)))
+        sysm = system_matrices(p, ENC)
+        Bp = np.hstack([-np.sqrt(nu) * np.eye(6), -np.sqrt(gamma) * np.eye(6)])
+        X = []
+        for B in (Bp, sysm.B):
+            Qn = np.stack([B @ noise.SigmaW @ B.T for noise in noises])
+            X.append(solve_lyapunov_steady(np.broadcast_to(sysm.A, Qn.shape), Qn))
+        points.append((p, noises, *X))
 
     def refuse(*args):
         raise AssertionError("the open loop called the Lyapunov solver")
@@ -260,11 +272,11 @@ def test_closed_form_covariance_matches_the_lyapunov_solver_over_the_box(monkeyp
     for module in [m for name, m in sys.modules.items() if name.startswith("memlqg")]:
         if hasattr(module, "solve_lyapunov_steady"):
             monkeypatch.setattr(module, "solve_lyapunov_steady", refuse)
-    for p, noises, X in points:
+    for p, noises, Xp, X in points:
         one = np.stack([steady_state(p, ENC, noise).cov for noise in noises])
-        for V in (one, _steady_covariances(p, noises)):
-            scale = np.abs(X).max(axis=(1, 2), keepdims=True)
-            assert (np.abs(V - X) <= 1e-15 * scale).all()
+        for V, ref in [(_steady_covariances(p, noises), Xp), (one, X)]:
+            scale = np.abs(ref).max(axis=(1, 2), keepdims=True)
+            assert (np.abs(V - ref) <= 1e-15 * scale).all()
         uncontrolled_fidelities(p, noises)
 
 

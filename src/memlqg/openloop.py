@@ -159,7 +159,8 @@ def single_mode_check(params: MemoryParams, alpha_in: float = 0.0) -> tuple[comp
 def fidelity(V: np.ndarray, V_in: np.ndarray):
     """Mean-matched Gaussian transfer fidelity 1/sqrt(det(V + V_in)): a
     float, or one per item when V and V_in are stacks of covariances (an
-    error's `exc.index` is the first item whose determinant is not positive)."""
+    error's `exc.index` is the first item whose determinant overflows or is
+    not positive)."""
     V = np.asarray(V, dtype=float)
     V_in = np.asarray(V_in, dtype=float)
     if V.shape != V_in.shape or V.ndim not in (2, 3) or V.shape[-1] != V.shape[-2]:
@@ -169,7 +170,11 @@ def fidelity(V: np.ndarray, V_in: np.ndarray):
     dets = np.atleast_1d(det)
     check_items(
         np.isfinite(dets) & (dets > 0.0),
-        lambda i: ValueError(f"det(V + V_in) = {dets[i]:.6g} is not positive"),
+        lambda i: ValueError(
+            "det(V + V_in) overflows"
+            if np.isinf(dets[i])
+            else f"det(V + V_in) = {dets[i]:.6g} is not positive"
+        ),
     )
     return 1.0 / np.sqrt(det)
 

@@ -4,21 +4,23 @@ The linear quadratic dynamics admit a classical Gaussian surrogate whose
 first and symmetrized second moments coincide with the quantum model's, so
 trajectories are ordinary Euler-Maruyama paths of
 
-    dx  = (A x + u - sqrt(nu) beta) dt + B dw,
-    dy  = C x dt + D dw                      (same dw: shared vacuum noise),
-    dpi_s = (-c pi_s + Btil u) dt + Ktil (dy - sqrt(2 nu) pi_s dt),
+    dx    = (A x + u - sqrt(nu) beta) dt + B dw,
+    dy    = C x dt + D dw                    (same dw: shared vacuum noise),
+    dpi_x = (A pi_x + u - sqrt(nu) beta) dt + K (dy - sqrt(2 nu) pi_s dt),
 
-with dw a 12-dimensional Gaussian increment of covariance SigmaW dt and
-u = F pi_s under control, else 0. The full-state estimate pi_x is advanced
-alongside with the stationary gain K for evaluation purposes; the
-controller itself reads only pi_s, so blind runs stay blind (see
-filter_view_noise).
+with dw a 12-dimensional Gaussian increment of covariance SigmaW dt,
+pi_s = Btil pi_x and u = F pi_s under control, else 0. pi_x is the
+memory's estimate under the stationary gain K. The controller reads only
+its syndrome rows pi_s, the estimate of the syndrome filter: C =
+sqrt(2 nu) Btil, Btil K = Ktil and Btil annihilates the drive, so pi_s
+obeys that filter's recursion. K comes from the filter's view of the
+noise, so blind runs stay blind (see filter_view_noise).
 
 The engine steps a closedloop.Loop: true noise for plant and record, mm, sf
 and g for filter and controller. It never reads the loop's Vz, so sampled
 moments are checked against build_augmented, not built on it.
 
-The step is written out once, on the rows s = (x, pi_s, pi_x) of a batch
+The step is written out once, on the rows s = (x, pi_x) of a batch
 (see _affine_step). dw reaches the plant and the record only through
 [dw B^T, dw D^T], whose covariance K SigmaW K^T dt (K = [B; D]) has rank
 6 + m at most, so a step draws 6 + m standard normals w and takes that
@@ -26,15 +28,16 @@ increment as sqrt(dt) w L^T with L L^T = K SigmaW K^T: the same law from
 fewer normals. Every term is linear in s, in w and in the drive, so one
 step is the map
 
-    [innovation, s_next] = [s, w, 1] M,    M = [[H^T, Phi^T], [J^T, Gamma^T], [0, c]],
+    [innovation, pi_s, s_next] = [s, w, 1] M,    M = [[H^T, Phi^T], [J^T, Gamma^T], [h, c]],
 
-whose matrix, constant row last, is read off by evaluating the step once
-on unit rows. A single block loop applies it: a trajectory is a batch of
-one plus a recorder, an ensemble the same loop plus a moment accumulator.
+with pi_s read off s_next as an output column only. The matrix, constant
+row last, is read off by evaluating the step once on unit rows. A single
+block loop applies it: a trajectory is a batch of one plus a recorder, an
+ensemble the same loop plus a moment accumulator.
 
 The loop applies the b-step lifted map (see _lift)
 
-    [inn_t, s_{t+1} .. inn_{t+b-1}, s_{t+b}] = [s_t, w_t .. w_{t+b-1}, 1] M_b,
+    [out_t, s_{t+1} .. out_{t+b-1}, s_{t+b}] = [s_t, w_t .. w_{t+b-1}, 1] M_b,
 
 read off by composing the one-step map b times on unit rows, so the SDE
 stays written once. b follows from the batch size alone: LIFT for a batch
@@ -45,12 +48,12 @@ modulo b) take the one-step map.
 
 The kernel steps a sub-block of SUB_ROWS trajectory-steps at a time (at
 most CHUNK steps) in a time-major buffer. The buffer's row for a (lifted)
-step holds that step's [innovation, s] rows, then the noise and the 1 that
-the next step reads, so [s, w, 1] is one contiguous row and each step is
-one matrix product from one row of the buffer into the next. A consumer
-receives a whole sub-block: an ensemble's accumulator does one Gram
-product and one row sum per sub-block, a trajectory's recorder one slice
-copy.
+step holds that step's rows [innovation, pi_s, s], then the noise and the
+1 that the next step reads, so [s, w, 1] is one contiguous row and each
+step is one matrix product from one row of the buffer into the next. A
+consumer receives a whole sub-block: an ensemble's accumulator does one
+Gram product and one row sum per sub-block, a trajectory's recorder one
+slice copy.
 
 The chain is linear and Gaussian, so its state after N steps has a closed
 form (see _cross),
@@ -60,15 +63,15 @@ form (see _cross),
 with Phi_N by binary powering and Q_N by Smith's doubling (SIAM J. Appl.
 Math. 16, 1968), in about log2 N small products. ensemble_moments reads only
 the last WINDOW_FRACTION of a run. From the start law (x ~ N(0, I/2),
-pi = 0) the window's first state is Gaussian with mean c_N and covariance
-Phi_N^T V_0 Phi_N + Q_N, so each trajectory draws it at once and steps only
-the window.
+pi_x = 0) the window's first state is Gaussian with mean c_N and
+covariance Phi_N^T V_0 Phi_N + Q_N, so each trajectory draws it at once
+and steps only the window.
 
 Reproducibility: trajectory k draws from the stream
 SeedSequence(entropy=seed, spawn_key=(k,)). simulate_trajectory draws first
 the initial plant state (6 normals), then 6 + m normals per step in fixed
 blocks of CHUNK steps. ensemble_moments draws first the window's first
-state (12 + m normals, times the law's symmetric square root), then the
+state (12 normals, times the law's symmetric square root), then the
 window's 6 + m normals per step in blocks of CHUNK steps. Each stream's
 values do not depend on the batch. A rerun is bit-identical, and a
 trajectory agrees to rounding across batch sizes, because a one-row and a
@@ -137,7 +140,7 @@ class Trajectory:
 
     times: np.ndarray  # (n_steps + 1,)
     x: np.ndarray  # (n_steps + 1, 6)
-    pi_s: np.ndarray  # (n_steps + 1, m)
+    pi_s: np.ndarray  # (n_steps + 1, m), Btil pi_x
     pi_x: np.ndarray  # (n_steps + 1, 6)
     u: np.ndarray  # (n_steps + 1, 6), input applied over the following step
     innovations: np.ndarray  # (n_steps, m)
@@ -180,7 +183,7 @@ def _check_dt(cfg: TrajectoryConfig, params: MemoryParams) -> None:
 
 
 def _affine_step(cfg: TrajectoryConfig, loop: Loop, sys: SystemMatrices) -> np.ndarray:
-    """Matrix M of one Euler-Maruyama step on rows s = (x, pi_s, pi_x).
+    """Matrix M of one Euler-Maruyama step on rows s = (x, pi_x).
 
     `step` is the SDE of the module docstring written out literally, with
     the drive scaled by `one`. The noise reaches the plant and the record
@@ -190,43 +193,36 @@ def _affine_step(cfg: TrajectoryConfig, loop: Loop, sys: SystemMatrices) -> np.n
     the law of the 12-dimensional dw's, from the normals a step can see.
     `step` is affine, so its values on unit rows give
 
-        [innovation, s_next] = [s, w, 1] M,
+        [innovation, pi_s, s_next] = [s, w, 1] M,
 
-    the constant row last.
+    the constant row last, pi_s = Btil pi_x after the step.
     """
-    params, mm, sf, g = loop.params, loop.mm, loop.sf, loop.g
+    mm, sf, g = loop.mm, loop.sf, loop.g
     dt = cfg.dt
-    m = mm.n_channels
     K = np.vstack([sys.B, mm.D])
     L = noise_factor(K @ loop.noise.SigmaW @ K.T)
-    root2nu = np.sqrt(2.0 * params.nu)
+    root2nu = np.sqrt(2.0 * loop.params.nu)
 
     def step(s, w, one):
-        x, pi_s, pi_x = s[:, :6], s[:, 6 : 6 + m], s[:, 6 + m :]
+        x, pi_x = s[:, :6], s[:, 6:]
+        pi_s = pi_x @ mm.Btil.T
         u = pi_s @ g.Fgain.T if cfg.control_enabled else np.zeros_like(x)
         drive = np.outer(one, sys.drive)
         dv = np.sqrt(dt) * (w @ L.T)  # [dw B^T, dw D^T]
-        dy = dt * (x @ mm.C.T) + dv[:, 6:]
-        innovation = dy - root2nu * dt * pi_s
+        innovation = dt * (x @ mm.C.T) + dv[:, 6:] - root2nu * dt * pi_s
         x_next = x + dt * (x @ sys.A.T + u + drive) + dv[:, :6]
-        pi_s_next = (
-            pi_s + dt * (-params.damping * pi_s + u @ mm.Btil.T) + innovation @ sf.Ktil.T
-        )
-        pi_x_next = (
-            pi_x + dt * (pi_x @ sys.A.T + u + drive) + (dy - dt * (pi_x @ mm.C.T)) @ sf.K.T
-        )
-        return np.hstack([innovation, x_next, pi_s_next, pi_x_next])
+        pi_x_next = pi_x + dt * (pi_x @ sys.A.T + u + drive) + innovation @ sf.K.T
+        return np.hstack([innovation, pi_x_next @ mm.Btil.T, x_next, pi_x_next])
 
-    n, p = 12 + m, len(K)  # state width; normals per step, 6 + m
-    unit = np.eye(n + p + 1)
-    return step(unit[:, :n], unit[:, n:-1], unit[:, -1])
+    unit = np.eye(12 + len(K) + 1)  # rows [s, w, 1]: 12 state columns, 6 + m normals
+    return step(unit[:, :12], unit[:, 12:-1], unit[:, -1])
 
 
 def _lift(M: np.ndarray, n: int, b: int) -> np.ndarray:
-    """Matrix M_b of b steps of the map [innovation, s_next] = [s, w, 1] M
-    on states of width n:
+    """Matrix M_b of b steps of the map [out, s_next] = [s, w, 1] M on
+    states of width n:
 
-        [inn_0, s_1, .., inn_{b-1}, s_b] = [s_0, w_0 .. w_{b-1}, 1] M_b,
+        [out_0, s_1, .., out_{b-1}, s_b] = [s_0, w_0 .. w_{b-1}, 1] M_b,
 
     step by step, so one lifted row reshapes to b one-step rows. Read off by
     composing the one-step map b times on unit rows (the lifted system of
@@ -244,7 +240,7 @@ def _lift(M: np.ndarray, n: int, b: int) -> np.ndarray:
 
 
 def _cross(M: np.ndarray, n: int, N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Law (Phi_N, Q_N, c_N) of N steps of the map [innovation, s_next] = [s, w, 1] M
+    """Law (Phi_N, Q_N, c_N) of N steps of the map [out, s_next] = [s, w, 1] M
     on states of width n:
 
         s_N = s_0 Phi_N + c_N + e,    e ~ N(0, Q_N),
@@ -311,26 +307,26 @@ def _run_batch(
     n_steps: int,
     consume,
 ) -> np.ndarray:
-    """Step the rows `start` (one per stream in rngs: s = (x, pi_s, pi_x)
-    after step first_step - 1) through step n_steps; return the last rows.
+    """Step the rows `start` (one per stream in rngs: s = (x, pi_x) after
+    step first_step - 1) through step n_steps; return the last rows.
 
     consume(step, rows) receives a sub-block of consecutive steps at a time,
-    rows of shape (k, batch, kb, m + n) for k (lifted) steps of kb steps
-    each, in which rows[i, :, j] holds [innovation, s] after step
+    rows of shape (k, batch, kb, 2m + n) for k (lifted) steps of kb steps
+    each, in which rows[i, :, j] holds [innovation, pi_s, s] after step
     step + i kb + j (counting from 1). The rows are a view of the stepping
     buffer, valid until consume returns. Noise is drawn one CHUNK block per
     stream at a time, from first_step on, so each stream's values do not
     depend on the batch; divergence is checked once per block.
     """
     batch, n = start.shape
-    width = M.shape[1]  # m + n: one step's row [innovation, s]
+    width = M.shape[1]  # 2m + n: one step's row [innovation, pi_s, s]
     p = M.shape[0] - n - 1
     b = LIFT if batch == 1 else 1
     maps = {b: _lift(M, n, b), 1: M}
     span = min(CHUNK, max(b, SUB_ROWS // batch)) // b * b  # steps per sub-block
     noise = _mapped(batch, CHUNK, p)  # refilled in place: one noise block per run
     # Time-major stepping buffer: the row of (lifted) step i holds kb steps'
-    # [innovation, s], then the noise and the 1 that step i + 1 reads, so
+    # [innovation, pi_s, s], then the noise and the 1 that step i + 1 reads, so
     # [s, w, 1] is one contiguous row and a step is one product into the next.
     # span + b one-step rows per stream hold a sub-block for either map.
     buf = _mapped((span + b) * batch * (width + p + 1))
@@ -372,7 +368,7 @@ def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0
     mm, sf, g = loop.mm, loop.sf, loop.g
     m = mm.n_channels
     n_rec = cfg.n_steps + 1
-    rows = _mapped(n_rec, m + 12 + m)  # [innovation, s] after each step; row 0 holds s_0
+    rows = _mapped(n_rec, 2 * m + 12)  # [innovation, pi_s, s] after each step; row 0 holds s_0
 
     def record(step, block):
         k, _, kb, width = block.shape
@@ -380,15 +376,15 @@ def simulate_trajectory(cfg: TrajectoryConfig, loop: Loop, stream_index: int = 0
 
     M, bound = _step_map(cfg, loop)
     rng = _trajectory_rng(cfg.seed, stream_index)
-    rows[0, m : m + 6] = rng.standard_normal(6) * np.sqrt(0.5)
-    _run_batch(M, bound, [rng], rows[:1, m:].copy(), 1, cfg.n_steps, record)
-    pi_s = rows[:, m + 6 : m + 6 + m]
+    rows[0, 2 * m : 2 * m + 6] = rng.standard_normal(6) * np.sqrt(0.5)
+    _run_batch(M, bound, [rng], rows[:1, 2 * m :].copy(), 1, cfg.n_steps, record)
+    pi_s = rows[:, m : 2 * m]
     band = np.sqrt(np.diag(mm.Btil @ sf.Vc @ mm.Btil.T))
     return Trajectory(
         times=np.arange(n_rec) * cfg.dt,
-        x=rows[:, m : m + 6],
+        x=rows[:, 2 * m : 2 * m + 6],
         pi_s=pi_s,
-        pi_x=rows[:, m + 6 + m :],
+        pi_x=rows[:, 2 * m + 6 :],
         u=pi_s @ g.Fgain.T if cfg.control_enabled else np.zeros((n_rec, 6)),
         innovations=rows[1:, :m],
         err_band=np.tile(band, (n_rec, 1)),
@@ -404,7 +400,7 @@ class EnsembleMoments:
     innovation_cov_rate: np.ndarray  # (m, m) innovation covariance per unit time
     err_mean: np.ndarray  # (6,) mean of x - pi_x across trajectories
     err_sem: np.ndarray  # (6,) standard error of that mean
-    final_states: np.ndarray  # (ntraj, 6+m+6) endpoint (x, pi_s, pi_x)
+    final_states: np.ndarray  # (ntraj, 6+m+6) endpoint (x, pi_s, pi_x), pi_s = Btil pi_x
     n_traj: int
     n_pooled: int
 
@@ -427,12 +423,12 @@ def ensemble_moments(
     simulate_trajectory steps. Only the window, the last WINDOW_FRACTION of
     the run, is read. The steps before it are crossed exactly (see _cross):
     trajectory k draws the window's first state from the chain's law after
-    window_start steps, as the first 12 + m normals of its stream times the
+    window_start steps, as the first 12 normals of its stream times the
     law's symmetric square root, then steps the window on that stream's
     next CHUNK blocks. So every returned
     moment has the law that step-by-step stepping from the start would give,
-    though not its realization. The window's rows [innovation, s] go into
-    one Gram matrix and one per-trajectory row sum, a sub-block at a time.
+    though not its realization. The window's rows [innovation, pi_s, s] go
+    into one Gram matrix and one per-trajectory row sum, a sub-block at a time.
     Memory stays bounded: only these accumulators, one noise block per batch
     and the stepping buffer are held. A chain that
     diverges before the window raises SimulationUnstableError at
@@ -446,10 +442,9 @@ def ensemble_moments(
     dz = 6 + m
     n_steps = cfg.n_steps
     window_start = n_steps - max(1, int(round(WINDOW_FRACTION * n_steps)))
-    n = 12 + m
 
     M, bound = _step_map(cfg, loop)
-    Phi, Q, mean = _cross(M, n, window_start)
+    Phi, Q, mean = _cross(M, 12, window_start)
     cov = Q + 0.5 * Phi[:6].T @ Phi[:6]  # Phi^T V_0 Phi + Q with V_0 = diag(I/2, 0)
     spread = np.abs(mean[:6]) + np.sqrt(np.abs(np.diag(cov)[:6]))  # |x|'s scale at window_start
     _check_bound(float(np.max(spread)), bound, window_start)
@@ -462,10 +457,10 @@ def ensemble_moments(
     keep = norms > 0.0
     root = (L[:, keep] / norms[keep]) @ L[:, keep].T
     rngs = [_trajectory_rng(cfg.seed, k) for k in range(n_traj)]
-    start = np.vstack([r.standard_normal(n) for r in rngs]) @ root + mean
+    start = np.vstack([r.standard_normal(12) for r in rngs]) @ root + mean
 
-    gram = np.zeros((m + dz, m + dz))  # of the window's rows [innovation, x, pi_s]
-    row_sum = np.zeros((n_traj, m + n))  # the rows [innovation, s] summed per trajectory
+    gram = np.zeros((m + dz, m + dz))  # of the window's rows [innovation, pi_s, x]
+    row_sum = np.zeros((n_traj, 2 * m + 12))  # the rows [innovation, pi_s, s] summed per trajectory
 
     def accumulate(step, rows):
         nonlocal gram, row_sum
@@ -476,19 +471,20 @@ def ensemble_moments(
     final = _run_batch(M, bound, rngs, start, window_start + 1, n_steps, accumulate)
 
     n_pooled = n_traj * (n_steps - window_start)
-    mean = row_sum[:, : m + dz].sum(axis=0) / n_pooled  # of [innovation, x, pi_s]
+    mean = row_sum[:, : m + dz].sum(axis=0) / n_pooled  # of [innovation, pi_s, x]
     cov = symmetrize((gram - n_pooled * np.outer(mean, mean)) / (n_pooled - 1))
-    err_sum = row_sum[:, m : m + 6] - row_sum[:, m + dz :]
+    z = np.r_[2 * m : m + dz, m : 2 * m]  # the columns of (x, pi_s)
+    err_sum = row_sum[:, 2 * m : m + dz] - row_sum[:, m + dz :]
     err_traj = err_sum / (n_steps - window_start)  # per-trajectory window averages
     err_mean = err_traj.mean(axis=0)
     err_sem = err_traj.std(axis=0, ddof=1) / np.sqrt(n_traj)
     return EnsembleMoments(
-        z_mean=mean[m:],
-        z_cov=cov[m:, m:],
+        z_mean=mean[z],
+        z_cov=cov[np.ix_(z, z)],
         innovation_cov_rate=cov[:m, :m] / cfg.dt,
         err_mean=err_mean,
         err_sem=err_sem,
-        final_states=final,
+        final_states=np.hstack([final[:, :6], final[:, 6:] @ mm.Btil.T, final[:, 6:]]),
         n_traj=n_traj,
         n_pooled=n_pooled,
     )

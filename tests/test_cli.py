@@ -367,7 +367,7 @@ RATE_OVERFLOW = "control penalty r is too small: the feedback rate overflows"
     "argv,line",
     [
         (["sweep-fidelity", "--mu=-0.4:-400:3"],
-         "at mu = -400: det(V + V_in) = inf is not positive"),
+         "at mu = -400: det(V + V_in) overflows"),
         (["sweep-squeezed", "--mu1=0:-60:2"],
          "at mu = -2, mu1 = -60, mode s1: CARE solver failed: U11 is singular"),
         (["sweep-fidelity", "--mu=-0.4", "--log2r", "1100"],
@@ -380,7 +380,7 @@ RATE_OVERFLOW = "control penalty r is too small: the feedback rate overflows"
         (["sweep-fidelity", "--mu1=700", "--mu=-0.4", "--log2r", "30"], f"at mu = -0.4: {OVERFLOW}"),
         (["steady", "--mu1=700"], OVERFLOW),
     ],
-    ids=["det-not-positive", "singular-U11", "bad-r", "r-overflow", "rate-overflow",
+    ids=["det-overflow", "singular-U11", "bad-r", "r-overflow", "rate-overflow",
          "trajectory-rate-overflow", "sweep-overflow", "steady-overflow"],
 )
 def test_failure_lines(tmp_path, capsys, argv, line):

@@ -146,10 +146,15 @@ def test_fidelity_det_matches_closed_form(mu):
 
 
 def test_fidelity_rejects_bad_inputs():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="shape mismatch"):
         fidelity(np.eye(6), np.eye(4))
-    with pytest.raises(ValueError):
-        fidelity(np.zeros((2, 2)), np.zeros((2, 2)))  # det = 0
+    with pytest.raises(ValueError, match=r"^det\(V \+ V_in\) = 0 is not positive$"):
+        fidelity(np.zeros((2, 2)), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^det\(V \+ V_in\) = -1 is not positive$"):
+        fidelity(np.diag([1.0, -1.0]), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^det\(V \+ V_in\) overflows$") as err:
+        fidelity(np.stack([np.eye(2), 1e200 * np.eye(2)]), np.zeros((2, 2, 2)))
+    assert err.value.index == 1
 
 
 def test_pfd_rate_anchors():

@@ -11,7 +11,12 @@ from memlqg import closedloop
 from memlqg.acceptance import reference_params
 from memlqg.closedloop import LoopBuilder
 from memlqg.control import Gains
-from memlqg.estimation import StationaryFilter, filter_view_noise
+from memlqg.estimation import (
+    StationaryFilter,
+    filter_view_noise,
+    measurement_model,
+    stationary_filter,
+)
 from memlqg.model import (
     MemoryParams,
     SourceSpec,
@@ -144,9 +149,13 @@ def reference_loop(cfg, loop, sysm, stream_index=0, crossed=None):
     """The SDE of `sysm` stepped one vector at a time, drawing the stream's
     noise blocks in order; returns rows (x, pi_s, pi_x), innovations and inputs.
 
-    The run starts from the stream's initial plant state, or, given
-    crossed = (N, s_N), from s_N after step N: the stream's first 12 + m
-    normals are taken to have drawn s_N, and the remaining steps follow.
+    pi_s is the syndrome filter's own recursion, dpi_s = (-c pi_s + Btil (u +
+    drive)) dt + Ktil (dy - sqrt(2 nu) pi_s dt), not read off pi_x (Btil
+    annihilates the memory's own drive, not every test's); pi_x takes the
+    full-state filter's innovation dy - C pi_x dt. The run starts from the
+    stream's initial plant state, or, given crossed = (N, (x_N, pi_x_N)),
+    from there after step N with pi_s = Btil pi_x_N: the stream's first 12
+    normals are taken to have drawn it, and the remaining steps follow.
     Each step draws 6 + m normals w and takes the plant and record noise
     [B dw, D dw] as sqrt(dt) L w, from its own factor L L^T = K SigmaW K^T
     with K = [B; D].
@@ -157,11 +166,12 @@ def reference_loop(cfg, loop, sysm, stream_index=0, crossed=None):
     L = noise_factor(K @ NOISE.SigmaW @ K.T)
     rng = stream(cfg.seed, stream_index)
     if crossed is None:
-        first, s0 = 0, np.concatenate([rng.standard_normal(6) * np.sqrt(0.5), np.zeros(m + 6)])
+        first, s0 = 0, np.concatenate([rng.standard_normal(6) * np.sqrt(0.5), np.zeros(6)])
     else:
         first, s0 = crossed
-        rng.standard_normal(12 + m)
-    x, pi_s, pi_x = s0[:6], s0[6 : 6 + m], s0[6 + m :]
+        rng.standard_normal(12)
+    x, pi_x = s0[:6], s0[6:]
+    pi_s = mm.Btil @ pi_x
     n, dt = cfg.n_steps - first, cfg.dt
     noise = np.vstack(
         [rng.standard_normal((min(CHUNK, n - k), 6 + m)) for k in range(0, n, CHUNK)]
@@ -173,7 +183,7 @@ def reference_loop(cfg, loop, sysm, stream_index=0, crossed=None):
         dy = mm.C @ x * dt + dv[6:]
         inn = dy - np.sqrt(2.0 * P.nu) * pi_s * dt
         x = x + dt * (sysm.A @ x + u + sysm.drive) + dv[:6]
-        pi_s = pi_s + dt * (-P.damping * pi_s + mm.Btil @ u) + sf.Ktil @ inn
+        pi_s = pi_s + dt * (-P.damping * pi_s + mm.Btil @ (u + sysm.drive)) + sf.Ktil @ inn
         pi_x = pi_x + dt * (sysm.A @ pi_x + u + sysm.drive) + sf.K @ (dy - mm.C @ pi_x * dt)
         states.append(np.concatenate([x, pi_s, pi_x]))
         innovations.append(inn)
@@ -184,7 +194,7 @@ def reference_loop(cfg, loop, sysm, stream_index=0, crossed=None):
 @pytest.mark.parametrize("n_steps", [1, 1030, 1601])
 def test_ensemble_window_matches_per_step_reference(monkeypatch, n_steps):
     """The window starts from the crossed law, drawn with each stream's first
-    12 + m normals times the law's symmetric square root (N = 0 for a
+    12 normals times the law's symmetric square root (N = 0 for a
     one-step run), and its moments and endpoints equal those of the literal
     per-step loop started from that state on the same stream: a window
     shorter than one noise block and one with a partial tail block."""
@@ -204,8 +214,8 @@ def test_ensemble_window_matches_per_step_reference(monkeypatch, n_steps):
     assert em.n_pooled == 3 * (n_steps - window_start)
 
     M = _affine_step(cfg, loop, sysm)
-    Phi, Q, mean = _cross(M, 12 + loop.mm.n_channels, window_start)
-    V0 = np.diag(np.r_[np.full(6, 0.5), np.zeros(len(mean) - 6)])
+    Phi, Q, mean = _cross(M, 12, window_start)
+    V0 = np.diag(np.r_[np.full(6, 0.5), np.zeros(6)])
     w, U = np.linalg.eigh(Phi.T @ V0 @ Phi + Q)
     root = (U * np.sqrt(np.clip(w, 0.0, None))) @ U.T
     normals = [stream(cfg.seed, k).standard_normal(len(mean)) for k in range(3)]
@@ -271,15 +281,16 @@ def test_euler_maruyama_bias_is_first_order_in_dt():
     loop = LoopBuilder(params, enc)(standard_noise(vacuum(), -0.4, params), "s1", 1e-9)
     vz, k = loop.Vz, loop.Vz.shape[0]
 
-    m = loop.mm.n_channels
-    n = 12 + m
+    m, n = loop.mm.n_channels, 12
+    E = np.zeros((k, n))  # (x, pi_x) -> (x, pi_s)
+    E[:6, :6], E[6:, 6:] = np.eye(6), loop.mm.Btil
 
     def stationary(dt):
         cfg = TrajectoryConfig(dt=dt, duration=dt, seed=0)
         M = _affine_step(cfg, loop, system_matrices(params, enc))
         phi, gam, h, j = M[:n, -n:].T, M[n:-1, -n:].T, M[:n, :m].T, M[n:-1, :m].T
         S = solve_discrete_lyapunov(phi, gam @ gam.T)
-        rel = np.linalg.norm(S[:k, :k] - vz) / np.linalg.norm(vz)
+        rel = np.linalg.norm(E @ S @ E.T - vz) / np.linalg.norm(vz)
         return rel, (h @ S @ h.T + j @ j.T) / dt
 
     dt = 2e-3 / (params.nu + params.gamma)
@@ -293,28 +304,28 @@ def test_euler_maruyama_bias_is_first_order_in_dt():
 
 def test_lifted_map_composes_one_step_map():
     """M_b on random rows [s, w_0 .. w_{b-1}, 1] equals b one-step maps in
-    turn, step by step: its columns reshape to b rows [inn_j, s_{j+1}]. For
-    b = 1 the lifted map is the one-step map itself."""
+    turn, step by step: its columns reshape to b rows [inn_j, pi_s_{j+1},
+    s_{j+1}]. For b = 1 the lifted map is the one-step map itself."""
     cfg = TrajectoryConfig(dt=0.01, duration=1.0, seed=1)
     loop = make_loop()
     M = _affine_step(cfg, loop, system_matrices(P, ENC))
     m = loop.mm.n_channels
-    n, p = 12 + m, 6 + m
-    assert M.shape == (n + p + 1, m + n)
+    n, p = 12, 6 + m
+    assert M.shape == (n + p + 1, 2 * m + n)
     assert np.array_equal(_lift(M, n, 1), M)
 
     b = LIFT
     Mb = _lift(M, n, b)
-    assert Mb.shape == (n + p * b + 1, b * (m + n))
+    assert Mb.shape == (n + p * b + 1, b * (2 * m + n))
     rows = np.random.default_rng(7).standard_normal((5, n + p * b + 1))
     rows[:, -1] = 1.0
     s, steps = rows[:, :n], []
     for j in range(b):
         out = np.hstack([s, rows[:, n + p * j : n + p * (j + 1)], rows[:, -1:]]) @ M
-        s = out[:, m:]
+        s = out[:, 2 * m :]
         steps.append(out)
-    expected = np.stack(steps, axis=1)  # (5, b, m + n): [inn_j, s_{j+1}] per step
-    lifted = (rows @ Mb).reshape(5, b, m + n)
+    expected = np.stack(steps, axis=1)  # (5, b, 2m + n): [inn_j, pi_s_{j+1}, s_{j+1}] per step
+    lifted = (rows @ Mb).reshape(5, b, 2 * m + n)
     assert np.abs(lifted - expected).max() <= 1e-13 * np.abs(expected).max()
 
 
@@ -334,7 +345,7 @@ def check9_setting(mode, r, control=True, gamma_hz=1.0):
 def check9_step(request):
     """One-step map M and state width n at check 9's operating point and step."""
     loop, cfg, sysm = check9_setting(*request.param)
-    return _affine_step(cfg, loop, sysm), 12 + loop.mm.n_channels
+    return _affine_step(cfg, loop, sysm), 12
 
 
 @pytest.mark.parametrize("N", [1, 2, 3, 255, 12000])
@@ -358,14 +369,14 @@ def test_cross_matches_step_composition_and_discrete_lyapunov(check9_step, N):
 def literal_step_map(cfg, loop, sysm):
     """The module docstring's SDE with the 12-dimensional increment
     dw = sqrt(dt) L w, L L^T = SigmaW, evaluated on unit rows [s, w, 1]:
-    columns [innovation, s_next]."""
+    columns [innovation, pi_s_next, s_next]. pi_s_next is the syndrome
+    filter's own recursion from pi_s = Btil pi_x, not read off pi_x_next."""
     params, mm, sf, g = loop.params, loop.mm, loop.sf, loop.g
-    m, dt = mm.n_channels, cfg.dt
-    n = 12 + m
+    dt = cfg.dt
     L = noise_factor(loop.noise.SigmaW)
-    unit = np.eye(n + 13)
-    x, pi_s, pi_x = unit[:, :6], unit[:, 6 : 6 + m], unit[:, 6 + m : n]
-    w, one = unit[:, n:-1], unit[:, -1]
+    unit = np.eye(12 + 13)
+    x, pi_x, w, one = unit[:, :6], unit[:, 6:12], unit[:, 12:-1], unit[:, -1]
+    pi_s = pi_x @ mm.Btil.T
     u = pi_s @ g.Fgain.T if cfg.control_enabled else np.zeros_like(x)
     drive = np.outer(one, sysm.drive)
     dw = np.sqrt(dt) * (w @ L.T)
@@ -373,10 +384,8 @@ def literal_step_map(cfg, loop, sysm):
     innovation = dy - np.sqrt(2.0 * params.nu) * dt * pi_s
     x_next = x + dt * (x @ sysm.A.T + u + drive) + dw @ sysm.B.T
     pi_s_next = pi_s + dt * (-params.damping * pi_s + u @ mm.Btil.T) + innovation @ sf.Ktil.T
-    pi_x_next = (
-        pi_x + dt * (pi_x @ sysm.A.T + u + drive) + (dy - dt * (pi_x @ mm.C.T)) @ sf.K.T
-    )
-    return np.hstack([innovation, x_next, pi_s_next, pi_x_next])
+    pi_x_next = pi_x + dt * (pi_x @ sysm.A.T + u + drive) + innovation @ sf.K.T
+    return np.hstack([innovation, pi_s_next, x_next, pi_x_next])
 
 
 @pytest.mark.parametrize("control", [True, False], ids=["on", "off"])
@@ -388,16 +397,41 @@ def literal_step_map(cfg, loop, sysm):
 def test_reduced_noise_has_the_literal_step_law(mode, r, gamma_hz, control):
     """A step draws 6 + m normals, not the 12 of dw, and keeps the step's law:
     the map's deterministic part (Phi, c) is bit-identical to the literal
-    SDE's, and the one-step noise covariance Gamma^T Gamma of
-    [innovation, s_next] equals the literal one to 1e-11 relative."""
+    SDE's in the innovation and state columns, and the one-step noise
+    covariance Gamma^T Gamma of [innovation, pi_s_next, s_next] equals the
+    literal one to 1e-11 relative. The pi_s column, Btil pi_x_next in the
+    map and the syndrome filter's recursion in the literal SDE, agrees to
+    rounding: 1e-14 relative, against a measured 3e-16 at most."""
     loop, cfg, sysm = check9_setting(mode, r, control, gamma_hz)
     M, literal = _affine_step(cfg, loop, sysm), literal_step_map(cfg, loop, sysm)
-    m = loop.mm.n_channels
-    n = 12 + m
-    assert M.shape == (n + 6 + m + 1, m + n) and literal.shape == (n + 13, m + n)
-    assert np.array_equal(M[:n], literal[:n]) and np.array_equal(M[-1], literal[-1])
+    m, n = loop.mm.n_channels, 12
+    assert M.shape == (n + 6 + m + 1, 2 * m + n) and literal.shape == (n + 13, 2 * m + n)
+    rows = np.r_[:n, -1]  # the deterministic part: state rows, constant row
+    cols = np.r_[:m, 2 * m : 2 * m + n]  # innovation and state columns
+    assert np.array_equal(M[np.ix_(rows, cols)], literal[np.ix_(rows, cols)])
+    pi_s, expected = M[rows, m : 2 * m], literal[rows, m : 2 * m]
+    assert np.linalg.norm(pi_s - expected) <= 1e-14 * np.linalg.norm(expected)
     Q, expected = M[n:-1].T @ M[n:-1], literal[n:-1].T @ literal[n:-1]
     assert np.linalg.norm(Q - expected) <= 1e-11 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("known", [True, False], ids=["informed", "blind"])
+@pytest.mark.parametrize("mode", ["s1", "s2"])
+def test_syndrome_estimate_is_rows_of_the_full_estimate(mode, known):
+    """The kernel steps pi_x alone and reads pi_s = Btil pi_x, which obeys
+    the syndrome filter's recursion because C = sqrt(2 nu) Btil exactly and
+    Btil K = Ktil to rounding: 1e-14 relative, against a measured 2.2e-16 at
+    most over both modes and filter views, three memories, two encodings,
+    three payloads and five squeezings."""
+    params = reference_params()
+    enc = standard_encoding(-230.0)
+    for mu in (-20.0, -0.4, 3.0):
+        noise = standard_noise(squeezed_vacuum(1.0), mu, params)
+        view = filter_view_noise(noise, SourceSpec(0.0, covariance_known=known), params)
+        mm = measurement_model(mode, enc, params, view)
+        sf = stationary_filter(mm, params, enc, view)
+        assert np.array_equal(mm.C, np.sqrt(2.0 * params.nu) * mm.Btil)
+        assert np.linalg.norm(mm.Btil @ sf.K - sf.Ktil) <= 1e-14 * np.linalg.norm(sf.Ktil)
 
 
 def mapping_of(a):
@@ -473,8 +507,7 @@ def test_unstable_ensemble_is_detected(monkeypatch):
     coarse = make_loop(params=hot, noise=standard_noise(vacuum(), -1.0, hot))
     cfg = TrajectoryConfig(dt=0.01, duration=20.0, seed=5)  # window from step 1600
     M = _affine_step(cfg, coarse, system_matrices(hot, ENC))
-    n = 12 + coarse.mm.n_channels
-    assert np.abs(np.linalg.eigvals(M[:n, -n:])).max() > 20.0
+    assert np.abs(np.linalg.eigvals(M[:12, -12:])).max() > 20.0
     for unstable, cfg, window_start in (
         (replace(loop, g=runaway), cfg, 1600),
         (coarse, TrajectoryConfig(dt=0.005, duration=3.0, seed=5), 480),
@@ -488,17 +521,17 @@ def test_unstable_ensemble_is_detected(monkeypatch):
 
 def test_noise_factor_threshold_is_relative():
     """The crossed law is singular, and at a large thermal occupation its
-    rounding puts eigenvalues below -1e-12 while its largest is ~2e4; it is
+    rounding puts eigenvalues below -1e-12 while its largest is ~2e5; it is
     accepted and reproduced. A negative eigenvalue beyond 1e-12 of the
     largest is still refused."""
-    hot = MemoryParams(nu=4.0, gamma=1.0, n_occ=1e5)
+    hot = MemoryParams(nu=4.0, gamma=1.0, n_occ=1e6)
     loop = make_loop(params=hot, noise=standard_noise(vacuum(), -1.0, hot))
     cfg = TrajectoryConfig(dt=2e-4, duration=3.0, seed=5)
     M = _affine_step(cfg, loop, system_matrices(hot, ENC))
-    Phi, Q, _ = _cross(M, 12 + loop.mm.n_channels, cfg.n_steps - round(WINDOW_FRACTION * cfg.n_steps))
+    Phi, Q, _ = _cross(M, 12, cfg.n_steps - round(WINDOW_FRACTION * cfg.n_steps))
     cov = Q + 0.5 * Phi[:6].T @ Phi[:6]
     w = np.linalg.eigvalsh(cov)
-    assert w.min() < -1e-12 and w.max() > 1e4
+    assert w.min() < -1e-12 and w.max() > 1e5
     L = noise_factor(cov)
     assert np.linalg.norm(L @ L.T - cov) <= 1e-12 * np.linalg.norm(cov)
     assert np.all(np.isfinite(ensemble(cfg, loop, 2).z_cov))
@@ -533,8 +566,7 @@ def test_uncontrolled_lossless_vacuum_reaches_ground_state():
     em = ensemble(cfg, loop, n_traj)
 
     M = literal_step_map(cfg, loop, system_matrices(p, enc))
-    n = 12 + loop.mm.n_channels
-    Phi, Gamma = M[:n, -n:], M[n:-1, -n:]
+    Phi, Gamma = M[:12, -12:], M[12:-1, -12:]
     X = solve_discrete_lyapunov(Phi.T, Gamma.T @ Gamma)
     T = em.n_pooled // n_traj
     C, A = np.empty((T, 6)), X

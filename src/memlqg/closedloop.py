@@ -7,12 +7,10 @@ built and solved in the input-mode coordinates x' = T^T x, where each loop
 map is a row selection by Z (C' = sqrt(2 nu) Z, F' = -Z^T diag(f)) and T
 takes no part, so the squeezed and anti-squeezed channels, e^mu apart,
 never mix. The fidelity det(V' + Lambda)^-1/2 is read from that one solve,
-and the covariance of z = (x, pi_s) is its rotation by diag(T, I). A closed
-form for V' in x is exact whenever the filter gain stays inside the
-measured syndrome subspace (always for the two-channel filter, and for
-amplitude/phase-aligned squeezing); it is evaluated under two readings of
-its gain, the full 6 x m gain and its projection onto the syndrome
-subspace, against the authoritative Lyapunov solve.
+and the covariance of z = (x, pi_s) is its rotation by diag(T, I). For a
+diagonal Lambda each measured channel is one 2x2 loop (x'_j, pi_j), so
+V' in x' is diag(v'), and `controlled_channel_variances` gives v' from
+scalar formulas alone, an oracle independent of the dense solve.
 
 The feedback never disturbs the stored word: the syndrome maps annihilate
 the drive direction, so the closed-loop steady mean equals the open-loop
@@ -26,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .control import Gains, LqgConfig, lqg_gains
+from .control import Gains, LqgConfig, feedback_rates, lqg_gains
 from .estimation import (
     MeasurementModel,
     StationaryFilter,
@@ -38,10 +36,7 @@ from .estimation import (
 )
 from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, syndrome_set
 from .numerics import items_renamed, solve_lyapunov_steady, stack, symmetrize
-from .openloop import fidelity, system_matrices
-
-GAIN_READINGS = ("full", "projected")
-_MODE_BLOCKS = ("m1", "m2", "m3")
+from .openloop import channel_variances, fidelity
 
 
 @dataclass(frozen=True)
@@ -123,108 +118,31 @@ def _joint_noises(Bz: np.ndarray, SigmaW: np.ndarray) -> np.ndarray:
     return Bz @ SigmaW @ Bz.swapaxes(1, 2)
 
 
-def _invert(M: np.ndarray, name: str) -> np.ndarray:
-    try:
-        out = np.linalg.inv(M)
-    except np.linalg.LinAlgError:
-        raise ValueError(f"explicit formula factor ({name}) is singular") from None
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"explicit formula factor ({name}) is singular")
-    return out
-
-
-def vprime_explicit(loop: Loop, gain_reading: str = "full") -> np.ndarray:
-    """Closed-form steady controlled covariance.
-
-    gain_reading='full' uses the 6 x m filter gain directly; 'projected'
-    replaces it by its projection Btil^T Ktil onto the measured syndrome
-    subspace. The two coincide whenever the gain lies in that subspace.
-    The filter block is lifted to six dimensions (e = Btil^T pi_s) so that
-    all factors conform.
-    """
-    if gain_reading not in GAIN_READINGS:
-        raise ValueError(f"unknown gain reading {gain_reading!r}")
-    mm, sf, g, SigmaW = loop.mm, loop.sf, loop.g, loop.noise.SigmaW
-    sys = system_matrices(loop.params, loop.enc)
-    A = sys.A
-    K6 = sf.K if gain_reading == "full" else mm.Btil.T @ sf.Ktil
-    KC = K6 @ mm.C
-    FB = g.Fgain @ mm.Btil
-    Row = np.hstack([A - KC + FB, -FB])
-    Bz12 = np.vstack([sys.B, mm.Btil.T @ (sf.Ktil @ mm.D)])
-    X = Row @ (Bz12 @ SigmaW @ Bz12.T) @ Row.T
-    Q11 = sys.B @ SigmaW @ sys.B.T
-    inner = (
-        X @ _invert(A - KC, "A - K C") @ _invert(FB + A, "F Btil + A") + Q11
-    )
-    return -0.5 * _invert(2.0 * A - KC + FB, "2A - K C + F Btil") @ inner
-
-
-@dataclass(frozen=True)
-class ExplicitFormulaReport:
-    """Comparison of the closed form against the authoritative Lyapunov solve."""
-
-    tol: float
-    errors: dict  # reading -> relative Frobenius error
-    mismatched_blocks: dict  # reading -> tuple of mode-block labels
-    matching_reading: str | None = None
-
-    @property
-    def matches(self) -> bool:
-        return self.matching_reading is not None
-
-    def lines(self) -> list[str]:
-        out = []
-        if self.matches:
-            out.append(
-                f"explicit formula matches Lyapunov solve under the "
-                f"'{self.matching_reading}' gain reading "
-                f"(rel err {self.errors[self.matching_reading]:.3e} <= {self.tol:g})"
-            )
-        else:
-            out.append(
-                f"explicit formula DISAGREES with Lyapunov solve (tol {self.tol:g}); "
-                "the Lyapunov result is authoritative"
-            )
-        for reading in GAIN_READINGS:
-            blocks = self.mismatched_blocks[reading]
-            detail = ", ".join(blocks) if blocks else "none"
-            out.append(
-                f"  reading '{reading}': rel err {self.errors[reading]:.3e}; "
-                f"mismatched blocks: {detail}"
-            )
-        return out
-
-
-def _block_labels(delta: np.ndarray, scale: float, tol: float) -> tuple[str, ...]:
-    """Labels (mi, mj) of 2x2 mode blocks whose error exceeds tol."""
-    bad = []
-    for i in range(3):
-        for j in range(3):
-            blk = delta[2 * i : 2 * i + 2, 2 * j : 2 * j + 2]
-            if np.linalg.norm(blk) > tol * scale:
-                bad.append(f"({_MODE_BLOCKS[i]},{_MODE_BLOCKS[j]})")
-    return tuple(bad)
-
-
-def explicit_formula_report(loop: Loop, tol: float = 1e-6) -> ExplicitFormulaReport:
-    """Evaluate the explicit formula under both gain readings and compare
-    each against the Lyapunov solve of the loop's augmented model.
-    Preference order on a tie: 'full' first."""
-    vprime = loop.Vz[:6, :6]
-    scale = max(float(np.linalg.norm(vprime)), 1e-300)
-    errors = {}
-    blocks = {}
-    matching = None
-    for reading in GAIN_READINGS:
-        delta = vprime_explicit(loop, gain_reading=reading) - vprime
-        errors[reading] = float(np.linalg.norm(delta)) / scale
-        blocks[reading] = _block_labels(delta, scale, tol)
-        if matching is None and errors[reading] <= tol:
-            matching = reading
-    return ExplicitFormulaReport(
-        tol=tol, errors=errors, mismatched_blocks=blocks, matching_reading=matching
-    )
+def controlled_channel_variances(
+    params: MemoryParams, Lambda: np.ndarray, mode: str, r: float
+) -> np.ndarray:
+    """The controlled steady variances v'_j of the six x' channels from
+    scalar formulas, never from the dense solve: `channel_variances` on an
+    unmeasured channel (so a non-diagonal Lambda is refused); on a measured
+    one the filter root
+    v = lam [(nu - gamma) + sqrt((nu - gamma)^2 + 4 nu gamma theta / lam)] / (2 nu),
+    theta = n_occ + 1/2, the gain k = sqrt(2 nu) (v - lam) / (2 lam), the
+    rate f of `feedback_rates`, and the 2x2 Lyapunov equation of
+    (x'_j, pi_j) with drift [[-c, -f], [sqrt(2 nu) k, -c - f - sqrt(2 nu) k]]
+    and noise [[nu lam + gamma theta, -sqrt(2 nu) lam k], [., 2 k^2 lam]],
+    solved for its three unknowns."""
+    v = channel_variances(params, Lambda)
+    lam = np.diag(Lambda)
+    nu, gamma, c = params.nu, params.gamma, params.damping
+    theta, d, rate = params.n_occ + 0.5, nu - gamma, np.sqrt(2.0 * nu)
+    for j, f in zip(syndrome_set(mode).rows, feedback_rates(LqgConfig(r=r, mode=mode), params)):
+        vc = lam[j] * (d + np.sqrt(d * d + 4.0 * nu * gamma * theta / lam[j])) / (2.0 * nu)
+        k = rate * (vc - lam[j]) / (2.0 * lam[j])
+        a, b, e = -c - f - rate * k, -f, rate * k  # drift [[-c, b], [e, a]]
+        lyapunov = [[-2.0 * c, 2.0 * b, 0.0], [e, a - c, b], [0.0, 2.0 * e, 2.0 * a]]
+        noise = [nu * lam[j] + gamma * theta, -rate * lam[j] * k, 2.0 * k * k * lam[j]]
+        v[j] = np.linalg.solve(lyapunov, np.negative(noise))[0]
+    return v
 
 
 def controlled_fidelity(Vprime: np.ndarray, V_in: np.ndarray) -> float:

@@ -2,9 +2,11 @@
 
 Each check exercises one verifiable claim about the library at its stated
 tolerance and prints a single [PASS]/[FAIL] line; the slowest (the Monte
-Carlo moment comparison) takes ~9 s. Run with -s to see every line as it
+Carlo moment comparison) takes ~1.3 s. Run with -s to see every line as it
 completes.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -32,6 +34,33 @@ def test_regulator_check_fails_when_the_closed_form_drifts(monkeypatch):
         memlqg.control, "feedback_rates", lambda config, params: real(config, params) * (1 + 1e-6)
     )
     result = run_check(6)
+    assert not result.passed, result.detail
+
+
+#: Seeded faults that check 7 must catch, each (closedloop function, scale of
+#: each field of what it returns): the loop's Lyapunov solve reads the
+#: filter's Ktil and the rates f, and the per-channel closed form neither.
+CHECK_7_FAULTS = {
+    "filter K and Ktil x (1 + 1e-6)": ("stationary_filter", {"K": 1 + 1e-6, "Ktil": 1 + 1e-6}),
+    "filter Ktil alone x 1.05": ("stationary_filter", {"Ktil": 1.05}),
+    "gains f and F x (1 + 1e-6)": ("lqg_gains", {"f": 1 + 1e-6, "Fgain": 1 + 1e-6}),
+}
+
+
+@pytest.mark.parametrize("fault", CHECK_7_FAULTS)
+def test_closed_form_check_fails_under_each_seeded_fault(monkeypatch, fault):
+    """Check 7 compares the dense loop with scalar formulas that read
+    neither the filter nor the gains the loop is built from, so a gain or
+    rate 1e-6 off fails it."""
+    name, scales = CHECK_7_FAULTS[fault]
+    real = getattr(memlqg.closedloop, name)
+
+    def faulty(*args):
+        out = real(*args)
+        return replace(out, **{field: getattr(out, field) * s for field, s in scales.items()})
+
+    monkeypatch.setattr(memlqg.closedloop, name, faulty)
+    result = run_check(7)
     assert not result.passed, result.detail
 
 

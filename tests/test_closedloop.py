@@ -7,13 +7,11 @@ from numpy.testing import assert_allclose
 from memlqg import closedloop
 from memlqg.acceptance import reference_params
 from memlqg.closedloop import (
-    GAIN_READINGS,
     LoopBuilder,
     build_augmented,
     closed_loop_covariance,
+    controlled_channel_variances,
     controlled_fidelity,
-    explicit_formula_report,
-    vprime_explicit,
 )
 from memlqg.control import Gains, LqgConfig, feedback_rates, lqg_gains
 from memlqg.estimation import (
@@ -181,41 +179,18 @@ def test_weak_control_approaches_open_loop():
     assert np.abs(Vp - V_inf).max() < 1e-5
 
 
-@pytest.mark.parametrize("reading", GAIN_READINGS)
-def test_explicit_formula_matches_lyapunov(reading):
-    # phase-aligned squeezing: the optimal gain stays inside the measured
-    # subspace and the closed form is exact under either gain reading
-    loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-4)
-    Vp = loop.Vz[:6, :6]
-    cand = vprime_explicit(loop, gain_reading=reading)
-    assert np.linalg.norm(cand - Vp) / np.linalg.norm(Vp) < 1e-10
-
-
-def test_explicit_formula_report_structure_on_agreement():
-    rep = explicit_formula_report(LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-4))
-    assert rep.matches
-    assert rep.matching_reading == "full"  # preference order on a tie
-    assert set(rep.errors) == set(GAIN_READINGS)
-    assert all(len(rep.mismatched_blocks[k]) == 0 for k in GAIN_READINGS)
-    assert rep.lines()[0].startswith("explicit formula matches")
-
-
-def test_explicit_formula_report_flags_phase_squeezed_source():
-    """A source squeezed along a rotated axis (a q-p covariance c) drags the
-    optimal gain out of the measured subspace; the closed form then fails
-    under both readings and the report must say so block by block."""
+@pytest.mark.parametrize("mode", FILTER_MODES)
+def test_channel_closed_form_refuses_a_tilted_source(mode):
+    """A source squeezed along a rotated axis (a q-p covariance c) couples
+    its channels, so the per-channel closed form refuses it, while the
+    dense loop still solves it to a fine covariance."""
     tilted = FieldMode(vq=0.5 * np.cosh(1.0), vp=0.5 * np.cosh(1.0), c=0.5 * np.sinh(1.0))
     noise = noise_model(
         lambda_matrix(tilted, squeezed_vacuum(MU), squeezed_vacuum(MU)), PARAMS.n_occ
     )
-    loop = LoopBuilder(PARAMS, ENC)(noise, "s1", 1e-4)
-    rep = explicit_formula_report(loop)
-    assert not rep.matches
-    assert all(rep.errors[k] > rep.tol for k in GAIN_READINGS)
-    assert any(len(rep.mismatched_blocks[k]) > 0 for k in GAIN_READINGS)
-    assert set(rep.mismatched_blocks) == set(GAIN_READINGS)
-    assert "DISAGREES" in rep.lines()[0]
-    # the authoritative result is still a fine covariance
+    with pytest.raises(ValueError, match="diagonal Lambda"):
+        controlled_channel_variances(PARAMS, noise.Lambda, mode, 1e-4)
+    loop = LoopBuilder(PARAMS, ENC)(noise, mode, 1e-4)
     assert min_eigenvalue(loop.Vz[:6, :6]) > 0
 
 
@@ -502,28 +477,6 @@ def test_time_rescaling_leaves_every_fidelity_bit_identical():
             assert np.array_equal(rescaled, F), (nu, gamma, n_occ, mus, mu1, r, s)
 
 
-def channel_closed_form(p, Lambda, mode, r):
-    """The controlled steady variances v'_j of the six x' channels from
-    scalar formulas, never from the dense solve: the open-loop variance on
-    an unmeasured channel; on a measured one the filter root
-    v = lam [(nu - gamma) + sqrt((nu - gamma)^2 + 4 nu gamma theta / lam)] / (2 nu),
-    the gain k = sqrt(2 nu) (v - lam) / (2 lam), and the 2x2 Lyapunov
-    equation of (x'_j, pi_j) with drift [[-c, -f], [sqrt(2 nu) k,
-    -c - f - sqrt(2 nu) k]] and noise [[nu lam + gamma theta,
-    -sqrt(2 nu) lam k], [., 2 k^2 lam]], solved for its three unknowns."""
-    lam = np.diag(Lambda)
-    theta, c, d, rate = p.n_occ + 0.5, p.damping, p.nu - p.gamma, np.sqrt(2 * p.nu)
-    v = (p.nu * lam + p.gamma * theta) / (p.nu + p.gamma)
-    for j, f in zip(FILTER_MODES[mode].rows, feedback_rates(LqgConfig(r=r, mode=mode), p)):
-        vc = lam[j] * (d + np.sqrt(d * d + 4 * p.nu * p.gamma * theta / lam[j])) / (2 * p.nu)
-        k = rate * (vc - lam[j]) / (2 * lam[j])
-        a, b, e = -c - f - rate * k, -f, rate * k  # drift [[-c, b], [e, a]]
-        lyapunov = [[-2 * c, 2 * b, 0.0], [e, a - c, b], [0.0, 2 * e, 2 * a]]
-        noise = [p.nu * lam[j] + p.gamma * theta, -rate * lam[j] * k, 2 * k * k * lam[j]]
-        v[j] = np.linalg.solve(lyapunov, np.negative(noise))[0]
-    return v
-
-
 def test_per_channel_closed_form_is_the_oracle_over_the_box():
     """Over 60 seeded box points, four ancilla exponents each and both modes
     (480 loops), the loop's fidelity and its controlled covariance in x'
@@ -541,7 +494,7 @@ def test_per_channel_closed_form_is_the_oracle_over_the_box():
             builder.fidelities(noises, mode, [r])  # solves the four filters as one stack
             for noise in noises:
                 loop = builder(noise, mode, r)
-                v = channel_closed_form(p, noise.Lambda, mode, r)
+                v = controlled_channel_variances(p, noise.Lambda, mode, r)
                 F = np.prod(v + np.diag(noise.Lambda)) ** -0.5
                 Vp = loop._augmented.Vz_inmode[:6, :6]  # the solve F is read from
                 point = (nu, gamma, n_occ, mu1, r, mode, noise.Lambda[2, 2])

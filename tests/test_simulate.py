@@ -28,6 +28,7 @@ from memlqg.model import (
     vacuum,
 )
 from memlqg import simulate
+from memlqg.numerics import symmetrize
 from memlqg.openloop import steady_state, system_matrices
 from memlqg.simulate import (
     CHUNK,
@@ -422,7 +423,9 @@ def test_syndrome_estimate_is_rows_of_the_full_estimate(mode, known):
     the syndrome filter's recursion because C = sqrt(2 nu) Btil exactly and
     Btil K = Ktil to rounding: 1e-14 relative, against a measured 2.2e-16 at
     most over both modes and filter views, three memories, two encodings,
-    three payloads and five squeezings."""
+    three payloads and five squeezings. The gain also stays in the measured
+    subspace, K = Btil^T Ktil (measured 0 over the same filters), which
+    Btil K = Ktil alone misses for a gain K + (I - Btil^T Btil) E."""
     params = reference_params()
     enc = standard_encoding(-230.0)
     for mu in (-20.0, -0.4, 3.0):
@@ -432,6 +435,7 @@ def test_syndrome_estimate_is_rows_of_the_full_estimate(mode, known):
         sf = stationary_filter(mm, params, enc, view)
         assert np.array_equal(mm.C, np.sqrt(2.0 * params.nu) * mm.Btil)
         assert np.linalg.norm(mm.Btil @ sf.K - sf.Ktil) <= 1e-14 * np.linalg.norm(sf.Ktil)
+        assert np.linalg.norm(sf.K - mm.Btil.T @ sf.Ktil) <= 1e-14 * np.linalg.norm(sf.Ktil)
 
 
 def mapping_of(a):
@@ -520,24 +524,25 @@ def test_unstable_ensemble_is_detected(monkeypatch):
 
 
 def test_noise_factor_threshold_is_relative():
-    """The crossed law is singular, and at a large thermal occupation its
-    rounding puts eigenvalues below -1e-12 while its largest is ~2e5; it is
-    accepted and reproduced. A negative eigenvalue beyond 1e-12 of the
-    largest is still refused."""
+    """A law with a known null space and an eigenvalue -5e-13 of its
+    largest, as rounding leaves on a singular crossed law, is accepted and
+    reproduced; the same law at -2e-12 is refused. The hot point's crossed
+    law, singular with its largest eigenvalue ~2e5, steps a finite
+    ensemble."""
+    U = np.linalg.qr(np.random.default_rng(7).standard_normal((12, 12)))[0]
+    w = np.concatenate([np.geomspace(1.0, 2e5, 8), np.zeros(3), [-5e-13 * 2e5]])
+    cov = symmetrize((U * w) @ U.T)
+    assert np.linalg.eigvalsh(cov).min() < -1e-13 * 2e5  # far beyond eigh's rounding
+    L = noise_factor(cov)
+    assert np.linalg.norm(L @ L.T - cov) <= 1e-12 * np.linalg.norm(cov)
+    w[-1] = -2e-12 * 2e5
+    with pytest.raises(ValueError, match="not PSD"):
+        noise_factor(symmetrize((U * w) @ U.T))
+    noise_factor(np.diag([1e4, -1e-9]))
     hot = MemoryParams(nu=4.0, gamma=1.0, n_occ=1e6)
     loop = make_loop(params=hot, noise=standard_noise(vacuum(), -1.0, hot))
     cfg = TrajectoryConfig(dt=2e-4, duration=3.0, seed=5)
-    M = _affine_step(cfg, loop, system_matrices(hot, ENC))
-    Phi, Q, _ = _cross(M, 12, cfg.n_steps - round(WINDOW_FRACTION * cfg.n_steps))
-    cov = Q + 0.5 * Phi[:6].T @ Phi[:6]
-    w = np.linalg.eigvalsh(cov)
-    assert w.min() < -1e-12 and w.max() > 1e5
-    L = noise_factor(cov)
-    assert np.linalg.norm(L @ L.T - cov) <= 1e-12 * np.linalg.norm(cov)
     assert np.all(np.isfinite(ensemble(cfg, loop, 2).z_cov))
-    noise_factor(np.diag([1e4, -1e-9]))
-    with pytest.raises(ValueError, match="not PSD"):
-        noise_factor(np.diag([1.0, -2e-12]))
 
 
 def test_ensemble_argument_validation():

@@ -16,10 +16,11 @@ import numpy as np
 
 from .closedloop import LoopBuilder, controlled_channel_variances
 from .control import LqgConfig, lqg_gains
-# Unused here; benchmarks/test_benchmark.py checks that tracing restores
-# this binding, so it stays until that test names closedloop's instead.
-from .estimation import stationary_filter  # noqa: F401
+# stationary_filter is unused here; benchmarks/test_benchmark.py checks that
+# tracing restores this binding, so it stays until that test names closedloop's.
+from .estimation import conditional_channel_variances, stationary_filter  # noqa: F401
 from .model import (
+    _TRITTER,
     FILTER_MODES,
     MU_FLOOR,
     MemoryParams,
@@ -152,42 +153,53 @@ def check_entanglement_threshold() -> tuple[bool, str]:
     return ok, "; ".join(lines)
 
 
-def check_regulator_closed_form() -> tuple[bool, str]:
-    """Dense Riccati solve equals the regulator's closed form; feedback has the stated pattern."""
+def _relative_error(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def check_regulator_and_filter_closed_forms() -> tuple[bool, str]:
+    """Dense Riccati solve equals the regulator's closed form; feedback has
+    the stated pattern. At check 7's point the loop's stationary filter
+    equals the per-channel closed form: T^T Vc T = diag(v_c), Ktil = diag(k)
+    and K = Btil^T diag(k), k_j = sqrt(2 nu) (v_c,j - lam_j) / (2 lam_j)."""
     params = reference_params()
-    c = params.damping
-    worst = 0.0
+    c, worst = params.damping, 0.0
     for mode in FILTER_MODES:
         weights = syndrome_set(mode).weights
-        m = len(weights)
         for r in (1e-6, 1e-9, 1e-12):
             p_closed = lqg_gains(LqgConfig(r=r, mode=mode), params, ENC).P
             p_dense = solve_care(
-                -c * np.eye(m), ENC.syndrome_map(mode), np.diag(weights), r * np.eye(6)
+                -c * np.eye(len(weights)), ENC.syndrome_map(mode), np.diag(weights), r * np.eye(6)
             )
-            rel = np.linalg.norm(p_dense - p_closed) / np.linalg.norm(p_closed)
-            worst = max(worst, float(rel))
+            worst = max(worst, _relative_error(p_dense, p_closed))
     g = lqg_gains(LqgConfig(r=1e-9, mode="s1"), params, ENC)
-    u = g.Fgain @ np.array([0.0, np.sqrt(6.0), 0.0])
     pattern = g.f[-1] * np.array([2.0, 0.0, -1.0, 0.0, -1.0, 0.0])
-    u_rel = float(np.linalg.norm(u - pattern) / np.linalg.norm(pattern))
-    worst = max(worst, u_rel)
-    lam = g.f[-1] / 3.0
-    return (
-        worst <= 1e-8,
-        f"max relative error = {worst:.2e} (tol 1e-8); per-mode rate lambda = f2/3 = {lam:.6g}",
+    worst = max(worst, _relative_error(g.Fgain @ np.array([0.0, np.sqrt(6.0), 0.0]), pattern))
+    noise = standard_noise(vacuum(), -0.4, params)
+    lam, builder, filter_worst = np.diag(noise.Lambda), LoopBuilder(params, ENC), 0.0
+    for mode in FILTER_MODES:
+        sf, Btil = builder(noise, mode, 1e-9).sf, ENC.syndrome_map(mode)
+        rows = list(syndrome_set(mode).rows)
+        vc = conditional_channel_variances(params, noise.Lambda, mode)
+        k = np.diag(np.sqrt(2.0 * params.nu) * (vc[rows] - lam[rows]) / (2.0 * lam[rows]))
+        Vc_inmode = _TRITTER.T @ sf.Vc @ _TRITTER
+        for got, want in ((Vc_inmode, np.diag(vc)), (sf.Ktil, k), (sf.K, Btil.T @ k)):
+            filter_worst = max(filter_worst, _relative_error(got, want))
+    return worst <= 1e-8 and filter_worst <= 1e-14, (
+        f"regulator max relative error = {worst:.2e} (tol 1e-8); per-mode rate lambda = "
+        f"f2/3 = {g.f[-1] / 3.0:.6g}; filter Vc, Ktil and K max relative error = "
+        f"{filter_worst:.2e} (tol 1e-14)"
     )
 
 
-def check_explicit_covariance_formula() -> tuple[bool, str]:
+def check_per_channel_closed_form() -> tuple[bool, str]:
     """The augmented Lyapunov solve's V' equals T diag(v') T^T, v' the
     per-channel closed form of the six independent x' channels."""
     params = reference_params()
     noise = standard_noise(vacuum(), -0.4, params)
     loop = LoopBuilder(params, ENC)(noise, "s1", 1e-9)
     v = controlled_channel_variances(params, noise.Lambda, "s1", 1e-9)
-    expected = input_covariance(np.diag(v))
-    err = float(np.linalg.norm(loop.Vz[:6, :6] - expected) / np.linalg.norm(expected))
+    err = _relative_error(loop.Vz[:6, :6], input_covariance(np.diag(v)))
     return err <= 1e-14, (
         f"|V' - T diag(v') T^T| / |T diag(v') T^T| = {err:.2e} (tol 1e-14), "
         "v' from the per-channel closed form"
@@ -321,8 +333,8 @@ ALL_CHECKS = (
     (3, "witness anchors", check_witness_anchors),
     (4, "syndrome variance", check_syndrome_variance),
     (5, "entanglement threshold", check_entanglement_threshold),
-    (6, "regulator closed form", check_regulator_closed_form),
-    (7, "explicit covariance formula", check_explicit_covariance_formula),
+    (6, "regulator and filter closed forms", check_regulator_and_filter_closed_forms),
+    (7, "per-channel closed form", check_per_channel_closed_form),
     (8, "cheap-control limit", check_cheap_control_limit),
     (9, "monte carlo vs moment equations", check_monte_carlo_moments),
     (10, "fidelity surface optimum", check_fidelity_surface_optimum),

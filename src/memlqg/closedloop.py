@@ -10,7 +10,8 @@ never mix. The fidelity det(V' + Lambda)^-1/2 is read from that one solve,
 and the covariance of z = (x, pi_s) is its rotation by diag(T, I). For a
 diagonal Lambda each measured channel is one 2x2 loop (x'_j, pi_j), so
 V' in x' is diag(v'), and `controlled_channel_variances` gives v' from
-scalar formulas alone, an oracle independent of the dense solve.
+scalar formulas alone (the separation principle), an oracle independent
+of the dense solve.
 
 The feedback never disturbs the stored word: the syndrome maps annihilate
 the drive direction, so the closed-loop steady mean equals the open-loop
@@ -28,6 +29,7 @@ from .control import Gains, LqgConfig, feedback_rates, lqg_gains
 from .estimation import (
     MeasurementModel,
     StationaryFilter,
+    conditional_channel_variances,
     filter_view_noise,
     measurement_model,
     measurement_models,
@@ -122,27 +124,17 @@ def controlled_channel_variances(
     params: MemoryParams, Lambda: np.ndarray, mode: str, r: float
 ) -> np.ndarray:
     """The controlled steady variances v'_j of the six x' channels from
-    scalar formulas, never from the dense solve: `channel_variances` on an
-    unmeasured channel (so a non-diagonal Lambda is refused); on a measured
-    one the filter root
-    v = lam [(nu - gamma) + sqrt((nu - gamma)^2 + 4 nu gamma theta / lam)] / (2 nu),
-    theta = n_occ + 1/2, the gain k = sqrt(2 nu) (v - lam) / (2 lam), the
-    rate f of `feedback_rates`, and the 2x2 Lyapunov equation of
-    (x'_j, pi_j) with drift [[-c, -f], [sqrt(2 nu) k, -c - f - sqrt(2 nu) k]]
-    and noise [[nu lam + gamma theta, -sqrt(2 nu) lam k], [., 2 k^2 lam]],
-    solved for its three unknowns."""
+    scalar formulas, never from the dense solve. By the separation principle
+    a measured channel's v' is its filter variance v_c plus the variance of
+    its estimate, which the rate f of `feedback_rates` damps at c + f in
+    place of c: v' = v_c + (v - v_c) c / (c + f), v the open-loop variance
+    (both from scalar formulas that refuse a non-diagonal Lambda)."""
     v = channel_variances(params, Lambda)
-    lam = np.diag(Lambda)
-    nu, gamma, c = params.nu, params.gamma, params.damping
-    theta, d, rate = params.n_occ + 0.5, nu - gamma, np.sqrt(2.0 * nu)
-    for j, f in zip(syndrome_set(mode).rows, feedback_rates(LqgConfig(r=r, mode=mode), params)):
-        vc = lam[j] * (d + np.sqrt(d * d + 4.0 * nu * gamma * theta / lam[j])) / (2.0 * nu)
-        k = rate * (vc - lam[j]) / (2.0 * lam[j])
-        a, b, e = -c - f - rate * k, -f, rate * k  # drift [[-c, b], [e, a]]
-        lyapunov = [[-2.0 * c, 2.0 * b, 0.0], [e, a - c, b], [0.0, 2.0 * e, 2.0 * a]]
-        noise = [nu * lam[j] + gamma * theta, -rate * lam[j] * k, 2.0 * k * k * lam[j]]
-        v[j] = np.linalg.solve(lyapunov, np.negative(noise))[0]
-    return v
+    vc = conditional_channel_variances(params, Lambda, mode)
+    f = np.zeros(6)
+    f[list(syndrome_set(mode).rows)] = feedback_rates(LqgConfig(r=r, mode=mode), params)
+    c = params.damping
+    return vc + (v - vc) * c / (c + f)
 
 
 def controlled_fidelity(Vprime: np.ndarray, V_in: np.ndarray) -> float:

@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model, vacuum
+from .model import (
+    _TRITTER, Encoding, MemoryParams, NoiseModel, SourceSpec, noise_model, syndrome_set, vacuum
+)
 from .numerics import (
     ConvergenceError,
     check_items,
@@ -32,6 +34,7 @@ from .numerics import (
     stack,
     symmetrize,
 )
+from .openloop import channel_variances
 
 
 def filter_view_noise(
@@ -87,6 +90,22 @@ def measurement_models(mode: str, enc: Encoding, params: MemoryParams, noises: l
     Lambda = stack([noise.Lambda for noise in noises])
     innovation_cov = symmetrize(2.0 * Z @ Lambda @ Z.T)
     return [MeasurementModel(mode, C, D, Btil, R) for R in innovation_cov]
+
+
+def conditional_channel_variances(
+    params: MemoryParams, Lambda: np.ndarray, mode: str
+) -> np.ndarray:
+    """The stationary filter's variances v_c of the six x' channels from
+    scalar formulas, never from the CARE: `channel_variances` on an
+    unmeasured channel (so a non-diagonal Lambda is refused), on a measured
+    one the positive root of (nu/lam) v^2 + (gamma - nu) v - gamma theta = 0,
+    theta = n_occ + 1/2, lam = Lambda[j, j]."""
+    v = channel_variances(params, Lambda)
+    rows = list(syndrome_set(mode).rows)
+    lam, nu, gamma = np.diagonal(Lambda)[rows], params.nu, params.gamma
+    theta, d = params.n_occ + 0.5, nu - gamma
+    v[rows] = lam * (d + np.sqrt(d * d + 4.0 * nu * gamma * theta / lam)) / (2.0 * nu)
+    return v
 
 
 @dataclass(frozen=True)

@@ -37,22 +37,28 @@ def test_regulator_check_fails_when_the_closed_form_drifts(monkeypatch):
     assert not result.passed, result.detail
 
 
-#: Seeded faults that check 7 must catch, each (closedloop function, scale of
-#: each field of what it returns): the loop's Lyapunov solve reads the
-#: filter's Ktil and the rates f, and the per-channel closed form neither.
-CHECK_7_FAULTS = {
-    "filter K and Ktil x (1 + 1e-6)": ("stationary_filter", {"K": 1 + 1e-6, "Ktil": 1 + 1e-6}),
-    "filter Ktil alone x 1.05": ("stationary_filter", {"Ktil": 1.05}),
-    "gains f and F x (1 + 1e-6)": ("lqg_gains", {"f": 1 + 1e-6, "Fgain": 1 + 1e-6}),
+#: Seeded faults, each (closedloop function, scale of each field of what it
+#: returns, the checks that must fail). Check 6 gates the loop's filter
+#: against its per-channel closed form; check 7 gates the loop's Lyapunov
+#: solve, which reads the filter's Ktil and the rates f, against the
+#: per-channel v', which reads neither.
+SEEDED_FAULTS = {
+    "filter K and Ktil x (1 + 1e-6)": (
+        "stationary_filter", {"K": 1 + 1e-6, "Ktil": 1 + 1e-6}, (6, 7)
+    ),
+    "filter Ktil alone x 1.05": ("stationary_filter", {"Ktil": 1.05}, (6, 7, 8)),
+    "gains f and F x (1 + 1e-6)": ("lqg_gains", {"f": 1 + 1e-6, "Fgain": 1 + 1e-6}, (7,)),
+    "filter K alone x 1.05": ("stationary_filter", {"K": 1.05}, (6,)),
+    "filter Ktil alone x (1 + 1e-6)": ("stationary_filter", {"Ktil": 1 + 1e-6}, (6, 7)),
 }
 
 
-@pytest.mark.parametrize("fault", CHECK_7_FAULTS)
+@pytest.mark.parametrize("fault", SEEDED_FAULTS)
 def test_closed_form_check_fails_under_each_seeded_fault(monkeypatch, fault):
-    """Check 7 compares the dense loop with scalar formulas that read
+    """Checks 6 and 7 compare the loop with scalar formulas that read
     neither the filter nor the gains the loop is built from, so a gain or
-    rate 1e-6 off fails it."""
-    name, scales = CHECK_7_FAULTS[fault]
+    rate 1e-6 off fails each check that reads it."""
+    name, scales, checks = SEEDED_FAULTS[fault]
     real = getattr(memlqg.closedloop, name)
 
     def faulty(*args):
@@ -60,8 +66,9 @@ def test_closed_form_check_fails_under_each_seeded_fault(monkeypatch, fault):
         return replace(out, **{field: getattr(out, field) * s for field, s in scales.items()})
 
     monkeypatch.setattr(memlqg.closedloop, name, faulty)
-    result = run_check(7)
-    assert not result.passed, result.detail
+    for index in checks:
+        result = run_check(index)
+        assert not result.passed, result.detail
 
 
 def test_source_blindness_solves_each_filter_independently(filter_solves):

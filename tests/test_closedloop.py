@@ -13,7 +13,7 @@ from memlqg.closedloop import (
     controlled_channel_variances,
     controlled_fidelity,
 )
-from memlqg.control import Gains, LqgConfig, feedback_rates, lqg_gains
+from memlqg.control import Gains, LqgConfig, lqg_gains
 from memlqg.estimation import (
     filter_view_noise,
     measurement_model,
@@ -38,6 +38,7 @@ from memlqg.model import (
 )
 from memlqg.numerics import ConvergenceError, UnstableDriftError, min_eigenvalue
 from memlqg.openloop import (
+    channel_variances,
     fidelity,
     fidelity_closed_form,
     steady_state,
@@ -118,63 +119,36 @@ def test_feedback_does_not_shift_written_word():
     assert_allclose(mean_z[6:], 0.0, atol=1e-10)
 
 
-def scalar_open(a, p):
-    return (p.nu * a + p.gamma * (p.n_occ + 0.5)) / (p.nu + p.gamma)
-
-
-def scalar_conditional(a, p):
-    d = (p.nu - p.gamma) * a
-    return (d + np.sqrt(d * d + 4 * p.nu * p.gamma * (p.n_occ + 0.5) * a)) / (2 * p.nu)
-
-
-def scalar_controlled(a, f, p):
-    c = 0.5 * (p.nu + p.gamma)
-    vc = scalar_conditional(a, p)
-    return vc + (scalar_open(a, p) - vc) * c / (c + f)
-
-
 @pytest.mark.parametrize("mode,measured", [("s1", (1, 2, 4)), ("s2", (2, 4))])
 def test_per_channel_closed_loop_oracle(mode, measured):
-    """Every rotated coordinate relaxes independently, so the 6x6 machinery
-    must reproduce three scalar results: open-loop variance on unmeasured
-    coordinates, and the interpolation vc + (v_ol - vc) c/(c+f) on measured
-    ones. Derived by solving the 1-d Riccati/Lyapunov pair by hand."""
+    """Every rotated coordinate relaxes independently, so at r = 1e-2,
+    outside the box, the 6x6 machinery reproduces the per-channel v': the
+    open-loop variance on the unmeasured coordinates, a smaller one on the
+    measured ones, and no coupling between channels."""
     r = 1e-2
-    mm, sf, g = loop_pieces(mode=mode, r=r)
-    am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
-    _, Vp = closed_loop_covariance(am)
-    T = _TRITTER
-    rotated = T.T @ Vp @ T
-    a = np.diag(NOISE.Lambda)
-    f = feedback_rates(LqgConfig(r=r, mode=mode), PARAMS)
-    expected = np.array([scalar_open(aj, PARAMS) for aj in a])
-    for k, j in enumerate(measured):
-        expected[j] = scalar_controlled(a[j], f[k], PARAMS)
-    assert_allclose(np.diag(rotated), expected, rtol=1e-9)
+    rotated = _TRITTER.T @ LoopBuilder(PARAMS, ENC)(NOISE, mode, r).Vz[:6, :6] @ _TRITTER
+    v = controlled_channel_variances(PARAMS, NOISE.Lambda, mode, r)
+    assert_allclose(np.diag(rotated), v, rtol=1e-9)
     assert np.abs(rotated - np.diag(np.diag(rotated))).max() < 1e-9
+    v_open = channel_variances(PARAMS, NOISE.Lambda)
+    assert np.array_equal(v < v_open, [j in measured for j in range(6)])
+    assert np.array_equal(v[v >= v_open], v_open[v >= v_open])
 
 
 def test_controlled_covariance_bounded_by_conditional():
-    mm, sf, g = loop_pieces(r=1e-6)
-    am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
-    _, Vp = closed_loop_covariance(am)
-    assert min_eigenvalue(Vp - sf.Vc) > -1e-10
+    loop = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e-6)
+    assert min_eigenvalue(loop.Vz[:6, :6] - loop.sf.Vc) > -1e-10
 
 
 def test_stronger_control_shrinks_variance():
     traces = []
     for r in (1e-1, 1e-3, 1e-5, 1e-7):
-        mm, sf, g = loop_pieces(r=r)
-        am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
-        _, Vp = closed_loop_covariance(am)
-        traces.append(np.trace(Vp))
+        traces.append(np.trace(LoopBuilder(PARAMS, ENC)(NOISE, "s1", r).Vz[:6, :6]))
     assert all(t1 > t2 for t1, t2 in zip(traces, traces[1:]))
 
 
 def test_weak_control_approaches_open_loop():
-    mm, sf, g = loop_pieces(r=1e12)
-    am = build_augmented(PARAMS, ENC, NOISE, mm, g, sf)
-    _, Vp = closed_loop_covariance(am)
+    Vp = LoopBuilder(PARAMS, ENC)(NOISE, "s1", 1e12).Vz[:6, :6]
     V_inf = steady_state(PARAMS, ENC, NOISE).cov
     assert np.abs(Vp - V_inf).max() < 1e-5
 
@@ -217,11 +191,7 @@ def test_optimal_gain_minimizes_steady_cost():
 def test_controlled_fidelity_beats_uncontrolled():
     p = MemoryParams(nu=2 * np.pi * 30e3, gamma=2 * np.pi, n_occ=8.8e3)
     noise = standard_noise(vacuum(), -0.4, p)
-    mm = measurement_model("s1", ENC, p, noise)
-    sf = stationary_filter(mm, p, ENC, noise)
-    g = lqg_gains(LqgConfig(r=1e-9, mode="s1"), p, ENC)
-    am = build_augmented(p, ENC, noise, mm, g, sf)
-    _, Vp = closed_loop_covariance(am)
+    Vp = LoopBuilder(p, ENC)(noise, "s1", 1e-9).Vz[:6, :6]
     lam = lambda_matrix(vacuum(), squeezed_vacuum(-0.4), squeezed_vacuum(-0.4))
     V_in = input_covariance(lam)
     f_ctl = controlled_fidelity(Vp, V_in)
@@ -482,8 +452,8 @@ def test_per_channel_closed_form_is_the_oracle_over_the_box():
     (480 loops), the loop's fidelity and its controlled covariance in x'
     match the per-channel closed form: F relative, each variance relative,
     and each off-diagonal entry against its channels' scale. Each gate sits
-    above the largest error the x' assembly reads here (F 6.2e-15, variances
-    9.8e-16, off-diagonal entries 6.5e-13)."""
+    above the largest error the x' assembly reads here (F 5.8e-15, variances
+    6.5e-16, off-diagonal entries 6.5e-13)."""
     rng = np.random.default_rng(29)
     for _ in range(60):
         nu, gamma, n_occ, mus, mu1, r = box_point(rng)

@@ -5,7 +5,12 @@ from numpy.testing import assert_allclose
 from memlqg import estimation
 from memlqg.acceptance import reference_params
 from memlqg.closedloop import LoopBuilder
-from memlqg.estimation import measurement_model, measurement_models, stationary_filter
+from memlqg.estimation import (
+    conditional_channel_variances,
+    measurement_model,
+    measurement_models,
+    stationary_filter,
+)
 from memlqg.model import (
     _TRITTER,
     FILTER_MODES,
@@ -94,18 +99,6 @@ FILTER_POINTS = {
 }
 
 
-def _filter_closed_form(mode, p, Lambda):
-    """Vc = T diag(v) T^T channel by channel: the open-loop variance on an
-    unmeasured channel; on a measured one the root of the scalar Riccati
-    equation (nu/lam) v^2 + (gamma - nu) v - gamma theta = 0, theta = n + 1/2."""
-    lam = np.diag(Lambda)
-    theta, d = p.n_occ + 0.5, p.nu - p.gamma
-    v = (p.nu * lam + p.gamma * theta) / (p.nu + p.gamma)
-    for j in FILTER_MODES[mode].rows:
-        v[j] = lam[j] * (d + np.sqrt(d * d + 4.0 * p.nu * p.gamma * theta / lam[j])) / (2.0 * p.nu)
-    return v
-
-
 @pytest.mark.parametrize("point", FILTER_POINTS)
 @pytest.mark.parametrize("mode", FILTER_MODES)
 def test_care_filter_matches_channel_closed_form(mode, point):
@@ -115,7 +108,7 @@ def test_care_filter_matches_channel_closed_form(mode, point):
     noise = standard_noise(squeezed_vacuum(mu1), mu, p)
     mm = measurement_model(mode, ENC, p, noise)
     Vc = stationary_filter(mm, p, ENC, noise).Vc
-    v = _filter_closed_form(mode, p, noise.Lambda)
+    v = conditional_channel_variances(p, noise.Lambda, mode)
     expected = _TRITTER @ np.diag(v) @ _TRITTER.T
     assert np.linalg.norm(Vc - expected) <= 1e-12 * np.linalg.norm(expected)
     # entrywise in the T^T basis, each entry against its channels' scale
